@@ -26,6 +26,7 @@ import numpy as np
 
 from .histories import Conjecture, Node, OppPlan, TreeWalker
 from .model import GameError
+from .sampling import PathSampler
 
 __all__ = ["CarrierTables"]
 
@@ -117,39 +118,30 @@ class CarrierTables:
         off the running slope-product partial sums, so estimates across
         cutoffs share draws (common random numbers).
         """
-        rng = np.random.default_rng(seed)
-        T = self.game.horizon
-        sums = np.zeros(T - node.t + 1)
-        plans = self._plans(i, node)
-        probs = np.array([p for p, _ in plans])
-        probs = probs / probs.sum()
-        for _ in range(max(1, samples)):
-            plan = plans[rng.choice(len(plans), p=probs)][1]
+        game = self.game
+        n = game.horizon - node.t + 1
+        samples = max(1, samples)
+        sums = [0.0] * n
+
+        def slope(cur: Node, s: int, actions: dict) -> float:
+            return game.du_ds(i, cur.t, game.grid(i, cur.t).value(s), actions)
+
+        paths = PathSampler(self.walker, i, self._plans(i, node), np.random.default_rng(seed),
+                            samples * 2 * n, a_pos, slope, self.walker.own_shock_branches)
+        for _ in range(samples):
+            slot = paths.plan()
             cur, s, mp, acc = node, s_idx, 1.0, 0.0
-            for k in range(node.t, T + 1):
-                menu = self.walker.menu(i, cur)
-                if k == node.t and a_pos is not None:
-                    a_own = menu.actions[a_pos]
-                else:
-                    a_own = menu.actions[menu.action_index_of_state[s]]
-                a_idx = self.game.action_grids[(i, k)].index_of(a_own, tol=1e-6)
-                branches = list(self.walker.other_branches(i, cur, plan))
-                bw = np.array([b.prob for b in branches])
-                br = branches[rng.choice(len(branches), p=bw / bw.sum())]
-                actions = dict(br.actions)
-                actions[i] = a_own
-                s_val = self.game.grid(i, k).value(s)
-                acc += self.game.du_ds(i, k, s_val, actions) * mp
-                sums[k - node.t] += acc
-                if k == T:
+            for k in range(n):
+                step = paths.step(slot, cur, s, k == 0)
+                acc += step.value * mp
+                sums[k] += acc
+                if k == n - 1:
                     break
-                child = self.walker.child_after(i, cur, s, a_idx, br)
-                shocks = self.walker.own_shock_branches(i, cur, s, child)
-                sw = np.array([w for w, *_ in shocks])
-                _, _omega, j2, dk = shocks[rng.choice(len(shocks), p=sw / sw.sum())]
+                j = paths.transition(cur, s, step)
+                _, _omega, j2, dk = step.outcomes[j]
                 mp *= dk
-                cur, s = child, j2
-        return sums / max(1, samples)
+                cur, s = step.child, j2
+        return np.array(sums) / samples
 
     def impulse_bound(self, i: int, t: int) -> float | None:
         """Declared-constant bound: sum of reward slopes times running dynamic slopes."""

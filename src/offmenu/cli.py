@@ -23,8 +23,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker parallelism hint (evaluations are pure; 1 is exact-reproducible)")
 
 
 def _overrides(args) -> dict:

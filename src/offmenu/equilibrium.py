@@ -39,6 +39,7 @@ from .histories import (
 )
 from .mechanism import Mechanism
 from .model import BaseGame, GameError
+from .sampling import PathSampler, choice_cdf, inverse_cdf_draws
 
 __all__ = ["Engine", "BestResponse", "FixedPointResult", "EmpiricalOutcome", "TreeSizeError"]
 
@@ -347,48 +348,43 @@ class Engine:
         so the max over plans is taken over a common sample set.  Returns
         (means, standard errors), one entry per plan index.
         """
-        rng = np.random.default_rng(seed)
-        T = self.game.horizon
-        sums = np.zeros(T - node.t + 1)
-        sq = np.zeros(T - node.t + 1)
-        plans = [(p, pl) for p, pl in x.plans(i, node)]
-        plan_probs = np.array([p for p, _ in plans])
-        plan_probs = plan_probs / plan_probs.sum()
+        game, phi = self.game, self.mechanism.phi
+        n = game.horizon - node.t + 1
+        sums = [0.0] * n
+        sq = [0.0] * n
+        by_state = phi.state_dependent()
+
+        def flow(cur: Node, s: int, actions: dict) -> float:
+            s_val = game.grid(i, cur.t).value(s)
+            return game.reward(i, cur.t, s_val, actions) + self.mechanism.rho.value(i, cur, actions)
+
+        paths = PathSampler(self.walker, i, x.plans(i, node), np.random.default_rng(seed),
+                            n_samples * 2 * n, a_pos, flow)
         for _ in range(n_samples):
-            pl = plans[rng.choice(len(plans), p=plan_probs)][1]
+            slot = paths.plan()
             acc = 0.0
-            cur_node, cur_s = node, s_idx
-            vals = np.zeros(T - node.t + 1)
-            for k in range(node.t, T + 1):
-                menu = self.walker.menu(i, cur_node)
-                if k == node.t and a_pos is not None:
-                    a_own = menu.actions[a_pos]
+            cur, s = node, s_idx
+            for k in range(n):
+                step = paths.step(slot, cur, s, k == 0)
+                acc += step.value
+                child = paths.child(cur, s, step)
+                if k == n - 1:
+                    v = acc + self.phi_value(i, child)
                 else:
-                    a_own = menu.actions[menu.action_index_of_state[cur_s]]
-                a_own_idx = self.game.action_grids[(i, k)].index_of(a_own, tol=1e-6)
-                branches = list(self.walker.other_branches(i, cur_node, pl))
-                probs = np.array([b.prob for b in branches])
-                br = branches[rng.choice(len(branches), p=probs / probs.sum())]
-                actions = dict(br.actions)
-                actions[i] = a_own
-                s_val = self.game.grid(i, k).value(cur_s)
-                acc += (self.game.reward(i, k, s_val, actions)
-                        + self.mechanism.rho.value(i, cur_node, actions))
-                child = self.walker.child_after(i, cur_node, cur_s, a_own_idx, br)
-                if k == T:
-                    vals[k - node.t] = acc + self.phi_value(i, child)
-                    break
-                kernel = self.walker.own_kernel(i, cur_node, cur_s, child)
-                pv = np.array([p for p, _ in kernel])
-                nxt = kernel[rng.choice(len(kernel), p=pv / pv.sum())][1]
-                vals[k - node.t] = acc + (self.mechanism.phi.value(i, child, nxt)
-                                          if self.mechanism.phi.state_dependent()
-                                          else self.phi_value(i, child))
-                cur_node, cur_s = child, nxt
-            sums += vals
-            sq += vals * vals
-        mean = sums / n_samples
-        var = np.maximum(sq / n_samples - mean * mean, 0.0)
+                    j = paths.transition(cur, s, step)
+                    nxt = step.outcomes[j][1]
+                    cont = step.after[j]
+                    if cont is None:
+                        cont = step.after[j] = (phi.value(i, child, nxt) if by_state
+                                                else self.phi_value(i, child))
+                    v = acc + cont
+                    cur, s = child, nxt
+                # per path, one add per plan index: the elementwise order of
+                # ``sums += vals; sq += vals * vals``
+                sums[k] += v
+                sq[k] += v * v
+        mean = np.array(sums) / n_samples
+        var = np.maximum(np.array(sq) / n_samples - mean * mean, 0.0)
         return mean, np.sqrt(var / max(1, n_samples - 1))
 
     # -- simulation ---------------------------------------------------------------
@@ -404,7 +400,16 @@ class Engine:
         """
         om_rule = om_rule or (lambda i, t, s_idx, node: self.directive_quit(i, t, s_idx))
         game = self.game
-        rng = np.random.default_rng(seed)
+        draw = inverse_cdf_draws(np.random.default_rng(seed),
+                                 n_paths * game.n_agents * game.horizon)
+        initial = {}
+        for i in game.agents():
+            dist = game.initial_dist(i)
+            initial[i] = choice_cdf(np.asarray(dist) / sum(dist))
+        # per-call memos of the deterministic parts of a period
+        flows: dict[tuple, float] = {}          # quit or stay payoff flow
+        children: dict[tuple, Node] = {}
+        kernels: dict[tuple, list[float]] = {}
         quit_counts: dict[tuple[int, int], int] = {}
         never_counts: dict[int, int] = {i: 0 for i in game.agents()}
         state_hist: dict[tuple[int, int, int], int] = {}
@@ -412,20 +417,22 @@ class Engine:
         payoff = {i: 0.0 for i in game.agents()}
         for _ in range(n_paths):
             node = self.root()
-            states: dict[int, int] = {}
-            for i in game.agents():
-                dist = game.initial_dist(i)
-                states[i] = int(rng.choice(len(dist), p=np.asarray(dist) / sum(dist)))
+            states = {i: draw(initial[i]) for i in game.agents()}
             alive = set(game.agents())
             for t in game.periods():
-                for i in sorted(alive):
+                live = sorted(alive)
+                for i in live:
                     state_hist[(i, t, states[i])] = state_hist.get((i, t, states[i]), 0) + 1
-                quitters = [i for i in sorted(alive) if om_rule(i, t, states[i], node)]
+                quitters = [i for i in live if om_rule(i, t, states[i], node)]
                 actions_idx: dict[int, int] = {}
                 actions: dict[int, float] = {}
-                for i in sorted(alive):
+                for i in live:
                     if i in quitters:
-                        payoff[i] += self.phi_value(i, node, states[i])
+                        key = (i, node.key, states[i])
+                        v = flows.get(key)
+                        if v is None:
+                            v = flows[key] = self.phi_value(i, node, states[i])
+                        payoff[i] += v
                         quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
                         continue
                     if action_rule is None:
@@ -436,20 +443,33 @@ class Engine:
                     actions[i] = a
                     actions_idx[i] = a_idx
                     action_hist[(i, t, a_idx)] = action_hist.get((i, t, a_idx), 0) + 1
+                played = tuple(actions.items())
                 for i in list(actions):
-                    s_val = game.grid(i, t).value(states[i])
-                    payoff[i] += (game.reward(i, t, s_val, actions)
-                                  + self.mechanism.rho.value(i, node, actions))
-                child = self.store.child(node, states, quitters, actions_idx)
+                    key = (i, node.key, states[i], played)
+                    z = flows.get(key)
+                    if z is None:
+                        s_val = game.grid(i, t).value(states[i])
+                        z = flows[key] = (game.reward(i, t, s_val, actions)
+                                          + self.mechanism.rho.value(i, node, actions))
+                    payoff[i] += z
+                key = (node.key, tuple(states[i] for i in live), tuple(quitters),
+                       tuple(actions_idx.items()))
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = self.store.child(node, states, quitters, actions_idx)
                 alive -= set(quitters)
                 if not alive or t == game.horizon:
                     for i in sorted(alive):
                         never_counts[i] += 1
                     break
                 for i in sorted(alive):
-                    probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),
-                                           self.store.history(child))
-                    states[i] = int(rng.choice(len(probs), p=probs / probs.sum()))
+                    key = (child.key, i, states[i])
+                    cdf = kernels.get(key)
+                    if cdf is None:
+                        probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),
+                                               self.store.history(child))
+                        cdf = kernels[key] = choice_cdf(probs / probs.sum())
+                    states[i] = draw(cdf)
                 node = child
         return EmpiricalOutcome(
             n_paths=n_paths,

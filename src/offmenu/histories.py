@@ -171,7 +171,11 @@ class FixedPlan(OppPlan):
         return self.assign.get(j, 0) == t
 
     def signature(self):
-        return ("fixed", tuple(sorted(self.assign.items())))
+        sig = self.__dict__.get("_sig")
+        if sig is None:
+            sig = ("fixed", tuple(sorted(self.assign.items())))
+            self.__dict__["_sig"] = sig
+        return sig
 
 
 NEVER_QUIT = RegionPlan({})
@@ -272,17 +276,12 @@ class TreeWalker:
         self._menus: dict[tuple[int, int], Menu] = {}
         self._beliefs: dict[tuple[int, int], tuple[tuple[float, int], ...]] = {}
         self._plan_ids: dict[tuple, int] = {}
-        self._plan_id_by_obj: dict[int, int] = {}
 
     # -- caches --------------------------------------------------------------
 
     def plan_id(self, plan: OppPlan) -> int:
-        """Stable small integer for memo keys; identical plans share one id."""
-        pid = self._plan_id_by_obj.get(id(plan))
-        if pid is None:
-            pid = self._plan_ids.setdefault(plan.signature(), len(self._plan_ids))
-            self._plan_id_by_obj[id(plan)] = pid
-        return pid
+        """Stable small integer for memo keys; plans with one signature share one id."""
+        return self._plan_ids.setdefault(plan.signature(), len(self._plan_ids))
 
     def menu(self, i: int, node: Node) -> Menu:
         key = (i, node.key)

@@ -23,6 +23,7 @@ from .carrier import CarrierTables
 from .histories import Node
 from .model import GameError
 from .regions import PartitionSet, RegionPartition
+from .sampling import PathSampler
 
 __all__ = ["PersistenceTransforms"]
 
@@ -136,27 +137,23 @@ class PersistenceTransforms:
         return total
 
     def _uppt_mc(self, i, node, s_idx, L, integrand, samples, seed) -> float:
-        rng = np.random.default_rng(seed)
-        plans = self.carriers.conjecture.plans(i, node)
-        probs = np.array([p for p, _ in plans])
-        probs = probs / probs.sum()
+        samples = max(1, samples)
+        paths = PathSampler(self.walker, i, self.carriers.conjecture.plans(i, node),
+                            np.random.default_rng(seed), samples * (1 + 2 * (L - node.t)))
         acc = 0.0
-        for _ in range(max(1, samples)):
-            plan = plans[rng.choice(len(plans), p=probs)][1]
+        for _ in range(samples):
+            slot = paths.plan()
             cur, s = node, s_idx
             while cur.t < L:
-                branches = list(self.walker.other_branches(i, cur, plan))
-                bw = np.array([b.prob for b in branches])
-                br = branches[rng.choice(len(branches), p=bw / bw.sum())]
-                _, a_idx = self.walker.obedient_action(i, cur, s)
-                child = self.walker.child_after(i, cur, s, a_idx, br)
-                kern = self.walker.own_kernel(i, cur, s, child)
-                kw = np.array([p for p, _ in kern])
-                j2 = kern[rng.choice(len(kern), p=kw / kw.sum())][1]
-                us = self.project(i, child, j2, "up")
+                step = paths.step(slot, cur, s)
+                j = paths.transition(cur, s, step)
+                child = step.child
+                us = step.after[j]
+                if us is None:
+                    us = step.after[j] = self.project(i, child, step.outcomes[j][1], "up")
                 acc += integrand(child.t, us, child, s, cur)
                 cur, s = child, us
-        return acc / max(1, samples)
+        return acc / samples
 
     # -- accumulated deviation ------------------------------------------------------
 
@@ -250,8 +247,6 @@ class PersistenceTransforms:
     def barrier_violations_mc(self, i: int, node: Node, s_idx: int,
                               n_paths: int, seed: int) -> int:
         """Sampled-path version of the barrier check; returns the violation count."""
-        count = 0
-
         def visit(k: int, us: int, nd: Node, *_prev) -> float:
             part = self.partitions.get((i, k))
             if part is not None:
@@ -261,5 +256,4 @@ class PersistenceTransforms:
             return 0.0
 
         total = self._uppt_mc(i, node, s_idx, self.game.horizon, visit, n_paths, seed)
-        count = int(round(total * n_paths))
-        return count
+        return int(round(total * n_paths))

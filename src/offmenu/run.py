@@ -26,7 +26,7 @@ from .reports import (
     write_csv,
     write_report,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, check_samples, load_scenario
 from .synthesis import (
     check_dcm_zero,
     posted_factor_eta,
@@ -67,6 +67,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
     if overrides:
         for k, v in overrides.items():
             setattr(scenario, k, v)
+    check_samples(scenario.samples)
     if scenario.variant == "tables":
         return _run_table_backed(scenario, out_dir)
     game = scenario.build_game()

@@ -22,7 +22,7 @@ from .mechanism import BoundaryProfile, TaskPolicy
 from .model import BaseGame, GameError, Grid, ShockModel
 from .regions import RegionPartition, partition_from_boundary
 
-__all__ = ["Scenario", "load_scenario", "bundled_scenarios"]
+__all__ = ["Scenario", "load_scenario", "check_samples", "bundled_scenarios"]
 
 DEFAULT_CHECKS = ("support", "doic", "payoff_flow")
 KNOWN_CHECKS = ("support", "doic", "payoff_flow", "cm", "envelope", "mso",
@@ -165,6 +165,7 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise GameError(f"unknown mode {mode!r}")
+    samples = check_samples(int(raw.get("samples", 10_000)))
     return Scenario(
         name=raw.get("name", "scenario"),
         agents=agents,
@@ -183,11 +184,18 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         initial=initial,
         mode=mode,
         seed=int(raw.get("seed", 0)),
-        samples=int(raw.get("samples", 10_000)),
+        samples=samples,
         tolerance=float(raw.get("tolerance", 1e-9)),
         checks=checks,
         raw=raw,
     )
+
+
+def check_samples(samples: int) -> int:
+    """A sample count must be at least 1: every sampler divides by it."""
+    if samples < 1:
+        raise GameError(f"samples must be at least 1, got {samples}")
+    return samples
 
 
 def bundled_scenarios() -> dict[str, Any]:

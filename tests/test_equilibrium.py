@@ -179,6 +179,23 @@ def test_fixed_point_converges_from_uniform_start(pair_doublewell):
     assert fp.marginals[0][1] == pytest.approx(chi[1], abs=1e-6)
 
 
+def test_plan_ids_follow_signatures_across_conjecture_rebuilds():
+    """A plan built at a freed plan's address must not inherit that plan's id."""
+    game = make_game(n=3, T=2)
+    walker = Engine(game, Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(2))).walker
+    root = walker.store.root()
+    expected: dict[tuple, int] = {}
+    for k in range(300):
+        # quit periods cycle, so successive conjectures hold plans with new signatures
+        marginals = {j: {1 + (k + j) % 3: 0.5, 1 + (k + 2 * j + 1) % 3: 0.5} for j in range(3)}
+        conj = ProfileConjecture.from_marginals(marginals)
+        for i in range(3):
+            for _, plan in conj.plans(i, root):
+                sig = plan.signature()
+                assert walker.plan_id(plan) == expected.setdefault(sig, len(expected)), (k, sig)
+        del conj  # the next conjecture's plans may reuse these addresses
+
+
 def test_simulate_deterministic_single_trajectory(g2):
     mech = Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(3))
     engine = Engine(g2, mech)

@@ -90,6 +90,22 @@ def test_cli_verify_exit_codes(tmp_path):
     assert missing == 2
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_cli_rejects_sample_counts_below_one(tmp_path, samples, capsys):
+    for command in ("verify", "simulate"):
+        assert main([command, "g2-appendix", "--samples", str(samples),
+                     "--out", str(tmp_path / command)]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+    assert main(["verify", "g2-appendix", "--mode", "mc", "--checks", "doic",
+                 "--samples", str(samples)]) == 2
+
+
+def test_load_scenario_rejects_sample_counts_below_one():
+    for samples in (0, -5):
+        with pytest.raises(GameError, match="samples"):
+            load_scenario({**MINIMAL, "samples": samples})
+
+
 def test_cli_failing_verdict_exit_one(tmp_path):
     failing = dict(MINIMAL)
     failing["name"] = "dcm-fail"
