@@ -44,6 +44,13 @@ class CarrierTables:
     ``theta`` maps (agent, period) to the anchor state index; it defaults to
     the bottom grid node, which makes carriers read as information rents
     relative to the lowest state.
+
+    Carriers above the anchor are read from running trapezoid sums, one
+    column per (agent, node, cutoff, frozen action), extended lazily up to
+    the largest state asked for.  A column adds the same terms in the same
+    order as a fresh integral would, so a read equals a recomputation
+    bit for bit, and impulse responses are still computed in increasing
+    state order.
     """
 
     def __init__(self, walker: TreeWalker, conjecture: Conjecture,
@@ -55,6 +62,7 @@ class CarrierTables:
         self._q: dict[tuple, float] = {}
         self._mg: dict[tuple, tuple[float, int]] = {}
         self._m: dict[tuple, float] = {}
+        self._col: dict[tuple, list[float]] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -175,16 +183,31 @@ class CarrierTables:
             if menu.action_index_of_state[s_idx] == a_pos:
                 a_pos = None
         j0 = self.theta_index(i, node.t)
-        j1 = s_idx
-        if j0 == j1:
+        if j0 == s_idx:
             return 0.0
-        lo, hi, sign = (j0, j1, 1.0) if j1 > j0 else (j1, j0, -1.0)
         step = self.game.grid(i, node.t).step
-        qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(lo, hi + 1)]
-        total = 0.0
-        for a, b in zip(qs, qs[1:]):
-            total += 0.5 * (a + b) * step
-        return sign * total
+        if s_idx < j0:
+            qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(s_idx, j0 + 1)]
+            total = 0.0
+            for a, b in zip(qs, qs[1:]):
+                total += 0.5 * (a + b) * step
+            return -total
+        key = (i, node.key, L, a_pos)
+        run = self._col.get(key)
+        if run is None:
+            run = self._col[key] = [0.0]
+        # run[k] integrates from the anchor to j0 + k; extend only as far as asked
+        if len(run) <= s_idx - j0:
+            j = j0 + len(run) - 1
+            q_prev = self.impulse_response(i, node, j, L, a_pos)
+            total = run[-1]
+            while j < s_idx:
+                j += 1
+                q = self.impulse_response(i, node, j, L, a_pos)
+                total += 0.5 * (q_prev + q) * step
+                run.append(total)
+                q_prev = q
+        return run[s_idx - j0]
 
     def max_carrier(self, i: int, node: Node, s_idx: int,
                     a_pos: int | None = None) -> tuple[float, int]:

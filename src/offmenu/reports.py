@@ -2,12 +2,14 @@
 
 Output bytes are a pure function of the report content: keys are sorted,
 floats go through repr, newlines are fixed, and nothing embeds timestamps
-or environment state.
+or environment state.  Non-finite floats in a report are written as the
+strings "NaN", "Infinity" and "-Infinity", so failing reports serialize.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,10 +34,15 @@ def _clean(obj):
         return {str(k): _clean(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, float):
-        return float(obj)
     if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float):
+        # JSON has no non-finite numbers; float() reads these strings back
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float(obj)
     return obj
 
 

@@ -26,7 +26,7 @@ from .reports import (
     write_csv,
     write_report,
 )
-from .scenario import Scenario, check_samples, load_scenario
+from .scenario import Scenario, check_samples, check_seed, check_tolerance, load_scenario, read_json
 from .synthesis import (
     check_dcm_zero,
     posted_factor_eta,
@@ -68,6 +68,8 @@ def run_scenario(source, out_dir: str | Path | None = None,
         for k, v in overrides.items():
             setattr(scenario, k, v)
     check_samples(scenario.samples)
+    check_seed(scenario.seed)
+    check_tolerance(scenario.tolerance)
     if scenario.variant == "tables":
         return _run_table_backed(scenario, out_dir)
     game = scenario.build_game()
@@ -237,25 +239,27 @@ def _closed_form_phi(engine: Engine, mech, transforms, nodes) -> dict:
 
 def export_report(report_path: str | Path, fmt: str, out_dir: str | Path) -> list[Path]:
     """Re-emit an existing report deterministically as json or csv files."""
-    import json
-
-    report = json.loads(Path(report_path).read_text())
+    report = read_json(report_path, "report")
+    if not isinstance(report, dict):
+        raise GameError(f"report {str(report_path)!r} is not a JSON object")
     out = Path(out_dir)
     if fmt == "json":
         return [write_report({k: v for k, v in report.items() if k != "schema_version"},
                              out / "report.json")]
     if fmt != "csv":
         raise GameError(f"unknown export format {fmt!r}")
-    paths = [
-        write_csv(out / "verdicts.csv",
-                  ["name", "passed", "worst", "tolerance", "mode"],
-                  [(v["name"], v["passed"], float(v["worst"]), float(v["tolerance"]), v["mode"])
-                   for v in report.get("verdicts", [])]),
-        write_csv(out / "chi.csv", ["agent", "period", "probability"],
-                  [(i, k, float(p)) for i, row in sorted(report.get("chi", {}).items())
-                   for k, p in sorted(row.items(), key=lambda kv: int(kv[0]))]),
+    try:
+        verdict_rows = [(v["name"], v["passed"], float(v["worst"]), float(v["tolerance"]),
+                         v["mode"]) for v in report.get("verdicts", [])]
+        chi_rows = [(i, k, float(p)) for i, row in sorted(report.get("chi", {}).items())
+                    for k, p in sorted(row.items(), key=lambda kv: int(kv[0]))]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise GameError(f"report {str(report_path)!r} is malformed: {exc!r}") from exc
+    return [
+        write_csv(out / "verdicts.csv", ["name", "passed", "worst", "tolerance", "mode"],
+                  verdict_rows),
+        write_csv(out / "chi.csv", ["agent", "period", "probability"], chi_rows),
     ]
-    return paths
 
 
 def export_mechanism_tables(engine: Engine, conj, scenario: Scenario,
@@ -302,6 +306,24 @@ def export_mechanism_tables(engine: Engine, conj, scenario: Scenario,
     return path
 
 
+def _read_tables(path: str) -> dict:
+    """The parts of an exported mechanism-tables file the table-backed run uses."""
+    body = read_json(path, "mechanism tables")
+    try:
+        return {
+            "source": body.get("source"),
+            "variant": body["variant"],
+            "boundaries": {int(k): [(float(a), float(b)) for a, b in pairs]
+                           for k, pairs in body.get("boundaries", {}).items()},
+            "coupling": {(r[0], r[1], r[2]): r[3] for r in body["coupling"]},
+            "posted": {(r[0], r[1]): r[2] for r in body.get("posted", [])},
+            "posted_intervals": {(r[0], r[1], r[2]): r[3]
+                                 for r in body.get("posted_intervals", [])},
+        }
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise GameError(f"mechanism tables {path!r} are malformed: {exc!r}") from exc
+
+
 def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
     """Verify/simulate a mechanism loaded from exported tables.
 
@@ -309,8 +331,6 @@ def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
     cells; synthesis-side checks (conservation, envelope, uniqueness, ...)
     need the native pipeline and are rejected here.
     """
-    import json
-
     from .histories import RegionConjecture, TreeWalker
     from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
     from .regions import partition_from_boundary
@@ -320,51 +340,49 @@ def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
     if bad:
         raise GameError(f"table-backed scenarios support checks {sorted(allowed)}, not {bad}")
     tables_path = scenario.raw.get("mechanism", {}).get("path")
-    if not tables_path:
+    if not tables_path or not isinstance(tables_path, str):
         raise GameError("variant 'tables' needs mechanism.path")
-    body = json.loads(Path(tables_path).read_text())
+    tables = _read_tables(tables_path)
     game = scenario.build_game()
     sigma = scenario.build_policy()
     walker = TreeWalker(game, sigma)
-    boundaries = {int(k): v for k, v in body.get("boundaries", {}).items()}
-    if body["variant"] == "ir" or not boundaries:
+    if tables["variant"] == "ir" or not tables["boundaries"]:
         from .synthesis import ir_partitions
 
         partitions = ir_partitions(game)
         regions = {}
     else:
         partitions = {}
-        for i, pairs in boundaries.items():
-            prof = BoundaryProfile(tuple((float(a), float(b)) for a, b in pairs))
+        for i, pairs in tables["boundaries"].items():
+            prof = BoundaryProfile(tuple((a, b) for a, b in pairs))
             for t in game.periods():
                 partitions[(i, t)] = partition_from_boundary(game.grid(i, t), prof)
         regions = {k: p.off_indices for k, p in partitions.items()}
     conj = RegionConjecture(regions)
-    rho = TableCoupling({(r[0], r[1], r[2]): r[3] for r in body["coupling"]}, walker.menu)
+    rho = TableCoupling(tables["coupling"], walker.menu)
 
     def interval_of(i, t, s_idx):
         return partitions[(i, t)].global_interval_index(s_idx)
 
-    if body.get("posted_intervals"):
-        phi = TableOffSwitch(game.horizon, {},
-                             {(r[0], r[1], r[2]): r[3] for r in body["posted_intervals"]},
+    if tables["posted_intervals"]:
+        phi = TableOffSwitch(game.horizon, {}, tables["posted_intervals"],
                              interval_of, by_signature=True)
     else:
-        phi = TableOffSwitch(game.horizon, {(r[0], r[1]): r[2] for r in body["posted"]},
-                             by_signature=True)
+        phi = TableOffSwitch(game.horizon, tables["posted"], by_signature=True)
     mech = Mechanism(sigma, rho, phi)
     directive = (lambda i, t, s: s in regions.get((i, t), frozenset()))
     engine = Engine(game, mech, walker=walker, directive_quit=directive)
     nodes = engine.walker.reachable_nodes(conj.plan())
     tol = scenario.tolerance
     verdicts: list[Verdict] = []
-    extras: dict = {"mechanism_source": body.get("source"), "coverage": "positive-probability cells"}
+    extras: dict = {"mechanism_source": tables["source"],
+                    "coverage": "positive-probability cells"}
     for check in scenario.checks:
         if check == "support":
             strict = game.validate_full_support(mode="strict")
             extras["support"] = {"strict": strict.passed}
         elif check == "doic":
-            mode = "ir" if body["variant"] == "ir" else "off"
+            mode = "ir" if tables["variant"] == "ir" else "off"
             verdicts += check_doic(engine, conj, nodes, mode=mode,
                                    partitions=partitions, tol=tol, support_only=True)
         elif check == "fixed_point":

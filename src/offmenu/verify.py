@@ -331,6 +331,8 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
         # the project decision notes on the quantifier.)
         worst_c3 = math.inf
         wit_c3 = None
+        # obedient terminal walks and stripped prospects, valid for this eta
+        memo: dict[tuple, float] = {}
         for i, node, s in _cells(engine, nodes):
             menu = engine.walker.menu(i, node)
             for pos in range(len(menu.actions)):
@@ -338,7 +340,7 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
                 for L in range(node.t, game.horizon + 1):
                     lhs = (carriers.carrier(i, node, s_hat, L, None)
                            - carriers.carrier(i, node, s, L, None))
-                    rhs = _lambda_gap(engine, carriers, eta, i, node, s, s_hat, pos, L)
+                    rhs = _lambda_gap(engine, carriers, eta, memo, i, node, s, s_hat, pos, L)
                     margin = rhs - lhs
                     if margin < worst_c3:
                         worst_c3 = margin
@@ -350,19 +352,22 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     return verdicts
 
 
-def _lambda_gap(engine: Engine, carriers: CarrierTables, eta, i, node, s, s_hat, pos, L):
+def _lambda_gap(engine: Engine, carriers: CarrierTables, eta, memo, i, node, s, s_hat, pos, L):
     """lambda(obedient at pretended state) - lambda(deviation at true state) - E[eta]."""
     x = carriers.conjecture
-    lam_hat = _lambda(engine, i, node, s_hat, L, x, None)
-    lam_dev = _lambda(engine, i, node, s, L, x, pos)
-    e_eta = _expected_eta(engine, eta, i, node, s, pos, L, x)
+    key = ("lambda", i, node.key, s_hat, L)
+    lam_hat = memo.get(key)
+    if lam_hat is None:
+        lam_hat = memo[key] = _lambda(engine, memo, i, node, s_hat, L, x, None)
+    lam_dev = _lambda(engine, memo, i, node, s, L, x, pos)
+    e_eta = _expected_eta(engine, eta, memo, i, node, s, pos, L, x)
     return lam_hat - lam_dev - e_eta
 
 
-def _lambda(engine: Engine, i, node, s, L, x, a_pos):
+def _lambda(engine: Engine, memo, i, node, s, L, x, a_pos):
     """Prospect stripped of the current coupling and the terminal off-switch."""
     g = engine.prospect(i, node, s, L, x, a_pos)
-    phi_term = _expected_phi(engine, i, node, s, L, x, a_pos)
+    phi_term = _expected_phi(engine, memo, i, node, s, L, x, a_pos)
     menu = engine.walker.menu(i, node)
     pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
     a_own = menu.actions[pos]
@@ -375,15 +380,22 @@ def _lambda(engine: Engine, i, node, s, L, x, a_pos):
     return g - phi_term - erho
 
 
-def _terminal_map(engine: Engine, i, node, s, L, x, a_pos, leaf_fn):
+def _terminal_map(engine: Engine, memo, kind, i, node, s, L, x, a_pos, leaf_fn):
     """Expectation of leaf_fn(child at L+1, own state there) along the branch."""
     total = 0.0
     for p, plan in x.plans(i, node):
-        total += p * _terminal_walk(engine, i, node, s, L, plan, a_pos, leaf_fn)
+        total += p * _terminal_walk(engine, memo, kind, i, node, s, L, plan, a_pos, leaf_fn)
     return total
 
 
-def _terminal_walk(engine: Engine, i, node, s, L, plan, a_pos, leaf_fn):
+def _terminal_walk(engine: Engine, memo, kind, i, node, s, L, plan, a_pos, leaf_fn):
+    # obedient walks repeat across deviations and pretenses; the one-off
+    # deviation walk at the top is not kept
+    if a_pos is None:
+        key = (kind, i, node.key, s, L, engine.walker.plan_id(plan))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     menu = engine.walker.menu(i, node)
     pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
     a_own = menu.actions[pos]
@@ -399,18 +411,21 @@ def _terminal_walk(engine: Engine, i, node, s, L, plan, a_pos, leaf_fn):
                     total += br.prob * pp * leaf_fn(child, s2)
         else:
             for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                total += br.prob * pp * _terminal_walk(engine, i, child, s2, L, plan, None, leaf_fn)
+                total += br.prob * pp * _terminal_walk(engine, memo, kind, i, child, s2, L,
+                                                       plan, None, leaf_fn)
+    if a_pos is None:
+        memo[key] = total
     return total
 
 
-def _expected_phi(engine: Engine, i, node, s, L, x, a_pos):
+def _expected_phi(engine: Engine, memo, i, node, s, L, x, a_pos):
     def leaf(child, s2):
         return engine.mechanism.phi.value(i, child, s2)
 
-    return _terminal_map(engine, i, node, s, L, x, a_pos, leaf)
+    return _terminal_map(engine, memo, "phi", i, node, s, L, x, a_pos, leaf)
 
 
-def _expected_eta(engine: Engine, eta, i, node, s, pos, L, x):
+def _expected_eta(engine: Engine, eta, memo, i, node, s, pos, L, x):
     # histories only openable by a deviation carry no emitted posted factor;
     # they default to zero, which is exact on the separable family where the
     # inequality is asserted (the factor vanishes identically there)
@@ -419,7 +434,7 @@ def _expected_eta(engine: Engine, eta, i, node, s, pos, L, x):
             return 0.0
         return eta.get((i, child.key), 0.0)
 
-    return _terminal_map(engine, i, node, s, L, x, pos, leaf)
+    return _terminal_map(engine, memo, "eta", i, node, s, L, x, pos, leaf)
 
 
 # ---------------------------------------------------------------------------

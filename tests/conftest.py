@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from offmenu.carrier import CarrierTables
 from offmenu.closures import piecewise_quadratic
 from offmenu.equilibrium import Engine
 from offmenu.histories import RegionConjecture
@@ -236,3 +237,30 @@ def random_g2_instance(rng: np.random.Generator):
                      dynamics=DynamicsModel(kappa, dk),
                      rewards=RewardModel(u, du))
     return game
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+# ---------------------------------------------------------------------------
+
+
+class TrapezoidCarriers(CarrierTables):
+    """Carrier tables whose carrier is a fresh trapezoid loop on every call.
+
+    The reference the running-sum columns of ``CarrierTables.carrier`` are
+    compared against with ``==``: same impulse responses, same add order.
+    """
+
+    def carrier(self, i, node, s_idx, L, a_pos=None):
+        if a_pos is not None and self.walker.menu(i, node).action_index_of_state[s_idx] == a_pos:
+            a_pos = None
+        j0 = self.theta_index(i, node.t)
+        if j0 == s_idx:
+            return 0.0
+        lo, hi, sign = (j0, s_idx, 1.0) if s_idx > j0 else (s_idx, j0, -1.0)
+        step = self.game.grid(i, node.t).step
+        qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(lo, hi + 1)]
+        total = 0.0
+        for a, b in zip(qs, qs[1:]):
+            total += 0.5 * (a + b) * step
+        return sign * total

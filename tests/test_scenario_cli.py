@@ -257,3 +257,100 @@ def test_cli_checks_flag_overrides_scenario(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max-sensitive-obedience" in out and "constrained-monotone" in out
     assert "flow-c1" not in out
+
+
+# -- schema errors exit 2 ------------------------------------------------------
+
+
+def test_cli_malformed_scenario_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"agents": 1,')
+    assert main(["verify", str(path)]) == 2
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
+def test_cli_report_malformed_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[1, 2")
+    assert main(["report", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read report" in capsys.readouterr().err
+    path.write_text(json.dumps({"verdicts": [{"name": "x"}]}))
+    assert main(["report", str(path), "--format", "csv", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_malformed_mechanism_tables_exit_two(tmp_path, capsys):
+    tables = tmp_path / "tables.json"
+    tables.write_text('{"variant": "ir", "coupling": [')
+    cfg = {**MINIMAL, "verify": ["doic"],
+           "mechanism": {"variant": "tables", "path": str(tables)}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2
+    assert "cannot read mechanism tables" in capsys.readouterr().err
+    tables.write_text(json.dumps({"variant": "ir"}))
+    assert main(["verify", str(path)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["dynamics", "rewards", "policy"])
+def test_cli_closure_entry_without_kind_exits_two(tmp_path, capsys, section):
+    cfg = {**MINIMAL, section: {"params": {}}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2
+    assert f"{section} needs a string 'kind'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"c": "x"}, {"c": []}, {"c": {}}])
+def test_cli_closure_params_that_do_not_evaluate_exit_two(tmp_path, capsys, params):
+    cfg = {**MINIMAL, "rewards": {"kind": "linear_state", "params": params}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path)]) == 2
+    assert "rewards" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_rejects_bad_tolerance(tmp_path, capsys, tol):
+    assert main(["verify", "g2-appendix", "--tol", tol]) == 2
+    assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**MINIMAL, "tolerance": float(tol)}))
+    assert main(["verify", str(path)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed(capsys):
+    assert main(["verify", "g2-appendix", "--seed", "-1"]) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
+
+
+# -- non-finite residuals serialize --------------------------------------------
+
+
+def test_report_json_encodes_non_finite_floats():
+    import numpy as np
+
+    from offmenu.reports import report_json_bytes
+
+    body = json.loads(report_json_bytes(
+        {"a": float("inf"), "b": -float("inf"), "c": float("nan"), "d": np.float64("inf"),
+         "e": [0.1, 2.5e-17], "f": np.float64(0.1)}))
+    assert body == {"schema_version": 1, "a": "Infinity", "b": "-Infinity", "c": "NaN",
+                    "d": "Infinity", "e": [0.1, 2.5e-17], "f": 0.1}
+    assert [float(body[k]) for k in "abd"] == [float("inf"), -float("inf"), float("inf")]
+
+
+def test_cli_phi_uniqueness_missing_key_writes_report_and_exits_one(tmp_path, monkeypatch):
+    import offmenu.run
+
+    monkeypatch.setattr(offmenu.run, "solve_phi_by_indifference", lambda *a, **k: {})
+    out = tmp_path / "out"
+    assert main(["verify", "g2-appendix", "--checks", "phi_uniqueness", "--out", str(out)]) == 1
+    body = json.loads((out / "report.json").read_text())
+    (verdict,) = body["verdicts"]
+    assert verdict["name"] == "phi-uniqueness" and not verdict["passed"]
+    assert verdict["worst"] == "Infinity" and "missing" in verdict["witness"]
+    assert main(["report", str(out / "report.json"), "--format", "csv",
+                 "--out", str(tmp_path / "csv")]) == 0
+    assert "phi-uniqueness,False,inf," in (tmp_path / "csv" / "verdicts.csv").read_text()

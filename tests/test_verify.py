@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from offmenu.carrier import CarrierTables
@@ -19,7 +22,7 @@ from offmenu.verify import (
     check_phi_uniqueness,
 )
 
-from conftest import IDENTITY, make_game, synth
+from conftest import IDENTITY, TrapezoidCarriers, make_game, random_instance, synth
 
 NOQUIT = RegionConjecture({})
 
@@ -325,3 +328,120 @@ def test_doublewell_frozen_hand_computed_values(doublewell):
     assert chi[2] == pytest.approx(0.6 * 0.4, abs=1e-12)
     assert chi[3] == pytest.approx(0.36 * 0.4, abs=1e-12)
     assert chi[4] == pytest.approx(0.6 ** 3, abs=1e-12)
+
+
+# -- flow-c3 reference: the terminal walks recomputed on every call ----------
+
+
+def _walk_unmemoized(engine, i, node, s, L, plan, a_pos, leaf_fn):
+    menu = engine.walker.menu(i, node)
+    pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
+    a_own = menu.actions[pos]
+    a_idx = engine.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
+    total = 0.0
+    for br in engine.walker.other_branches(i, node, plan):
+        child = engine.walker.child_after(i, node, s, a_idx, br)
+        if node.t == L:
+            if child.t > engine.game.horizon:
+                total += br.prob * leaf_fn(child, None)
+            else:
+                for pp, s2 in engine.walker.own_kernel(i, node, s, child):
+                    total += br.prob * pp * leaf_fn(child, s2)
+        else:
+            for pp, s2 in engine.walker.own_kernel(i, node, s, child):
+                total += br.prob * pp * _walk_unmemoized(engine, i, child, s2, L, plan, None,
+                                                         leaf_fn)
+    return total
+
+
+def _terminal_unmemoized(engine, x, i, node, s, L, a_pos, leaf_fn):
+    total = 0.0
+    for p, plan in x.plans(i, node):
+        total += p * _walk_unmemoized(engine, i, node, s, L, plan, a_pos, leaf_fn)
+    return total
+
+
+def _lambda_unmemoized(engine, x, i, node, s, L, a_pos):
+    g = engine.prospect(i, node, s, L, x, a_pos)
+    phi_term = _terminal_unmemoized(engine, x, i, node, s, L, a_pos,
+                                    lambda child, s2: engine.mechanism.phi.value(i, child, s2))
+    menu = engine.walker.menu(i, node)
+    a_own = menu.actions[a_pos if a_pos is not None else menu.action_index_of_state[s]]
+    erho = 0.0
+    for p, plan in x.plans(i, node):
+        for br in engine.walker.other_branches(i, node, plan):
+            actions = dict(br.actions)
+            actions[i] = a_own
+            erho += p * br.prob * engine.mechanism.rho.value(i, node, actions)
+    return g - phi_term - erho
+
+
+def _flow_c3_unmemoized(engine, carriers, eta, nodes):
+    """(worst margin, witness) of flow-c3 with nothing kept between cells."""
+    game, x = engine.game, carriers.conjecture
+
+    def eta_leaf(i):
+        return lambda child, s2: (0.0 if child.t > game.horizon
+                                  else eta.get((i, child.key), 0.0))
+
+    worst, witness = math.inf, None
+    for node in nodes:
+        if node.t > game.horizon:
+            continue
+        for i in node.active:
+            menu = engine.walker.menu(i, node)
+            for s in range(game.grid(i, node.t).points):
+                for pos in range(len(menu.actions)):
+                    s_hat = menu.generating_states[pos][-1]
+                    for L in range(node.t, game.horizon + 1):
+                        lhs = (carriers.carrier(i, node, s_hat, L, None)
+                               - carriers.carrier(i, node, s, L, None))
+                        rhs = (_lambda_unmemoized(engine, x, i, node, s_hat, L, None)
+                               - _lambda_unmemoized(engine, x, i, node, s, L, pos)
+                               - _terminal_unmemoized(engine, x, i, node, s, L, pos,
+                                                      eta_leaf(i)))
+                        if rhs - lhs < worst:
+                            worst = rhs - lhs
+                            if worst < -1e-9:
+                                witness = {"agent": i, "period": node.t, "node": node.key,
+                                           "state": s, "pretense": s_hat, "cutoff": L}
+    return worst, witness
+
+
+def _flow_setup(game, mech, conj, carrier_cls):
+    walker = TreeWalker(game, IDENTITY)
+    carriers = carrier_cls(walker, conj)
+    engine = Engine(game, mech, walker=walker)
+    nodes = walker.reachable_nodes(conj.plan())
+    eta = posted_factor_eta(game, walker, carriers, mech, nodes).values
+    return engine, carriers, nodes, eta
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_payoff_flow_equals_unmemoized_reference_on_random_instances(seed):
+    game, mech, conj = random_instance(np.random.default_rng(seed))
+    engine, carriers, nodes, eta = _flow_setup(game, mech, conj, CarrierTables)
+    ref_engine, ref_carriers, ref_nodes, ref_eta = _flow_setup(game, mech, conj,
+                                                               TrapezoidCarriers)
+    assert eta == ref_eta
+    got = check_payoff_flow(engine, carriers, nodes, eta)
+    want = check_payoff_flow(ref_engine, ref_carriers, ref_nodes, ref_eta)
+    assert [v.name for v in got] == ["flow-c1", "flow-c2", "flow-c3"]
+    assert [v.worst for v in got[:2]] == [v.worst for v in want[:2]]
+    assert [v.witness for v in got[:2]] == [v.witness for v in want[:2]]
+    worst, witness = _flow_c3_unmemoized(ref_engine, ref_carriers, ref_eta, ref_nodes)
+    assert got[2].worst == worst
+    assert got[2].witness == witness
+
+
+def test_payoff_flow_memo_not_shared_across_eta(monotone_ir):
+    """The flow-c3 memo lives for one call: a second eta gets its own walks."""
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes).values
+    shifted = {k: v + 0.25 * k[1] for k, v in eta.items()}
+    first = check_payoff_flow(engine, carriers, nodes, eta)[2]
+    second = check_payoff_flow(engine, carriers, nodes, shifted)[2]
+    again = check_payoff_flow(engine, carriers, nodes, eta)[2]
+    assert second.worst != first.worst
+    assert (second.worst, second.witness) == _flow_c3_unmemoized(engine, carriers, shifted, nodes)
+    assert (again.worst, again.witness) == (first.worst, first.witness)
