@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         description="Synthesis and verification for dynamic delegation with off-menu participation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_syn = sub.add_parser("synthesize", help="build the mechanism and export its tables")
+    p_syn = sub.add_parser("synthesize", help="build the mechanism and write its outputs, no checks")
     _add_common(p_syn)
 
     p_ver = sub.add_parser("verify", help="run the requested checks; exit 0 iff all pass")
@@ -76,9 +76,7 @@ def main(argv=None) -> int:
 
         scenario = load_scenario(args.scenario)
         overrides = _overrides(args)
-        if args.command == "synthesize":
-            overrides["checks"] = ()
-        elif args.command == "simulate":
+        if args.command in ("synthesize", "simulate"):
             overrides["checks"] = ()
         elif args.command == "verify" and args.checks is not None:
             overrides["checks"] = tuple(c for c in args.checks.split(",") if c)

@@ -226,7 +226,11 @@ class TableOffSwitch(OffSwitch):
             if state_index is None:
                 raise GameError("knowledgeable off-switch needs the state to locate its interval")
             w = self.interval_of(i, node.t, state_index)
-            return self.by_interval[(i, self._hid(node), w)]
+            try:
+                return self.by_interval[(i, self._hid(node), w)]
+            except KeyError:
+                raise GameError(f"no off-switch value for agent {i} at node {self._hid(node)}, "
+                                f"interval {w}")
         try:
             return self.table[(i, self._hid(node))]
         except KeyError:

@@ -1,10 +1,10 @@
 """End-to-end scenario pipeline: build, synthesize, verify, simulate, export.
 
 The pipeline is the single code path behind the CLI subcommands.  It loads
-a scenario, synthesizes the mechanism for the requested cutoff variant,
-runs the requested checks against the exact tree (or a sampled fallback),
-simulates outcomes, and writes a JSON report plus CSV series whose bytes
-are fully determined by (scenario, seed).
+a scenario, synthesizes the mechanism for the requested cutoff variant (or
+loads it from exported tables), runs the requested checks against the exact
+tree (or a sampled fallback), simulates outcomes, and writes a JSON report
+plus CSV series whose bytes are fully determined by (scenario, seed).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import Mapping
 
 from .equilibrium import Engine, TreeSizeError
-from .histories import RegionConjecture
+from .histories import RegionConjecture, TreeWalker
+from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
 from .model import GameError
-from .regions import detect_monotone
+from .regions import detect_monotone, partition_from_boundary
 from .reports import (
     carrier_rows,
     mechanism_table_rows,
@@ -29,6 +30,7 @@ from .reports import (
 from .scenario import Scenario, check_samples, check_seed, check_tolerance, load_scenario, read_json
 from .synthesis import (
     check_dcm_zero,
+    ir_partitions,
     posted_factor_eta,
     solve_phi_by_indifference,
     synthesize_mechanism,
@@ -70,21 +72,25 @@ def run_scenario(source, out_dir: str | Path | None = None,
     check_samples(scenario.samples)
     check_seed(scenario.seed)
     check_tolerance(scenario.tolerance)
+    carriers = transforms = diags = None
     if scenario.variant == "tables":
-        return _run_table_backed(scenario, out_dir)
-    game = scenario.build_game()
-    sigma = scenario.build_policy()
-    partitions = scenario.build_partitions(game)
-    mech, carriers, transforms, conj, diags = synthesize_mechanism(
-        game, sigma, scenario.variant,
-        partitions=None if scenario.variant == "ir" else partitions)
-    directive = (lambda i, t, s: False) if scenario.variant == "ir" else (
-        lambda i, t, s: s in partitions[(i, t)].off_indices)
-    engine = Engine(game, mech, walker=carriers.walker, directive_quit=directive)
+        game, walker, mech, conj, partitions, variant, extras = _load_tables(scenario)
+    else:
+        game = scenario.build_game()
+        sigma = scenario.build_policy()
+        partitions = scenario.build_partitions(game)
+        variant = scenario.variant
+        mech, carriers, transforms, conj, diags = synthesize_mechanism(
+            game, sigma, variant, partitions=None if variant == "ir" else partitions)
+        walker = carriers.walker
+        extras = {}
+    engine = Engine(game, mech, walker=walker,
+                    directive_quit=lambda i, t, s: s in conj.regions.get((i, t), frozenset()))
     nodes = engine.walker.reachable_nodes(conj.plan())
+    root = engine.root()
+    chi = {i: engine.quit_distribution(i, root, conj.regions) for i in game.agents()}
     tol = scenario.tolerance
     verdicts: list[Verdict] = []
-    extras: dict = {}
 
     for check in scenario.checks:
         if check == "support":
@@ -93,14 +99,16 @@ def run_scenario(source, out_dir: str | Path | None = None,
             extras["support"] = {"strict": strict.passed, "reachable": relaxed.passed,
                                  "strict_violations": len(strict.violations)}
         elif check == "doic":
-            mode = "ir" if scenario.variant == "ir" else "off"
+            mode = "ir" if variant == "ir" else "off"
             if scenario.mode == "mc":
                 verdicts += check_doic_mc(engine, conj, nodes, scenario.samples,
                                           scenario.seed, mode=mode, partitions=partitions)
             else:
+                # table-backed mechanisms cover positive-probability cells only
                 try:
                     verdicts += check_doic(engine, conj, nodes, mode=mode,
-                                           partitions=partitions, tol=tol)
+                                           partitions=partitions, tol=tol,
+                                           support_only=carriers is None)
                 except TreeSizeError as exc:
                     raise GameError(f"exact doic enumeration too large: {exc}") from exc
         elif check == "payoff_flow":
@@ -117,15 +125,13 @@ def run_scenario(source, out_dir: str | Path | None = None,
             verdicts.append(check_mso(engine, conj, nodes, tol=tol))
         elif check == "phi_uniqueness":
             closed = _closed_form_phi(engine, mech, transforms, nodes)
-            solved = solve_phi_by_indifference(game, sigma, mech.rho, transforms, conj,
-                                               nodes, scenario.variant)
+            solved = solve_phi_by_indifference(game, mech.sigma, mech.rho, transforms, conj,
+                                               nodes, variant)
             verdicts.append(check_phi_uniqueness(closed, solved))
         elif check == "dcm_zero":
             rep = check_dcm_zero(transforms, nodes, mode="H", tol=tol)
             verdicts.append(Verdict("dcm-zero", rep.passed, rep.worst, tol))
         elif check == "fixed_point":
-            root = engine.root()
-            chi = {i: engine.quit_distribution(i, root, conj.regions) for i in game.agents()}
             fp = engine.om_fixed_point(root, chi)
             # the necessary alignment: immediate quit mass matches chi
             match = all(abs(fp.marginals[i].get(root.t, 0.0) - chi[i].get(root.t, 0.0)) <= 1e-6
@@ -136,7 +142,6 @@ def run_scenario(source, out_dir: str | Path | None = None,
                                              "matches_chi": match}))
         elif check == "barrier":
             count = 0
-            root = engine.root()
             for i in game.agents():
                 for s in range(game.grid(i, 1).points):
                     count += len(transforms.barrier_violations(i, root, s))
@@ -155,17 +160,16 @@ def run_scenario(source, out_dir: str | Path | None = None,
                         worst = max(worst, abs(lam - rep))
             verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
 
-    monotone = detect_monotone(game, lambda i, n: carriers.zeta_profile(i, n), nodes,
-                               engine.store)
-    extras["monotone_environment"] = {"passed": monotone.passed,
-                                      "orientation": monotone.orientation}
-    extras["synthesis"] = {"horizontal_ok": diags.horizontal_ok,
-                           "horizontal_spread": diags.horizontal_spread,
-                           "c1_backmap_spread": diags.c1_backmap_spread,
-                           "notes": list(diags.notes)}
+    if carriers is not None:
+        monotone = detect_monotone(game, lambda i, n: carriers.zeta_profile(i, n), nodes,
+                                   engine.store)
+        extras["monotone_environment"] = {"passed": monotone.passed,
+                                          "orientation": monotone.orientation}
+        extras["synthesis"] = {"horizontal_ok": diags.horizontal_ok,
+                               "horizontal_spread": diags.horizontal_spread,
+                               "c1_backmap_spread": diags.c1_backmap_spread,
+                               "notes": list(diags.notes)}
 
-    root = engine.root()
-    chi = {i: engine.quit_distribution(i, root, conj.regions) for i in game.agents()}
     sim = engine.simulate(scenario.samples, scenario.seed)
     extras["simulation"] = {"paths": sim.n_paths, "seed": sim.seed,
                             "quit_freq": {f"{i},{t}": v for (i, t), v in sim.quit_freq.items()},
@@ -188,6 +192,8 @@ def run_scenario(source, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         artifacts.append(write_report(report, out / "report.json"))
+    # a table-backed run has no carriers or transforms and writes only its report
+    if out_dir is not None and carriers is not None:
         artifacts.append(write_csv(out / "on_rent.csv",
                                    ["agent", "period", "history_id", "state_index", "on_rent"],
                                    on_rent_rows(engine, conj, nodes)))
@@ -324,17 +330,14 @@ def _read_tables(path: str) -> dict:
         raise GameError(f"mechanism tables {path!r} are malformed: {exc!r}") from exc
 
 
-def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
-    """Verify/simulate a mechanism loaded from exported tables.
+def _load_tables(scenario: Scenario):
+    """Rebuild a mechanism from exported tables for the shared pipeline.
 
     The coverage contract restricts obedience checks to positive-probability
     cells; synthesis-side checks (conservation, envelope, uniqueness, ...)
-    need the native pipeline and are rejected here.
+    need the synthesized carriers and are rejected here.  Returns (game,
+    walker, mechanism, conjecture, partitions, the tables' variant, extras).
     """
-    from .histories import RegionConjecture, TreeWalker
-    from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
-    from .regions import partition_from_boundary
-
     allowed = {"support", "doic", "fixed_point"}
     bad = [c for c in scenario.checks if c not in allowed]
     if bad:
@@ -347,8 +350,6 @@ def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
     sigma = scenario.build_policy()
     walker = TreeWalker(game, sigma)
     if tables["variant"] == "ir" or not tables["boundaries"]:
-        from .synthesis import ir_partitions
-
         partitions = ir_partitions(game)
         regions = {}
     else:
@@ -358,7 +359,6 @@ def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
             for t in game.periods():
                 partitions[(i, t)] = partition_from_boundary(game.grid(i, t), prof)
         regions = {k: p.off_indices for k, p in partitions.items()}
-    conj = RegionConjecture(regions)
     rho = TableCoupling(tables["coupling"], walker.menu)
 
     def interval_of(i, t, s_idx):
@@ -369,41 +369,6 @@ def _run_table_backed(scenario: Scenario, out_dir) -> PipelineResult:
                              interval_of, by_signature=True)
     else:
         phi = TableOffSwitch(game.horizon, tables["posted"], by_signature=True)
-    mech = Mechanism(sigma, rho, phi)
-    directive = (lambda i, t, s: s in regions.get((i, t), frozenset()))
-    engine = Engine(game, mech, walker=walker, directive_quit=directive)
-    nodes = engine.walker.reachable_nodes(conj.plan())
-    tol = scenario.tolerance
-    verdicts: list[Verdict] = []
-    extras: dict = {"mechanism_source": tables["source"],
-                    "coverage": "positive-probability cells"}
-    for check in scenario.checks:
-        if check == "support":
-            strict = game.validate_full_support(mode="strict")
-            extras["support"] = {"strict": strict.passed}
-        elif check == "doic":
-            mode = "ir" if tables["variant"] == "ir" else "off"
-            verdicts += check_doic(engine, conj, nodes, mode=mode,
-                                   partitions=partitions, tol=tol, support_only=True)
-        elif check == "fixed_point":
-            root = engine.root()
-            chi = {i: engine.quit_distribution(i, root, regions) for i in game.agents()}
-            fp = engine.om_fixed_point(root, chi)
-            verdicts.append(Verdict("fixed-point", fp.converged and fp.residual <= 1e-8,
-                                    fp.residual, 1e-8))
-    root = engine.root()
-    chi = {i: engine.quit_distribution(i, root, regions) for i in game.agents()}
-    sim = engine.simulate(scenario.samples, scenario.seed)
-    extras["simulation"] = {"paths": sim.n_paths, "seed": sim.seed,
-                            "quit_freq": {f"{i},{t}": v for (i, t), v in sim.quit_freq.items()}}
-    passed = all(v.passed for v in verdicts)
-    report = {"scenario": scenario.name, "variant": "tables", "mode": scenario.mode,
-              "seed": scenario.seed, "passed": passed,
-              "verdicts": [v.to_json() for v in verdicts],
-              "chi": {str(i): {str(k): v for k, v in sorted(chi[i].items())} for i in chi},
-              "extras": extras}
-    artifacts: list[Path] = []
-    if out_dir is not None:
-        artifacts.append(write_report(report, Path(out_dir) / "report.json"))
-    return PipelineResult(scenario, report, passed, artifacts, engine=engine,
-                          conjecture=conj, nodes=nodes)
+    extras = {"mechanism_source": tables["source"], "coverage": "positive-probability cells"}
+    return (game, walker, Mechanism(sigma, rho, phi), RegionConjecture(regions), partitions,
+            tables["variant"], extras)

@@ -33,8 +33,6 @@ from .regions import PartitionSet, off_regions
 __all__ = [
     "SynthesizedCoupling",
     "SynthesizedCutoff",
-    "coupling_from_c1",
-    "build_cutoff",
     "synthesize_mechanism",
     "posted_factor_eta",
     "check_dcm_zero",
@@ -103,11 +101,6 @@ class SynthesizedCoupling(CouplingPolicy):
             raise GameError(f"agent {i} missing from the action profile")
         menu = self.walker.menu(i, node)
         return self.value_at_slot(i, node, menu.position(actions[i]))
-
-
-def coupling_from_c1(carriers: CarrierTables,
-                     diagnostics: SynthesisDiagnostics | None = None) -> SynthesizedCoupling:
-    return SynthesizedCoupling(carriers, diagnostics)
 
 
 class SynthesizedCutoff(OffSwitch):
@@ -207,11 +200,6 @@ class SynthesizedCutoff(OffSwitch):
         return hit
 
 
-def build_cutoff(variant: str, transforms: PersistenceTransforms,
-                 diagnostics: SynthesisDiagnostics | None = None) -> SynthesizedCutoff:
-    return SynthesizedCutoff(variant, transforms, diagnostics)
-
-
 def ir_partitions(game: BaseGame) -> dict[tuple[int, int], "RegionPartition"]:
     """Singleton bottom-state partitions: boundary profile {lowest state} everywhere."""
     from .regions import partition_from_boundary
@@ -249,8 +237,8 @@ def synthesize_mechanism(game: BaseGame, sigma: TaskPolicy, variant: str,
     diags = SynthesisDiagnostics()
     carriers = CarrierTables(walker, conj, theta)
     transforms = PersistenceTransforms(carriers, parts)
-    rho = coupling_from_c1(carriers, diags)
-    phi = build_cutoff(variant, transforms, diags)
+    rho = SynthesizedCoupling(carriers, diags)
+    phi = SynthesizedCutoff(variant, transforms, diags)
     boundaries = {}
     for (i, t), part in parts.items():
         grid = game.grid(i, t)
@@ -400,14 +388,15 @@ def check_dcm_zero(transforms: PersistenceTransforms, nodes, mode: str = "H",
 
 def solve_phi_by_indifference(game: BaseGame, sigma: TaskPolicy, rho: CouplingPolicy,
                               transforms: PersistenceTransforms, conjecture,
-                              nodes, variant: str = "ir",
-                              tol: float = 1e-12) -> dict[tuple, float]:
-    """Backward bisection for the posted value making the target state indifferent.
+                              nodes, variant: str = "ir") -> dict[tuple, float]:
+    """Backward solve for the posted value making the target state indifferent.
 
-    Processes nodes from the last period backward; at each node the candidate
-    value only has to zero the on-rent of the variant's evaluation point (the
-    bottom state, the sub-off targets, or each interval's jump target), since
-    a period's own posted value never enters its own staying prospects.
+    Processes nodes from the last period backward; at each node the value
+    only has to zero the on-rent of the variant's evaluation point (the
+    bottom state, the sub-off targets, or each interval's jump target).  A
+    period's own posted value never enters its own staying prospects, so the
+    on-rent ``stay - v`` is zero exactly at the engine's staying value, read
+    through a table of the later periods' solved values.
     Returns {(agent, node key[, interval]): value}.
     """
     from .equilibrium import Engine
@@ -430,31 +419,6 @@ def solve_phi_by_indifference(game: BaseGame, sigma: TaskPolicy, rho: CouplingPo
     plan = conjecture.plans(0, transforms.walker.store.root())[0][1]
     fill_nodes = transforms.walker.full_state_closure(plan)
 
-    def solve_value(i: int, node: Node, s_idx: int) -> float:
-        def rent(v: float) -> float:
-            stay, _ = engine.stay_value(i, node, s_idx, conjecture)
-            return stay - v
-
-        lo, hi = -1.0, 1.0
-        while rent(lo) < 0:
-            lo *= 2.0
-            if lo < -1e12:
-                raise GameError("indifference solver failed to bracket from below")
-        while rent(hi) > 0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise GameError("indifference solver failed to bracket from above")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            r = rent(mid)
-            if abs(r) <= tol or (hi - lo) <= tol:
-                return mid
-            if r > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     for node in sorted(fill_nodes, key=lambda n: -n.t):
         if node.t > game.horizon:
             continue
@@ -466,13 +430,13 @@ def solve_phi_by_indifference(game: BaseGame, sigma: TaskPolicy, rho: CouplingPo
                 for w, (_, kind, k) in enumerate(ivs):
                     pt = (transforms.d_up(i, node, k) if kind == "off"
                           else transforms.d_down(i, node, k))
-                    v = solve_value(i, node, pt)
+                    v = engine.stay_value(i, node, pt, conjecture)[0]
                     by_interval[(i, node.key, w)] = v
                     if node.key in emit_keys:
                         out[(i, node.key, w)] = v
             else:
                 pt = 0 if variant == "ir" else transforms.d_up(i, node, 0)
-                v = solve_value(i, node, pt)
+                v = engine.stay_value(i, node, pt, conjecture)[0]
                 table[(i, node.key)] = v
                 if node.key in emit_keys:
                     out[(i, node.key)] = v

@@ -46,7 +46,7 @@ GOLDEN = {
         "f88fb7a364ad466907c1c771361e96ea0d4a277316b0dc06cdc493137401886e",
         "ceb23ac1a97b7f986efd5e7e30492d2e079a4a6f6347546255fd646b31db07fc",
         "e70964926052d8182f8c09d7f07b525108257d02ec60c78c927193ad23f4ef3f",
-        "e67a20bf43a5599e985c7f2492fdf9b4d573cf66c8fc8e5fec7f878c6a705d99",
+        "ba29ea4e6a4c2c8a502e02ba716ea5b59d86b6246af0f5b4ce348b096c3f15d6",
     ),
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"): (
         "2e0f3302ef876754bce4381fe0b743f3b835ee1a28289e8a91aff8887237a761",

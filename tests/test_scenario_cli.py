@@ -212,6 +212,46 @@ def test_table_backed_rejects_synthesis_checks(tmp_path):
         run_scenario(load_scenario(cfg), None)
 
 
+def _tables_scenario(raw: dict, tables, **fields):
+    """The scenario ``raw`` with its mechanism replaced by exported tables."""
+    return load_scenario({**raw, "name": f"{raw['name']}-tables",
+                          "mechanism": {"variant": "tables", "path": str(tables)}, **fields})
+
+
+def _bundled(name: str) -> dict:
+    return json.loads(bundled_scenarios()[name].read_text())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_table_backed_doic_honours_mc_mode(tmp_path, seed):
+    # g2-appendix has one shock value, so its sampled margins are exact
+    run_scenario("g2-appendix", tmp_path / "native")
+    scenario = _tables_scenario(_bundled("g2-appendix"),
+                                tmp_path / "native" / "mechanism_tables.json",
+                                mode="mc", samples=200, seed=seed, verify=["doic"])
+    result = run_scenario(scenario, tmp_path / "tables")
+    verdicts = {v["name"]: v for v in result.report["verdicts"]}
+    assert verdicts["oaic"]["mode"] == "mc" and verdicts["oaic"]["passed"]
+    assert verdicts["raic"]["mode"] == "mc" and verdicts["raic"]["passed"]
+    assert [p.name for p in result.artifacts] == ["report.json"]
+
+
+@pytest.mark.parametrize("name", ["double-well", "g2-appendix", "subscription"])
+def test_table_backed_run_matches_native(tmp_path, name):
+    checks = ["support", "doic", "fixed_point"]
+    native = run_scenario(name, tmp_path / "native", overrides={"checks": tuple(checks)})
+    tables = run_scenario(_tables_scenario(_bundled(name),
+                                           tmp_path / "native" / "mechanism_tables.json",
+                                           verify=checks), None)
+    assert tables.passed and native.passed
+    assert tables.report["chi"] == native.report["chi"]
+    assert tables.report["extras"]["simulation"] == native.report["extras"]["simulation"]
+    assert tables.report["extras"]["support"] == native.report["extras"]["support"]
+    assert tables.report["verdicts"][-1] == native.report["verdicts"][-1]  # the fixed point
+    assert tables.report["extras"]["mechanism_source"] == name
+
+
+
 def test_tree_size_error_suggests_sampling(g1_unused=None):
     from offmenu.equilibrium import Engine, TreeSizeError
     from offmenu.mechanism import Mechanism, ZeroCoupling, ZeroOffSwitch
@@ -225,30 +265,46 @@ def test_tree_size_error_suggests_sampling(g1_unused=None):
         engine.prospect(0, engine.root(), 2, 3, RegionConjecture({}))
 
 
+WELL_RIDGE = {
+    "name": "well-ridge",
+    "agents": 1,
+    "horizon": 3,
+    "state_grid": {"lo": 0.0, "hi": 1.0, "points": 5},
+    "shocks": {"values": [0.0, 0.25, 0.5, 0.75, 1.0]},
+    "initial_states": [[0.2, 0.2, 0.2, 0.2, 0.2]],
+    "dynamics": {"kind": "exogenous", "params": {}},
+    "rewards": {"kind": "pw_slopes", "params": {
+        "grid": {"lo": 0.0, "hi": 1.0, "points": 5},
+        "slopes": [-4.0, -4.0, 20.0, -24.0, 36.0]}},
+    "policy": {"kind": "identity", "params": {}},
+    "mechanism": {"variant": "knowledgeable",
+                  "boundaries": {"0": [[0.25, 0.25]]}},
+    "verify": ["doic", "phi_uniqueness", "transform", "barrier", "fixed_point"],
+    "seed": 9,
+    "samples": 2000,
+}
+
+
 def test_knowledgeable_scenario_end_to_end(tmp_path):
-    cfg = {
-        "name": "well-ridge",
-        "agents": 1,
-        "horizon": 3,
-        "state_grid": {"lo": 0.0, "hi": 1.0, "points": 5},
-        "shocks": {"values": [0.0, 0.25, 0.5, 0.75, 1.0]},
-        "initial_states": [[0.2, 0.2, 0.2, 0.2, 0.2]],
-        "dynamics": {"kind": "exogenous", "params": {}},
-        "rewards": {"kind": "pw_slopes", "params": {
-            "grid": {"lo": 0.0, "hi": 1.0, "points": 5},
-            "slopes": [-4.0, -4.0, 20.0, -24.0, 36.0]}},
-        "policy": {"kind": "identity", "params": {}},
-        "mechanism": {"variant": "knowledgeable",
-                      "boundaries": {"0": [[0.25, 0.25]]}},
-        "verify": ["doic", "phi_uniqueness", "transform", "barrier", "fixed_point"],
-        "seed": 9,
-        "samples": 2000,
-    }
-    result = run_scenario(load_scenario(cfg), tmp_path)
+    result = run_scenario(load_scenario(WELL_RIDGE), tmp_path)
     assert result.passed, result.report["verdicts"]
     rows = (tmp_path / "mechanism.csv").read_text().splitlines()
     # interval-keyed posted values serialize every distinct level
     assert any(";" in r.split(",")[-1] for r in rows[1:])
+
+
+def test_cli_tables_missing_interval_entry_exits_two(tmp_path, capsys):
+    run_scenario(load_scenario(WELL_RIDGE), tmp_path / "native")
+    tables = tmp_path / "native" / "mechanism_tables.json"
+    body = json.loads(tables.read_text())
+    body["posted_intervals"] = body["posted_intervals"][:-3]
+    tables.write_text(json.dumps(body))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**WELL_RIDGE, "verify": ["doic"],
+                                "mechanism": {"variant": "tables", "path": str(tables)}}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "no off-switch value for agent 0" in err and "interval" in err
 
 
 def test_cli_checks_flag_overrides_scenario(tmp_path, capsys):

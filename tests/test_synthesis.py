@@ -9,8 +9,8 @@ from offmenu.equilibrium import Engine
 from offmenu.histories import RegionConjecture, TreeWalker
 from offmenu.model import RewardModel
 from offmenu.synthesis import (
+    SynthesizedCoupling,
     check_dcm_zero,
-    coupling_from_c1,
     posted_factor_eta,
     solve_phi_by_indifference,
     synthesize_mechanism,
@@ -25,7 +25,7 @@ def test_zero_reward_coupling_equals_marginal_carrier():
     game = make_game(rewards=RewardModel(lambda i, t, s, a: 0.0, lambda i, t, s, a: 0.0))
     walker = TreeWalker(game, IDENTITY)
     carriers = CarrierTables(walker, NOQUIT)
-    rho = coupling_from_c1(carriers)
+    rho = SynthesizedCoupling(carriers)
     root = walker.store.root()
     menu = walker.menu(0, root)
     for pos, a in enumerate(menu.actions):
@@ -37,7 +37,7 @@ def test_zero_reward_coupling_equals_marginal_carrier():
 def test_coupling_terminal_identity(g1):
     walker = TreeWalker(g1, IDENTITY)
     carriers = CarrierTables(walker, NOQUIT)
-    rho = coupling_from_c1(carriers)
+    rho = SynthesizedCoupling(carriers)
     last = [n for n in walker.reachable_nodes(NOQUIT.plan()) if n.t == 3][0]
     menu = walker.menu(0, last)
     for pos, a in enumerate(menu.actions):
@@ -50,7 +50,7 @@ def test_coupling_table_term_by_term(g1):
     """Every entry decomposes into its three defining terms, recomputed here."""
     walker = TreeWalker(g1, IDENTITY)
     carriers = CarrierTables(walker, NOQUIT)
-    rho = coupling_from_c1(carriers)
+    rho = SynthesizedCoupling(carriers)
     for node in walker.reachable_nodes(NOQUIT.plan())[:10]:
         if node.t > 3:
             continue
