@@ -21,7 +21,6 @@ Semantics pinned here and shared with the carrier/persistence machinery:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -233,28 +232,6 @@ class Engine:
         grid = self.game.grid(i, node.t)
         return max(self.pretend_value(i, node, s_idx, j, x) for j in range(grid.points))
 
-    def v_dagger(self, i: int, node: Node, s_idx: int, pretend_idx: int, x: Conjecture) -> float:
-        """One-shot-deviation value: deviate now, then collect the obedient value."""
-        menu = self.walker.menu(i, node)
-        a_pos = menu.action_index_of_state[pretend_idx]
-        a_own = menu.actions[a_pos]
-        a_own_idx = self.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
-        s_val = self.game.grid(i, node.t).value(s_idx)
-        total = 0.0
-        for p, plan in x.plans(i, node):
-            for br in self.walker.other_branches(i, node, plan):
-                actions = dict(br.actions)
-                actions[i] = a_own
-                z = (self.game.reward(i, node.t, s_val, actions)
-                     + self.mechanism.rho.value(i, node, actions))
-                child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-                cont = 0.0
-                if node.t < self.game.horizon:
-                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
-                        cont += pp * self.value_fn(i, child, s2, x)
-                total += p * br.prob * (z + cont)
-        return total
-
     # -- quit-time distribution (first hit) -----------------------------------
 
     def quit_distribution(self, i: int, node: Node,
@@ -278,26 +255,13 @@ class Engine:
         if hit is not None:
             return hit
         out: dict[int, float] = {}
-        pools = [self.walker.belief(j, node) for j in node.active]
-        for combo in itertools.product(*pools):
-            prob = 1.0
-            states: dict[int, int] = {}
-            quitters: list[int] = []
-            actions_idx: dict[int, int] = {}
-            for j, (p, sj) in zip(node.active, combo):
-                prob *= p
-                states[j] = sj
-                if plan.quits(j, node.t, sj, node):
-                    quitters.append(j)
-                else:
-                    _, a_idx = self.walker.obedient_action(j, node, sj)
-                    actions_idx[j] = a_idx
-            if i in quitters:
-                out[node.t] = out.get(node.t, 0.0) + prob
+        for br in self.walker.joint_steps(node, plan, node.active):
+            if i in br.quitters:
+                out[node.t] = out.get(node.t, 0.0) + br.prob
                 continue
-            child = self.store.child(node, states, quitters, actions_idx)
+            child = self.store.child(node, dict(br.states), br.quitters, br.actions_idx)
             for k, w in self._chi(i, child, plan, memo).items():
-                out[k] = out.get(k, 0.0) + prob * w
+                out[k] = out.get(k, 0.0) + br.prob * w
         memo[key] = out
         return out
 

@@ -251,12 +251,15 @@ IR_CONJECTURE = RegionConjecture({})
 
 @dataclass(frozen=True)
 class StepBranch:
-    """One joint resolution of the others' states and off-menu decisions."""
+    """One joint resolution of some agents' states, planned quits and obedient actions.
+
+    ``prob`` multiplies the agents' state weights in agent order; actions are the stayers'.
+    """
 
     prob: float
-    other_states: tuple[tuple[int, int], ...]
+    states: tuple[tuple[int, int], ...]  # (agent, state index) for every resolved agent
     quitters: tuple[int, ...]
-    actions: dict[int, float]          # stayers' action values, own entry filled by caller
+    actions: dict[int, float]
     actions_idx: dict[int, int]
 
 
@@ -264,9 +267,10 @@ class TreeWalker:
     """Shared exact-mode enumeration helpers over a game/policy pair.
 
     Everything the equilibrium engine, the carrier tables and the persistence
-    transforms agree on lives here: beliefs at a node, the others' joint step
-    branches under a plan, and successor construction.  Menus are cached per
-    (agent, node).
+    transforms agree on lives here: beliefs at a node, the one joint-step
+    enumerator (``joint_steps``) every exact walk resolves a period with,
+    successor construction, and the node closures built on one depth-first
+    walk.  Menus are cached per (agent, node).
     """
 
     def __init__(self, game: BaseGame, sigma: TaskPolicy, store: NodeStore | None = None):
@@ -317,34 +321,44 @@ class TreeWalker:
 
     # -- enumeration ----------------------------------------------------------
 
-    def other_branches(self, i: int, node: Node, plan: OppPlan) -> Iterator[StepBranch]:
-        """Joint enumeration of the *other* active agents' states, quits and actions."""
-        others = [j for j in node.active if j != i]
-        if not others:
-            yield StepBranch(1.0, (), (), {}, {})
-            return
-        pools = [self.belief(j, node) for j in others]
+    def joint_steps(self, node: Node, plan: OppPlan, agents: Sequence[int],
+                    pools: Sequence[Sequence[tuple[float, int]]] | None = None,
+                    stays: int | None = None) -> Iterator[StepBranch]:
+        """Every joint resolution of ``agents``' states, quits and obedient actions.
+
+        States range over each agent's belief at the node, or over the
+        caller's (prob, state) ``pools``; each agent quits where the plan
+        says so, except ``stays``, who stays and acts obediently throughout.
+        """
+        if pools is None:
+            pools = [self.belief(j, node) for j in agents]
         for combo in itertools.product(*pools):
             prob = 1.0
             states: list[tuple[int, int]] = []
             quitters: list[int] = []
             actions: dict[int, float] = {}
             actions_idx: dict[int, int] = {}
-            for j, (p, s_idx) in zip(others, combo):
+            for j, (p, s_idx) in zip(agents, combo):
                 prob *= p
                 states.append((j, s_idx))
-                if plan.quits(j, node.t, s_idx, node):
+                if j != stays and plan.quits(j, node.t, s_idx, node):
                     quitters.append(j)
                 else:
-                    a, a_idx = self.obedient_action(j, node, s_idx)
-                    actions[j] = a
-                    actions_idx[j] = a_idx
+                    actions[j], actions_idx[j] = self.obedient_action(j, node, s_idx)
             yield StepBranch(prob, tuple(states), tuple(quitters), actions, actions_idx)
+
+    def other_branches(self, i: int, node: Node, plan: OppPlan) -> Iterator[StepBranch]:
+        """Joint steps of the *other* active agents; agent i's own entry is the caller's."""
+        others = [j for j in node.active if j != i]
+        if not others:
+            yield StepBranch(1.0, (), (), {}, {})
+            return
+        yield from self.joint_steps(node, plan, others)
 
     def child_after(self, i: int, node: Node, s_own: int, a_own_idx: int,
                     branch: StepBranch) -> Node:
         """Successor node when agent i stays and plays; others per the branch."""
-        states = dict(branch.other_states)
+        states = dict(branch.states)
         states[i] = s_own
         actions_idx = dict(branch.actions_idx)
         actions_idx[i] = a_own_idx
@@ -371,38 +385,39 @@ class TreeWalker:
 
     # -- reachable sets ---------------------------------------------------------
 
-    def reachable_nodes(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
-        """All nodes reachable when every agent follows the plan obediently."""
-        root = self.store.root()
-        seen: dict[int, Node] = {root.key: root}
-        self._expand([root], seen, plan, max_nodes)
-        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+    def _closure(self, successors, start_tag, what: str, max_nodes: int,
+                 seen: dict[int, Node] | None = None) -> dict[int, Node]:
+        """Depth-first walk over (node, tag) states from the root, each expanded once.
 
-    def _expand(self, frontier: list[Node], seen: dict[int, Node], plan: OppPlan,
-                max_nodes: int) -> None:
-        frontier = list(frontier)
+        ``successors(node, tag)`` yields (child, tag) pairs; every child enters
+        ``seen`` (node key -> node, returned) within the ``max_nodes`` budget.
+        """
+        root = self.store.root()
+        if seen is None:
+            seen = {root.key: root}
+        frontier = [(root, start_tag)]
+        visited = {(root.key, start_tag)}
         while frontier:
-            node = frontier.pop()
+            node, tag = frontier.pop()
             if node.t > self.game.horizon:
                 continue
-            pools = [self.belief(j, node) for j in node.active]
-            for combo in itertools.product(*pools):
-                states: dict[int, int] = {}
-                quitters: list[int] = []
-                actions_idx: dict[int, int] = {}
-                for j, (_, s_idx) in zip(node.active, combo):
-                    states[j] = s_idx
-                    if plan.quits(j, node.t, s_idx, node):
-                        quitters.append(j)
-                    else:
-                        _, a_idx = self.obedient_action(j, node, s_idx)
-                        actions_idx[j] = a_idx
-                child = self.store.child(node, states, quitters, actions_idx)
+            for child, child_tag in successors(node, tag):
                 if child.key not in seen:
                     seen[child.key] = child
                     if len(seen) > max_nodes:
-                        raise GameError("reachable node set exceeds the exact-mode budget; rerun with mode=mc")
-                    frontier.append(child)
+                        raise GameError(f"{what} exceeds the exact-mode budget; rerun with mode=mc")
+                if (child.key, child_tag) not in visited:
+                    visited.add((child.key, child_tag))
+                    frontier.append((child, child_tag))
+        return seen
+
+    def reachable_nodes(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
+        """All nodes reachable when every agent follows the plan obediently."""
+        def successors(node, tag):
+            for br in self.joint_steps(node, plan, node.active):
+                yield self.store.child(node, dict(br.states), br.quitters, br.actions_idx), tag
+
+        return _in_period_order(self._closure(successors, None, "reachable node set", max_nodes))
 
     def full_state_closure(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
         """Nodes reachable when every agent's state ranges over the whole grid.
@@ -411,35 +426,19 @@ class TreeWalker:
         counterfactual cells can open histories the belief-supported walk
         never visits; this closure covers them (obedient actions, plan quits).
         """
-        root = self.store.root()
-        seen: dict[int, Node] = {root.key: root}
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            if node.t > self.game.horizon:
-                continue
-            pools = [range(self.game.grid(j, node.t).points) for j in node.active]
-            for combo in itertools.product(*pools):
-                states = dict(zip(node.active, combo))
-                plan_quits = [j for j in node.active
-                              if plan.quits(j, node.t, states[j], node)]
+        def successors(node, tag):
+            pools = [[(1.0, s) for s in range(self.game.grid(j, node.t).points)]
+                     for j in node.active]
+            for br in self.joint_steps(node, plan, node.active, pools):
+                states = dict(br.states)
+                yield self.store.child(node, states, br.quitters, br.actions_idx), tag
                 # an evaluating agent stays even where the plan would quit
-                stay_overrides = [None] + [j for j in plan_quits]
-                for keep in stay_overrides:
-                    quitters = [j for j in plan_quits if j != keep]
-                    actions_idx = {}
-                    for j in node.active:
-                        if j in quitters:
-                            continue
-                        _, a_idx = self.obedient_action(j, node, states[j])
-                        actions_idx[j] = a_idx
-                    child = self.store.child(node, states, quitters, actions_idx)
-                    if child.key not in seen:
-                        seen[child.key] = child
-                        if len(seen) > max_nodes:
-                            raise GameError("full-state closure exceeds the exact-mode budget; rerun with mode=mc")
-                        frontier.append(child)
-        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+                for keep in br.quitters:
+                    idx = {**br.actions_idx, keep: self.obedient_action(keep, node, states[keep])[1]}
+                    yield self.store.child(node, states, [j for j in br.quitters if j != keep],
+                                           idx), tag
+
+        return _in_period_order(self._closure(successors, None, "full-state closure", max_nodes))
 
     def one_shot_closure(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
         """Node coverage of one-shot-deviation evaluations from realizable cells.
@@ -449,46 +448,29 @@ class TreeWalker:
         from the obedient action at most once, while everyone else follows
         the plan.  This is exactly the set of histories whose coupling and
         posted values an obedience check over positive-probability cells can
-        query, hence the coverage exported mechanism tables need.
+        query, hence the coverage exported mechanism tables need.  The walk's
+        tag says whether the evaluator has already deviated.
         """
-        base = self.reachable_nodes(plan, max_nodes)
-        seen = {n.key: n for n in base}
+        seen = {n.key: n for n in self.reachable_nodes(plan, max_nodes)}
         for evaluator in self.game.agents():
-            # (node, already-deviated) pairs; own quits are suppressed
-            frontier: list[tuple[Node, bool]] = [(self.store.root(), False)]
-            visited: set[tuple[int, bool]] = {(self.store.root().key, False)}
-            while frontier:
-                node, deviated = frontier.pop()
-                if node.t > self.game.horizon or evaluator not in node.active:
-                    continue
-                pools = [self.belief(j, node) for j in node.active]
-                for combo in itertools.product(*pools):
-                    states: dict[int, int] = {}
-                    quitters: list[int] = []
-                    actions_idx: dict[int, int] = {}
-                    for j, (_, s_idx) in zip(node.active, combo):
-                        states[j] = s_idx
-                        if j != evaluator and plan.quits(j, node.t, s_idx, node):
-                            quitters.append(j)
-                        else:
-                            _, a_idx = self.obedient_action(j, node, s_idx)
-                            actions_idx[j] = a_idx
-                    own_menu = self.menu(evaluator, node)
-                    choices = [(actions_idx[evaluator], deviated)]
-                    if not deviated:
-                        for a in own_menu.actions:
-                            idx = self.game.action_grids[(evaluator, node.t)].index_of(a, tol=1e-6)
-                            if idx != actions_idx[evaluator]:
-                                choices.append((idx, True))
+            def successors(node, deviated, evaluator=evaluator):
+                if evaluator not in node.active:
+                    return
+                grid = self.game.action_grids[(evaluator, node.t)]
+                menu_idx = [] if deviated else [grid.index_of(a, tol=1e-6)
+                                                for a in self.menu(evaluator, node).actions]
+                for br in self.joint_steps(node, plan, node.active, stays=evaluator):
+                    states = dict(br.states)
+                    obedient = br.actions_idx[evaluator]
+                    choices = [(obedient, deviated)] + [(idx, True) for idx in menu_idx
+                                                        if idx != obedient]
                     for own_idx, next_dev in choices:
-                        alt = dict(actions_idx)
-                        alt[evaluator] = own_idx
-                        child = self.store.child(node, states, quitters, alt)
-                        if child.key not in seen:
-                            seen[child.key] = child
-                            if len(seen) > max_nodes:
-                                raise GameError("deviation closure exceeds the exact-mode budget; rerun with mode=mc")
-                        if (child.key, next_dev) not in visited:
-                            visited.add((child.key, next_dev))
-                            frontier.append((child, next_dev))
-        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+                        idx = {**br.actions_idx, evaluator: own_idx}
+                        yield self.store.child(node, states, br.quitters, idx), next_dev
+
+            self._closure(successors, False, "deviation closure", max_nodes, seen)
+        return _in_period_order(seen)
+
+
+def _in_period_order(seen: Mapping[int, Node]) -> list[Node]:
+    return sorted(seen.values(), key=lambda n: (n.t, n.key))

@@ -335,13 +335,17 @@ def _load_tables(scenario: Scenario):
 
     The coverage contract restricts obedience checks to positive-probability
     cells; synthesis-side checks (conservation, envelope, uniqueness, ...)
-    need the synthesized carriers and are rejected here.  Returns (game,
-    walker, mechanism, conjecture, partitions, the tables' variant, extras).
+    need the synthesized carriers and are rejected here, as is the fixed
+    point on a multi-agent game.  Returns (game, walker, mechanism,
+    conjecture, partitions, the tables' variant, extras).
     """
     allowed = {"support", "doic", "fixed_point"}
     bad = [c for c in scenario.checks if c not in allowed]
     if bad:
         raise GameError(f"table-backed scenarios support checks {sorted(allowed)}, not {bad}")
+    if "fixed_point" in scenario.checks and scenario.agents > 1:
+        raise GameError("table-backed fixed_point needs one agent: its opponents stay where the "
+                        "region plan quits, outside the exported one-shot-deviation closure")
     tables_path = scenario.raw.get("mechanism", {}).get("path")
     if not tables_path or not isinstance(tables_path, str):
         raise GameError("variant 'tables' needs mechanism.path")

@@ -14,15 +14,17 @@ shelf     -- exogenous dynamics with a bottom-interval off region, the
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from offmenu.carrier import CarrierTables
 from offmenu.closures import piecewise_quadratic
 from offmenu.equilibrium import Engine
-from offmenu.histories import RegionConjecture
+from offmenu.histories import RegionConjecture, StepBranch, TreeWalker
 from offmenu.mechanism import BoundaryProfile, TaskPolicy
-from offmenu.model import BaseGame, DynamicsModel, Grid, RewardModel, ShockModel
+from offmenu.model import BaseGame, DynamicsModel, GameError, Grid, RewardModel, ShockModel
 from offmenu.regions import partition_from_boundary
 from offmenu.synthesis import synthesize_mechanism
 
@@ -264,3 +266,174 @@ class TrapezoidCarriers(CarrierTables):
         for a, b in zip(qs, qs[1:]):
             total += 0.5 * (a + b) * step
         return sign * total
+
+
+class LoopWalker(TreeWalker):
+    """Tree walker whose enumerations are the hand-rolled joint-resolution loops.
+
+    The reference ``TreeWalker.joint_steps`` and its closure walk are compared
+    against with ``==``: same branches, same node sets, same interning order.
+    """
+
+    def other_branches(self, i, node, plan):
+        others = [j for j in node.active if j != i]
+        if not others:
+            yield StepBranch(1.0, (), (), {}, {})
+            return
+        pools = [self.belief(j, node) for j in others]
+        for combo in itertools.product(*pools):
+            prob = 1.0
+            states = []
+            quitters = []
+            actions = {}
+            actions_idx = {}
+            for j, (p, s_idx) in zip(others, combo):
+                prob *= p
+                states.append((j, s_idx))
+                if plan.quits(j, node.t, s_idx, node):
+                    quitters.append(j)
+                else:
+                    a, a_idx = self.obedient_action(j, node, s_idx)
+                    actions[j] = a
+                    actions_idx[j] = a_idx
+            yield StepBranch(prob, tuple(states), tuple(quitters), actions, actions_idx)
+
+    def reachable_nodes(self, plan, max_nodes=250_000):
+        root = self.store.root()
+        seen = {root.key: root}
+        self._expand([root], seen, plan, max_nodes)
+        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+
+    def _expand(self, frontier, seen, plan, max_nodes):
+        frontier = list(frontier)
+        while frontier:
+            node = frontier.pop()
+            if node.t > self.game.horizon:
+                continue
+            pools = [self.belief(j, node) for j in node.active]
+            for combo in itertools.product(*pools):
+                states = {}
+                quitters = []
+                actions_idx = {}
+                for j, (_, s_idx) in zip(node.active, combo):
+                    states[j] = s_idx
+                    if plan.quits(j, node.t, s_idx, node):
+                        quitters.append(j)
+                    else:
+                        _, a_idx = self.obedient_action(j, node, s_idx)
+                        actions_idx[j] = a_idx
+                child = self.store.child(node, states, quitters, actions_idx)
+                if child.key not in seen:
+                    seen[child.key] = child
+                    if len(seen) > max_nodes:
+                        raise GameError("reachable node set exceeds the exact-mode budget; "
+                                        "rerun with mode=mc")
+                    frontier.append(child)
+
+    def full_state_closure(self, plan, max_nodes=250_000):
+        root = self.store.root()
+        seen = {root.key: root}
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            if node.t > self.game.horizon:
+                continue
+            pools = [range(self.game.grid(j, node.t).points) for j in node.active]
+            for combo in itertools.product(*pools):
+                states = dict(zip(node.active, combo))
+                plan_quits = [j for j in node.active
+                              if plan.quits(j, node.t, states[j], node)]
+                for keep in [None] + plan_quits:
+                    quitters = [j for j in plan_quits if j != keep]
+                    actions_idx = {}
+                    for j in node.active:
+                        if j in quitters:
+                            continue
+                        _, a_idx = self.obedient_action(j, node, states[j])
+                        actions_idx[j] = a_idx
+                    child = self.store.child(node, states, quitters, actions_idx)
+                    if child.key not in seen:
+                        seen[child.key] = child
+                        if len(seen) > max_nodes:
+                            raise GameError("full-state closure exceeds the exact-mode budget; "
+                                            "rerun with mode=mc")
+                        frontier.append(child)
+        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+
+    def one_shot_closure(self, plan, max_nodes=250_000):
+        base = self.reachable_nodes(plan, max_nodes)
+        seen = {n.key: n for n in base}
+        for evaluator in self.game.agents():
+            frontier = [(self.store.root(), False)]
+            visited = {(self.store.root().key, False)}
+            while frontier:
+                node, deviated = frontier.pop()
+                if node.t > self.game.horizon or evaluator not in node.active:
+                    continue
+                pools = [self.belief(j, node) for j in node.active]
+                for combo in itertools.product(*pools):
+                    states = {}
+                    quitters = []
+                    actions_idx = {}
+                    for j, (_, s_idx) in zip(node.active, combo):
+                        states[j] = s_idx
+                        if j != evaluator and plan.quits(j, node.t, s_idx, node):
+                            quitters.append(j)
+                        else:
+                            _, a_idx = self.obedient_action(j, node, s_idx)
+                            actions_idx[j] = a_idx
+                    own_menu = self.menu(evaluator, node)
+                    choices = [(actions_idx[evaluator], deviated)]
+                    if not deviated:
+                        for a in own_menu.actions:
+                            idx = self.game.action_grids[(evaluator, node.t)].index_of(a, tol=1e-6)
+                            if idx != actions_idx[evaluator]:
+                                choices.append((idx, True))
+                    for own_idx, next_dev in choices:
+                        alt = dict(actions_idx)
+                        alt[evaluator] = own_idx
+                        child = self.store.child(node, states, quitters, alt)
+                        if child.key not in seen:
+                            seen[child.key] = child
+                            if len(seen) > max_nodes:
+                                raise GameError("deviation closure exceeds the exact-mode budget; "
+                                                "rerun with mode=mc")
+                        if (child.key, next_dev) not in visited:
+                            visited.add((child.key, next_dev))
+                            frontier.append((child, next_dev))
+        return sorted(seen.values(), key=lambda n: (n.t, n.key))
+
+
+class LoopEngine(Engine):
+    """Engine whose first-hit quit distribution is the hand-rolled joint loop."""
+
+    def _chi(self, i, node, plan, memo):
+        if node.t > self.game.horizon or i not in node.active:
+            return {self.game.horizon + 1: 1.0}
+        key = (i, node.key)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        out = {}
+        pools = [self.walker.belief(j, node) for j in node.active]
+        for combo in itertools.product(*pools):
+            prob = 1.0
+            states = {}
+            quitters = []
+            actions_idx = {}
+            for j, (p, sj) in zip(node.active, combo):
+                prob *= p
+                states[j] = sj
+                if plan.quits(j, node.t, sj, node):
+                    quitters.append(j)
+                else:
+                    _, a_idx = self.walker.obedient_action(j, node, sj)
+                    actions_idx[j] = a_idx
+            if i in quitters:
+                out[node.t] = out.get(node.t, 0.0) + prob
+                continue
+            child = self.store.child(node, states, quitters, actions_idx)
+            for k, w in self._chi(i, child, plan, memo).items():
+                out[k] = out.get(k, 0.0) + prob * w
+        memo[key] = out
+        return out

@@ -303,15 +303,6 @@ def test_expected_history_truncation_excludes_quitters_actions():
     assert all((0,) == prof for prof in by_period[2] | by_period[3])
 
 
-def test_v_dagger_consistent_with_value_function(g2_ir):
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = g2_ir
-    root = engine.root()
-    for s in range(5):
-        # obedient one-shot-deviation value at the truth equals the value function
-        assert engine.v_dagger(0, root, s, s, conj) == pytest.approx(
-            engine.value_fn(0, root, s, conj), abs=1e-9)
-
-
 def test_transform_representation_needs_indifference(shelf):
     """With strictly negative on-rent inside the off region, re-planning
     strictly beats every committed plan and the representation identity

@@ -9,10 +9,12 @@ that means to move them updates the digests and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from offmenu.cli import main
+from offmenu.scenario import bundled_scenarios
 
 OUTPUTS = ("carriers.csv", "histograms.csv", "mechanism.csv", "mechanism_tables.json",
            "on_rent.csv", "projections.csv", "quit_frequency.csv", "report.json")
@@ -60,11 +62,35 @@ GOLDEN = {
     ),
 }
 
+# bundled pair-churn cut to horizon 2: the one multi-agent golden, so the one
+# whose walks resolve other agents and evaluate two agents' deviations
+PAIR_CHURN_T2 = (
+    "b40185f190a331743aa871838413141012c54a8e37a595f0c7fa021108e46839",
+    "5c5b781768b2d7a01ab0c7211f256f57565ac3f5c5adb62fad58910de34d0ea0",
+    "472d18e1466d7192df69db471c9c48461841a3dc5d601a3ed4d9372671eeded7",
+    "fa7023939b58160e5f5e48367517f16d925babc8136e46a6907529cbe9e93faf",
+    "7c499186d463a92ff17ceebb00cd168f1a7ba45d296756e90a22efb78d97c4a8",
+    "d9c6d93b8b7a0e6f9aedf149a95ae0d74a1b17c89046a167e66096d8d7655e42",
+    "af465b10ff0c1064ef0639025e68aa139270eb409697f958e8015e43d31a0113",
+    "898ed2e963ef57156d8fceff8fd063ef4a623baf0803286d1bb2a0b683b9f9d2",
+)
+
+
+def _verify_digests(scenario: str, out, *args) -> dict[str, str]:
+    assert main(["verify", scenario, "--out", str(out), *args]) == 0
+    assert sorted(p.name for p in out.iterdir()) == list(OUTPUTS)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+
 
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
 def test_verify_output_bytes_are_golden(tmp_path, args):
-    out = tmp_path / "out"
-    assert main(["verify", args[0], "--out", str(out), *args[1:]]) == 0
-    assert sorted(p.name for p in out.iterdir()) == list(OUTPUTS)
-    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
-    assert dict(zip(OUTPUTS, got)) == dict(zip(OUTPUTS, GOLDEN[args]))
+    got = _verify_digests(args[0], tmp_path / "out", *args[1:])
+    assert got == dict(zip(OUTPUTS, GOLDEN[args]))
+
+
+def test_pair_churn_horizon_two_output_bytes_are_golden(tmp_path):
+    raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
+    path = tmp_path / "pair-churn-t2.json"
+    path.write_text(json.dumps({**raw, "horizon": 2}))
+    got = _verify_digests(str(path), tmp_path / "out")
+    assert got == dict(zip(OUTPUTS, PAIR_CHURN_T2))

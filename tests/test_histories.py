@@ -1,0 +1,128 @@
+"""TreeWalker's joint-step enumerator and closure walk against the old loops.
+
+``LoopWalker``/``LoopEngine`` (conftest) keep the hand-rolled resolution
+loops; every walk here must give the same branches, the same node lists,
+the same quit distributions and the same store interning order.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import IDENTITY, LoopEngine, LoopWalker, make_game, random_instance
+from offmenu.equilibrium import Engine
+from offmenu.histories import NEVER_QUIT, FixedPlan, RegionConjecture, TreeWalker
+from offmenu.mechanism import Mechanism, ZeroCoupling, ZeroOffSwitch
+from offmenu.model import GameError, Grid, ShockModel
+from offmenu.scenario import bundled_scenarios, load_scenario
+
+CLOSURES = ("reachable_nodes", "full_state_closure", "one_shot_closure")
+CASES = [*range(10), "pair-churn-t2", "three-agents"]
+
+
+def _instance(case):
+    if case == "three-agents":
+        # three agents, so "the others" hold two and their order shows; with
+        # these weights the product of three probabilities depends on its order
+        weights = (0.1, 0.7, 0.2)
+        game = make_game(n=3, T=2, grid=Grid(0.0, 1.0, 3),
+                         shocks=ShockModel((-0.5, 0.0, 0.5), weights),
+                         initial={i: weights for i in range(3)})
+        regions = {(0, 1): frozenset({0}), (2, 1): frozenset({2}), (1, 2): frozenset({1})}
+        return game, Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(2)), RegionConjecture(regions)
+    if case == "pair-churn-t2":
+        raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
+        scenario = load_scenario({**raw, "horizon": 2})
+        game = scenario.build_game()
+        regions = {k: p.off_indices for k, p in scenario.build_partitions(game).items()}
+        mech = Mechanism(scenario.build_policy(), ZeroCoupling(), ZeroOffSwitch(game.horizon))
+        return game, mech, RegionConjecture(regions)
+    return random_instance(np.random.default_rng(case))
+
+
+def _order(walker):
+    store = walker.store
+    return [store.node(k).signature() for k in range(len(store))]
+
+
+def _sigs(nodes):
+    return [n.signature() for n in nodes]
+
+
+def _fields(branches):
+    return [(b.prob, b.states, b.quitters, b.actions, b.actions_idx) for b in branches]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_closure_matches_old_loop_from_a_fresh_store(case, closure):
+    game, mech, conj = _instance(case)
+    new, old = TreeWalker(game, mech.sigma), LoopWalker(game, mech.sigma)
+    got = getattr(new, closure)(conj.plan())
+    want = getattr(old, closure)(conj.plan())
+    assert _sigs(got) == _sigs(want)
+    assert [n.key for n in got] == [n.key for n in want]
+    assert _order(new) == _order(old)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_walks_match_old_loops_in_sequence(case):
+    game, mech, conj = _instance(case)
+    plan = conj.plan()
+    new, old = TreeWalker(game, mech.sigma), LoopWalker(game, mech.sigma)
+    for closure in CLOSURES:
+        assert _sigs(getattr(new, closure)(plan)) == _sigs(getattr(old, closure)(plan))
+        assert _order(new) == _order(old)
+    new_engine = Engine(game, mech, walker=new)
+    old_engine = LoopEngine(game, mech, walker=old)
+    for i in game.agents():
+        root = new_engine.root()
+        assert (new_engine.quit_distribution(i, root, conj.regions)
+                == old_engine.quit_distribution(i, old_engine.root(), conj.regions))
+    assert _order(new) == _order(old)
+    plans = [plan, NEVER_QUIT, FixedPlan({j: 1 for j in game.agents()}),
+             FixedPlan({j: 2 for j in game.agents()})]
+    for key in range(len(new.store)):
+        node, twin = new.store.node(key), old.store.node(key)
+        if node.t > game.horizon:
+            continue
+        for i in node.active:
+            for pl in plans:
+                assert (_fields(new.other_branches(i, node, pl))
+                        == _fields(old.other_branches(i, twin, pl)))
+    assert _order(new) == _order(old)
+
+
+def test_pair_churn_case_has_two_agents_and_quits():
+    # the multi-agent case must exercise other agents and plan quits
+    game, mech, conj = _instance("pair-churn-t2")
+    assert game.n_agents == 2 and any(conj.regions.values())
+
+
+def _pair_walker():
+    game = make_game(n=2, T=2)
+    return TreeWalker(game, IDENTITY), RegionConjecture({}).plan()
+
+
+def test_reachable_nodes_budget_error():
+    walker, plan = _pair_walker()
+    with pytest.raises(GameError, match="reachable node set exceeds the exact-mode budget"):
+        walker.reachable_nodes(plan, max_nodes=3)
+
+
+def test_full_state_closure_budget_error():
+    walker, plan = _pair_walker()
+    with pytest.raises(GameError, match="full-state closure exceeds the exact-mode budget"):
+        walker.full_state_closure(plan, max_nodes=3)
+
+
+def test_one_shot_closure_budget_error():
+    walker, plan = _pair_walker()
+    reachable = len(walker.reachable_nodes(plan))
+    assert len(walker.one_shot_closure(plan)) > reachable
+    # the obedient walk fits the budget; the deviations take it over
+    with pytest.raises(GameError, match="deviation closure exceeds the exact-mode budget"):
+        walker.one_shot_closure(plan, max_nodes=reachable)

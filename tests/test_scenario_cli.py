@@ -307,6 +307,21 @@ def test_cli_tables_missing_interval_entry_exits_two(tmp_path, capsys):
     assert "no off-switch value for agent 0" in err and "interval" in err
 
 
+def test_cli_tables_fixed_point_on_two_agents_exits_two(tmp_path, capsys):
+    pair = {**_bundled("pair-churn"), "horizon": 2}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["synthesize", str(path), "--out", str(tmp_path / "native")]) == 0
+    tables = tmp_path / "native" / "mechanism_tables.json"
+    path.write_text(json.dumps({**pair, "verify": ["support", "doic", "fixed_point"],
+                                "mechanism": {"variant": "tables", "path": str(tables)}}))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "fixed_point" in err and "one-shot-deviation closure" in err
+    assert main(["verify", str(path), "--checks", "support,doic"]) == 0
+
+
 def test_cli_checks_flag_overrides_scenario(tmp_path, capsys):
     assert main(["verify", "g2-appendix", "--checks", "mso,cm",
                  "--samples", "100"]) == 0
