@@ -19,23 +19,14 @@ exact in exact mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .histories import Conjecture, Node, OppPlan, TreeWalker
 from .model import GameError
-from .sampling import PathSampler
 
 __all__ = ["CarrierTables"]
-
-
-@dataclass(frozen=True)
-class _Key:
-    agent: int
-    node: int
-    state: int
 
 
 class CarrierTables:
@@ -111,45 +102,6 @@ class CarrierTables:
             total += br.prob * term
         self._q[key] = total
         return total
-
-    def q_profile(self, i: int, node: Node, s_idx: int, a_pos: int | None = None) -> np.ndarray:
-        """Impulse responses for all cutoffs node.t..T as one array."""
-        T = self.game.horizon
-        return np.array([self.impulse_response(i, node, s_idx, L, a_pos)
-                         for L in range(node.t, T + 1)])
-
-    def impulse_response_mc(self, i: int, node: Node, s_idx: int, samples: int,
-                            seed: int, a_pos: int | None = None) -> np.ndarray:
-        """Sampled impulse responses for every cutoff at once.
-
-        Each sample draws one path of others' states and own shocks and reads
-        off the running slope-product partial sums, so estimates across
-        cutoffs share draws (common random numbers).
-        """
-        game = self.game
-        n = game.horizon - node.t + 1
-        samples = max(1, samples)
-        sums = [0.0] * n
-
-        def slope(cur: Node, s: int, actions: dict) -> float:
-            return game.du_ds(i, cur.t, game.grid(i, cur.t).value(s), actions)
-
-        paths = PathSampler(self.walker, i, self._plans(i, node), np.random.default_rng(seed),
-                            samples * 2 * n, a_pos, slope, self.walker.own_shock_branches)
-        for _ in range(samples):
-            slot = paths.plan()
-            cur, s, mp, acc = node, s_idx, 1.0, 0.0
-            for k in range(n):
-                step = paths.step(slot, cur, s, k == 0)
-                acc += step.value * mp
-                sums[k] += acc
-                if k == n - 1:
-                    break
-                j = paths.transition(cur, s, step)
-                _, _omega, j2, dk = step.outcomes[j]
-                mp *= dk
-                cur, s = step.child, j2
-        return np.array(sums) / samples
 
     def impulse_bound(self, i: int, t: int) -> float | None:
         """Declared-constant bound: sum of reward slopes times running dynamic slopes."""

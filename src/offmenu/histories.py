@@ -73,13 +73,6 @@ class Node:
                 return s
         return None
 
-    def quit_periods(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k, rec in enumerate(self.events, start=1):
-            for j in rec.quitters:
-                out[j] = k
-        return out
-
 
 class NodeStore:
     """Interner for nodes plus cached closure-facing history materialization."""

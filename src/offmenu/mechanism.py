@@ -266,15 +266,3 @@ class Mechanism:
     rho: CouplingPolicy
     phi: OffSwitch
     boundaries: Mapping[tuple[int, int], BoundaryProfile] | None = None
-
-    def utility_with_om(self, game: BaseGame, i: int, node: "Node", om: int,
-                        actions: Actions | None, s: float) -> float:
-        """Single-period utility: phi if quitting, reward + coupling if staying."""
-        if om not in (0, 1):
-            raise GameError(f"off-menu decision must be 0 or 1, got {om}")
-        if om == 1:
-            sidx = None
-            if node.t <= game.horizon:
-                sidx = game.grid(i, node.t).index_of(s)
-            return self.phi.value(i, node, sidx)
-        return game.reward(i, node.t, s, actions) + self.rho.value(i, node, actions)

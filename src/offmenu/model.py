@@ -254,18 +254,6 @@ class BaseGame:
             branches.append((w, omega, j))
         return probs, branches
 
-    def transition_cdf(self, i: int, t: int, s_next: float, s: float, history: History) -> float:
-        """P(state at t <= s_next | state s at t-1, history); running sum of the kernel."""
-        grid = self.state_grids[(i, t)]
-        if s_next < grid.lo - 1e-12 or s_next > grid.hi + 1e-12:
-            raise GameError(f"query point {s_next} outside bounds [{grid.lo}, {grid.hi}]")
-        probs, _ = self.kernel(i, t, s, history)
-        total = 0.0
-        for j in range(grid.points):
-            if grid.value(j) <= s_next + 1e-12:
-                total += probs[j]
-        return total
-
     def dkappa_ds(self, i: int, t: int, s: float, history: History, omega: float) -> float:
         """∂κ/∂s from the declared closure, else a central finite difference."""
         if self.dynamics.deriv is not None:
@@ -300,40 +288,35 @@ class BaseGame:
 
     # -- full-support surrogate ---------------------------------------------
 
-    def validate_full_support(self, histories_by_period=None, mode: str = "strict",
-                              epsilon: float = 1e-9) -> SupportReport:
+    def validate_full_support(self, mode: str = "strict") -> SupportReport:
         """Positive-mass surrogate of the strict-CDF-increase assumption.
 
-        strict: every period-(t+1) grid node must carry mass >= epsilon from
-        every (state, history) cell.  reachable: every period-(t+1) node must
-        carry mass from at least one current state (clamped kernels pass).
-        ``histories_by_period`` maps period t -> iterable of histories to
-        check; defaults to the empty history only (enough for dynamics whose
-        kernel ignores past actions).
+        strict: every period-(t+1) grid node must carry mass >= 1e-9 from
+        every current state.  reachable: every period-(t+1) node must carry
+        mass from at least one current state (clamped kernels pass).  Period t
+        is checked at one history, t empty action records, which is enough
+        for dynamics whose kernel ignores past actions.
         """
         if mode not in ("strict", "reachable"):
             raise GameError(f"unknown support mode {mode!r}")
+        epsilon = 1e-9
         violations: list[SupportCell] = []
         for i in self.agents():
             for t in range(1, self.horizon):
                 grid_now = self.state_grids[(i, t)]
                 grid_next = self.state_grids[(i, t + 1)]
-                if histories_by_period and t in histories_by_period:
-                    hists = list(histories_by_period[t])
-                else:
-                    hists = [tuple({} for _ in range(t))]
-                for hist in hists:
-                    covered = np.zeros(grid_next.points, dtype=bool)
-                    for j in range(grid_now.points):
-                        probs, _ = self.kernel(i, t + 1, grid_now.value(j), hist)
-                        covered |= probs >= epsilon
-                        if mode == "strict":
-                            for j2 in range(grid_next.points):
-                                if probs[j2] < epsilon:
-                                    violations.append(SupportCell(i, t, j, j2, float(probs[j2])))
-                    if mode == "reachable":
+                hist = tuple({} for _ in range(t))
+                covered = np.zeros(grid_next.points, dtype=bool)
+                for j in range(grid_now.points):
+                    probs, _ = self.kernel(i, t + 1, grid_now.value(j), hist)
+                    covered |= probs >= epsilon
+                    if mode == "strict":
                         for j2 in range(grid_next.points):
-                            if not covered[j2]:
-                                violations.append(SupportCell(i, t, -1, j2, 0.0))
+                            if probs[j2] < epsilon:
+                                violations.append(SupportCell(i, t, j, j2, float(probs[j2])))
+                if mode == "reachable":
+                    for j2 in range(grid_next.points):
+                        if not covered[j2]:
+                            violations.append(SupportCell(i, t, -1, j2, 0.0))
         return SupportReport(mode=mode, passed=not violations,
                              violations=tuple(violations), epsilon=epsilon)

@@ -1,16 +1,16 @@
-"""Projection operators and the transformed (transition-then-project) process.
+"""Projection operator and the transformed (transition-then-project) process.
 
 Each sub-off interval acts as a reflecting interval: states realized inside
 it are projected to the interval's marginal-carrier maximizer (largest one
-on ties), states outside are left alone.  The jump extension additionally
-projects on-interval states to their marginal-carrier minimizers and
-therefore requires the partition to cover the whole grid.
+on ties), states outside are left alone.
 
 The transformed process transitions first and projects second, step by
 step; its accumulated deviation sums, per step, the maximum carrier at the
 projected state minus the ordinary (non-projected) one-step expectation
 from the previous projected state.  With an empty off region every
 projection is the identity and the accumulated deviation is exactly zero.
+The barrier diagnostics walk (or sample) the projected process and report
+states inside a sub-off interval that are off its projection target.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .carrier import CarrierTables
 from .histories import Node
-from .model import GameError
 from .regions import PartitionSet, RegionPartition
 from .sampling import PathSampler
 
@@ -79,31 +78,20 @@ class PersistenceTransforms:
             self._ddown[key] = hit
         return hit
 
-    def project(self, i: int, node: Node, s_idx: int, mode: str = "up") -> int:
-        """Up transform: off-interval states to their maximizers, identity elsewhere.
-
-        Jump transform: additionally sends on-interval states to their
-        minimizers; it needs a full-cover partition.
-        """
+    def project(self, i: int, node: Node, s_idx: int) -> int:
+        """Up transform: off-interval states to their maximizers, identity elsewhere."""
         part = self.partitions.get((i, node.t))
         if part is None:
-            if mode == "jump":
-                raise GameError(f"jump transform needs a partition at agent {i}, period {node.t}")
             return s_idx
         kind, k = part.interval_of(s_idx)
         if kind == "off":
             return self.d_up(i, node, k)
-        if mode == "jump":
-            if not part.full_cover:
-                raise GameError("jump transform requires a full-cover partition")
-            return self.d_down(i, node, k)
         return s_idx
 
     # -- transformed process ------------------------------------------------------
 
     def uppt_expectation(self, i: int, node: Node, s_idx: int, L: int,
-                         integrand: Callable[[int, int, Node, int, Node], float],
-                         mode: str = "exact", samples: int = 0, seed: int = 0) -> float:
+                         integrand: Callable[[int, int, Node, int, Node], float]) -> float:
         """E[sum over k = t+1..L of integrand(k, us_k, node_k, us_{k-1}, node_{k-1})].
 
         Each step transitions the (projected) state through the real dynamics
@@ -113,8 +101,6 @@ class PersistenceTransforms:
         """
         if L <= node.t:
             return 0.0
-        if mode == "mc":
-            return self._uppt_mc(i, node, s_idx, L, integrand, samples, seed)
         total = 0.0
         for p, plan in self.carriers.conjecture.plans(i, node):
             total += p * self._uppt_walk(i, node, s_idx, L, integrand, plan)
@@ -130,7 +116,7 @@ class PersistenceTransforms:
             child = walker.child_after(i, node, s_idx, a_idx, br)
             inner = 0.0
             for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                us = self.project(i, child, j2, "up")
+                us = self.project(i, child, j2)
                 inner += pp * (integrand(child.t, us, child, s_idx, node)
                                + self._uppt_walk(i, child, us, L, integrand, plan))
             total += br.prob * inner
@@ -150,7 +136,7 @@ class PersistenceTransforms:
                 child = step.child
                 us = step.after[j]
                 if us is None:
-                    us = step.after[j] = self.project(i, child, step.outcomes[j][1], "up")
+                    us = step.after[j] = self.project(i, child, step.outcomes[j][1])
                 acc += integrand(child.t, us, child, s, cur)
                 cur, s = child, us
         return acc / samples
@@ -179,7 +165,7 @@ class PersistenceTransforms:
             for br in walker.other_branches(i, node, plan):
                 child = walker.child_after(i, node, s_idx, a_idx, br)
                 for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                    us = self.project(i, child, j2, "up")
+                    us = self.project(i, child, j2)
                     total += p * br.prob * pp * (self.carriers.mg(i, child, us)
                                                  + self.delta_bar(i, child, us))
         total -= self.carriers.expected_next_mg(i, node, s_idx)
@@ -190,39 +176,7 @@ class PersistenceTransforms:
         """Maximum carrier plus accumulated deviation: the payoff-to-go representative."""
         return self.carriers.mg(i, node, s_idx) + self.delta_bar(i, node, s_idx)
 
-    # -- support and barrier diagnostics ------------------------------------------
-
-    def uppt_support(self, i: int, node: Node, s_idx: int, k: int,
-                     require_full_support: bool = False,
-                     support_report=None) -> frozenset[int]:
-        """Reachable projected states at period k from (s, node), by forward BFS."""
-        if k <= node.t:
-            raise GameError("support query needs a strictly later period")
-        if require_full_support and (support_report is None or not support_report.passed):
-            raise GameError("support check requested without a passing full-support report")
-        frontier: set[tuple[int, int]] = {(node.key, s_idx)}
-        for _ in range(node.t, k):
-            nxt: set[tuple[int, int]] = set()
-            for key, s in frontier:
-                cur = self.walker.store.node(key)
-                for p, plan in self.carriers.conjecture.plans(i, cur):
-                    if p <= 0.0:
-                        continue
-                    _, a_idx = self.walker.obedient_action(i, cur, s)
-                    for br in self.walker.other_branches(i, cur, plan):
-                        if br.prob <= 0.0:
-                            continue
-                        child = self.walker.child_after(i, cur, s, a_idx, br)
-                        for pp, j2 in self.walker.own_kernel(i, cur, s, child):
-                            if pp > 0.0:
-                                nxt.add((child.key, self.project(i, child, j2, "up")))
-            frontier = nxt
-        return frozenset(s for _, s in frontier)
-
-    def projected_grid_image(self, i: int, k: int, node_at_k: Node) -> frozenset[int]:
-        """The projected image of the whole period-k grid at a representative node."""
-        m = self.game.grid(i, k).points
-        return frozenset(self.project(i, node_at_k, j, "up") for j in range(m))
+    # -- barrier diagnostics ------------------------------------------------------
 
     def barrier_violations(self, i: int, node: Node, s_idx: int) -> list[tuple[int, int, int]]:
         """Projected-process states strictly inside a sub-off interval but off its target.

@@ -1,19 +1,16 @@
-"""State-space partitions and the region calculus built on top of them.
+"""State-space partitions and the monotone-environment check.
 
 A boundary profile cuts a period grid into sub-off intervals (candidate
-quit regions) and their complement on-intervals.  The certificates here
-decide, per public-history node, whether a partition is *essential* (the
-carrier-plus-premium total peaks inside each off interval at its essential
-point and is dominated outside), whether a candidate region is dominated
-under a marginal-carrier level cut, and whether the environment is
-monotone (nondecreasing marginal carrier plus first-order stochastic
-dominance of the dynamics, or the mirror orientation).
+quit regions) and their complement on-intervals.  ``detect_monotone``
+decides whether the environment is monotone (nondecreasing marginal
+carrier plus first-order stochastic dominance of the dynamics, or the
+mirror orientation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -24,10 +21,6 @@ __all__ = [
     "RegionPartition",
     "PartitionSet",
     "partition_from_boundary",
-    "EssentialCertificate",
-    "essential_certificate",
-    "membership_sh_sk",
-    "dominated_region",
     "MonotoneReport",
     "detect_monotone",
 ]
@@ -116,131 +109,6 @@ def off_regions(game: BaseGame, partitions: PartitionSet) -> dict[tuple[int, int
     return out
 
 
-# ---------------------------------------------------------------------------
-# Essential-region certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EssentialCertificate:
-    """Verdict of the peak-inside / dominated-outside sign conditions.
-
-    ``totals`` is the carrier-plus-premium array the certificate was
-    evaluated on; ``points`` records the essential point per off interval
-    (largest passing one when searched).
-    """
-
-    passed: bool
-    points: tuple[int, ...]
-    worst_inside: float
-    worst_outside: float
-    witness: tuple[int, ...] | None
-    totals: tuple[float, ...]
-
-
-def essential_certificate(partition: RegionPartition, totals: Sequence[float],
-                          points: Sequence[int] | None = None,
-                          tol: float = 1e-9) -> EssentialCertificate:
-    """Decide whether the off intervals are essential for the given totals.
-
-    Condition (i): for every off interval, the total at its essential point
-    weakly dominates every total inside the interval.  Condition (ii): every
-    total outside the off region weakly dominates the total at each
-    essential point.  When ``points`` is absent each interval is searched
-    exhaustively and the largest passing point is recorded.
-    """
-    W = [float(v) for v in totals]
-    outside = [j for j in range(partition.points) if j not in partition.off_indices]
-
-    def margins(b: int, pt: int) -> tuple[float, float]:
-        lo, hi = partition.sub_off[b]
-        inside = min(W[pt] - W[j] for j in range(lo, hi + 1))
-        out = min((W[j] - W[pt] for j in outside), default=0.0)
-        return inside, out
-
-    chosen: list[int] = []
-    worst_in, worst_out = np.inf, np.inf
-    witness = None
-    for b, (lo, hi) in enumerate(partition.sub_off):
-        if points is not None:
-            cands = [points[b]]
-        else:
-            cands = list(range(lo, hi + 1))
-        best_pt, best_pair = None, (-np.inf, -np.inf)
-        for pt in cands:
-            pair = margins(b, pt)
-            ok = pair[0] >= -tol and pair[1] >= -tol
-            if ok and (best_pt is None or pt > best_pt):
-                best_pt, best_pair = pt, pair
-        if best_pt is None:
-            # keep the least-violating candidate as the witness
-            pt = max(cands, key=lambda p: min(margins(b, p)))
-            pair = margins(b, pt)
-            chosen.append(pt)
-            worst_in = min(worst_in, pair[0])
-            worst_out = min(worst_out, pair[1])
-            bad_j = min(range(partition.points),
-                        key=lambda j: (W[pt] - W[j]) if j in partition.off_indices else (W[j] - W[pt]))
-            witness = (b, pt, bad_j)
-        else:
-            chosen.append(best_pt)
-            worst_in = min(worst_in, best_pair[0])
-            worst_out = min(worst_out, best_pair[1])
-    passed = witness is None and worst_in >= -tol and worst_out >= -tol
-    return EssentialCertificate(passed, tuple(chosen), float(worst_in), float(worst_out),
-                                witness, tuple(W))
-
-
-def membership_sh_sk(transforms, i: int, node, mode: str = "H",
-                     tol: float = 1e-9) -> EssentialCertificate:
-    """Decide the horizontal / knowledgeable membership condition at a node.
-
-    H mode: the off region must be essential for the whole grid with each
-    interval's up-projection target as its essential point.  K mode: the
-    carrier-plus-premium total must peak at the up target within every off
-    interval and bottom out at the jump target within every on interval
-    (the certificate points record the targets; a failing interval yields
-    the witness).
-    """
-    part = transforms.partition(i, node.t)
-    if part is None:
-        raise GameError(f"no partition for agent {i}, period {node.t}")
-    W = [transforms.total(i, node, s) for s in range(part.points)]
-    if mode == "H":
-        pts = [transforms.d_up(i, node, b) for b in range(len(part.sub_off))]
-        return essential_certificate(part, W, pts, tol)
-    if mode != "K":
-        raise GameError(f"unknown membership mode {mode!r}")
-    if not part.full_cover:
-        raise GameError("K-mode membership needs a full-cover partition")
-    points: list[int] = []
-    worst_in, worst_out = np.inf, np.inf
-    witness = None
-    for b, (lo, hi) in enumerate(part.sub_off):
-        pt = transforms.d_up(i, node, b)
-        margin = min(W[pt] - W[j] for j in range(lo, hi + 1))
-        worst_in = min(worst_in, margin)
-        points.append(pt)
-        if margin < -tol and witness is None:
-            witness = (b, pt, min(range(lo, hi + 1), key=lambda j: W[pt] - W[j]))
-    for e, (lo, hi) in enumerate(part.sub_on):
-        pt = transforms.d_down(i, node, e)
-        margin = min(W[j] - W[pt] for j in range(lo, hi + 1))
-        worst_out = min(worst_out, margin)
-        points.append(pt)
-        if margin < -tol and witness is None:
-            witness = (len(part.sub_off) + e, pt,
-                       min(range(lo, hi + 1), key=lambda j: W[j] - W[pt]))
-    passed = witness is None and worst_in >= -tol and worst_out >= -tol
-    return EssentialCertificate(passed, tuple(points), float(worst_in), float(worst_out),
-                                witness, tuple(W))
-
-
-# ---------------------------------------------------------------------------
-# Dynamic crossing / dominated regions
-# ---------------------------------------------------------------------------
-
-
 def _cdf_matrix(game: BaseGame, i: int, t: int, history) -> np.ndarray:
     """Rows: current state; columns: running CDF over next-period grid nodes."""
     grid = game.grid(i, t)
@@ -249,59 +117,6 @@ def _cdf_matrix(game: BaseGame, i: int, t: int, history) -> np.ndarray:
         probs, _ = game.kernel(i, t + 1, grid.value(j), history)
         rows.append(np.cumsum(probs))
     return np.array(rows)
-
-
-def check_dcr(game: BaseGame, i: int, t: int, history, candidate: Sequence[int],
-              tol: float = 1e-12) -> tuple[bool, tuple[int, int, int] | None]:
-    """Dynamic-crossing inequality: candidate states' CDFs dominate every state's CDF."""
-    if t >= game.horizon:
-        return True, None
-    cdf = _cdf_matrix(game, i, t, history)
-    for sp in candidate:
-        for s in range(cdf.shape[0]):
-            for col in range(cdf.shape[1]):
-                if cdf[s, col] > cdf[sp, col] + tol:
-                    return False, (s, sp, col)
-    return True, None
-
-
-@dataclass(frozen=True)
-class DominatedRegion:
-    indices: tuple[int, ...]
-    level: float | None
-    dcr_ok: bool
-    dcr_witness: tuple[int, int, int] | None
-
-
-def dominated_region(game: BaseGame, i: int, t: int, history, candidate: Sequence[int],
-                     zeta: Sequence[float], tol: float = 1e-12) -> DominatedRegion:
-    """Largest intersection of a level cut of the marginal carrier with the candidate.
-
-    Sweeps the level over the marginal-carrier values on the grid; size is
-    grid-node count with ties resolved toward the larger rightmost index.
-    The candidate's crossing inequality is verified on the grid first; a
-    failing candidate yields an empty region with the violating cells.
-    """
-    ok, wit = check_dcr(game, i, t, history, candidate, tol)
-    if not ok:
-        return DominatedRegion((), None, False, wit)
-    cand = sorted(set(candidate))
-    best: tuple[int, int, tuple[int, ...], float] | None = None
-    for y in sorted(set(float(v) for v in zeta)):
-        cut = [j for j in cand if zeta[j] <= y + tol]
-        if not cut:
-            continue
-        score = (len(cut), max(cut))
-        if best is None or score > (best[0], best[1]):
-            best = (len(cut), max(cut), tuple(cut), y)
-    if best is None:
-        return DominatedRegion((), None, True, None)
-    return DominatedRegion(best[2], best[3], True, None)
-
-
-# ---------------------------------------------------------------------------
-# Monotone environment
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

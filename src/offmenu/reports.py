@@ -90,15 +90,15 @@ def quit_frequency_rows(chi_by_agent: Mapping[int, Mapping[int, float]],
             yield (i, k, float(chi_by_agent[i][k]), "" if emp is None else float(emp))
 
 
-def projection_rows(transforms, nodes: Sequence[Node], mode: str = "up"):
-    """(agent, period, history-id, state-index, projected-index) per cell."""
+def projection_rows(transforms, nodes: Sequence[Node]):
+    """(agent, period, history-id, state-index, up-projected index) per cell."""
     for node in nodes:
         if node.t > transforms.game.horizon:
             continue
         for i in node.active:
             m = transforms.game.grid(i, node.t).points
             for s in range(m):
-                yield (i, node.t, node.key, s, transforms.project(i, node, s, mode))
+                yield (i, node.t, node.key, s, transforms.project(i, node, s))
 
 
 def carrier_rows(carriers, nodes: Sequence[Node]):

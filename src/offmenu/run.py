@@ -27,7 +27,15 @@ from .reports import (
     write_csv,
     write_report,
 )
-from .scenario import Scenario, check_samples, check_seed, check_tolerance, load_scenario, read_json
+from .scenario import (
+    Scenario,
+    check_checks,
+    check_samples,
+    check_seed,
+    check_tolerance,
+    load_scenario,
+    read_json,
+)
 from .synthesis import (
     check_dcm_zero,
     ir_partitions,
@@ -69,6 +77,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
     if overrides:
         for k, v in overrides.items():
             setattr(scenario, k, v)
+    check_checks(scenario.checks)
     check_samples(scenario.samples)
     check_seed(scenario.seed)
     check_tolerance(scenario.tolerance)
@@ -156,7 +165,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
                 for i in node.active:
                     for s in range(game.grid(i, node.t).points):
                         lam = engine.payoff_to_go(i, node, s, conj)
-                        rep = transforms.total(i, node, transforms.project(i, node, s, "up"))
+                        rep = transforms.total(i, node, transforms.project(i, node, s))
                         worst = max(worst, abs(lam - rep))
             verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
 

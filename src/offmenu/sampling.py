@@ -97,21 +97,18 @@ class Step:
 class PathSampler:
     """Seeded paths of agent ``i``: a plan draw, then per period a branch and a transition.
 
-    ``payload(node, s_idx, actions)`` gives a new step's ``value``;
-    ``kernel(i, node, s_idx, child)`` lists the own transitions with their
-    weight first (``TreeWalker.own_kernel`` by default).  The first action
-    of a path is ``a_pos`` on the menu when given, obedient otherwise.
+    ``payload(node, s_idx, actions)`` gives a new step's ``value``; own
+    transitions come from ``TreeWalker.own_kernel``.  The first action of a
+    path is ``a_pos`` on the menu when given, obedient otherwise.
     """
 
     def __init__(self, walker: TreeWalker, i: int, plans: Sequence[tuple[float, OppPlan]],
                  rng: np.random.Generator, expected: int, a_pos: int | None = None,
-                 payload: Callable[[Node, int, dict], object] | None = None,
-                 kernel: Callable | None = None):
+                 payload: Callable[[Node, int, dict], object] | None = None):
         self.walker = walker
         self.i = i
         self.a_pos = a_pos
         self.payload = payload
-        self.kernel = kernel or walker.own_kernel
         self.plans = [plan for _, plan in plans]
         self.draw = inverse_cdf_draws(rng, expected)
         probs = np.array([p for p, _ in plans])
@@ -162,7 +159,7 @@ class PathSampler:
     def transition(self, node: Node, s_idx: int, step: Step) -> int:
         """Draw the own transition after ``step``: an index into ``step.outcomes``."""
         if step.cdf is None:
-            step.outcomes = self.kernel(self.i, node, s_idx, self.child(node, s_idx, step))
+            step.outcomes = self.walker.own_kernel(self.i, node, s_idx, self.child(node, s_idx, step))
             w = np.array([o[0] for o in step.outcomes])
             step.cdf = choice_cdf(w / w.sum())
             step.after = [None] * len(step.outcomes)

@@ -24,8 +24,8 @@ from .mechanism import BoundaryProfile, TaskPolicy
 from .model import BaseGame, GameError, Grid, ShockModel
 from .regions import RegionPartition, partition_from_boundary
 
-__all__ = ["Scenario", "load_scenario", "check_samples", "check_seed", "check_tolerance",
-           "read_json", "bundled_scenarios"]
+__all__ = ["Scenario", "load_scenario", "check_checks", "check_samples", "check_seed",
+           "check_tolerance", "read_json", "bundled_scenarios"]
 
 DEFAULT_CHECKS = ("support", "doic", "payoff_flow")
 KNOWN_CHECKS = ("support", "doic", "payoff_flow", "cm", "envelope", "mso",
@@ -290,12 +290,6 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
     boundaries = _boundaries(mechanism.get("boundaries", {}))
     init_raw = raw.get("initial_states")
     initial = {} if init_raw is None else _initial(init_raw, agents, state_grid)
-    checks = raw.get("verify", DEFAULT_CHECKS)
-    if not isinstance(checks, (list, tuple)):
-        raise GameError(f"verify must be a list of check names, got {checks!r}")
-    for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise GameError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise GameError(f"unknown mode {mode!r}")
@@ -319,9 +313,19 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         seed=check_seed(_integer(raw.get("seed", 0), "seed")),
         samples=check_samples(_integer(raw.get("samples", 10_000), "samples")),
         tolerance=check_tolerance(_number(raw.get("tolerance", 1e-9), "tolerance")),
-        checks=tuple(checks),
+        checks=check_checks(raw.get("verify", DEFAULT_CHECKS)),
         raw=raw,
     )
+
+
+def check_checks(checks) -> tuple[str, ...]:
+    """A check list must be a list of registered names; an unknown one would be skipped."""
+    if not isinstance(checks, (list, tuple)):
+        raise GameError(f"verify must be a list of check names, got {checks!r}")
+    for c in checks:
+        if c not in KNOWN_CHECKS:
+            raise GameError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
+    return tuple(checks)
 
 
 def check_samples(samples: int) -> int:

@@ -281,12 +281,11 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
         if n.t == 1:
             for i in n.active:
                 values[(i, n.key)] = mech.phi.value(i, n, 0 if _interval_keyed(mech) else None)
+    parents = _parents(walker, nodes)
     for n in nodes:
-        if n.t == 1 or n.t > game.horizon or not n.events:
+        if not parents.get(n.key):
             continue
-        parent = _find_parent(walker, n)
-        if parent is None:
-            continue
+        parent = parents[n.key][0]
         rec = n.events[-1]
         for i in n.active:
             if i not in rec.participants:
@@ -326,16 +325,22 @@ def _parent_active(n: Node):
     return tuple(sorted(set(rec.participants) | set(rec.quitters)))
 
 
-def _find_parent(walker: TreeWalker, n: Node) -> Node | None:
-    """Locate the interned parent by signature; parents always precede children."""
-    rec = n.events[-1]
-    active = _parent_active(n)
+def _parents(walker: TreeWalker, nodes) -> dict[int, list[Node]]:
+    """Interned candidate parents of each node at periods 2..T, lowest key first.
+
+    A node's record fixes its parent's period, active set and action
+    history but not the parent's previous states, so a node has one parent
+    per such state.  Only store nodes at periods some node needs are grouped.
+    """
+    want = {n.key: (n.t - 1, n.events[:-1], _parent_active(n))
+            for n in nodes if 1 < n.t <= walker.game.horizon}
+    periods = {sig[0] for sig in want.values()}
+    groups: dict[tuple, list[Node]] = {}
     for key in range(len(walker.store)):
         cand = walker.store.node(key)
-        if (cand.t == n.t - 1 and cand.events == n.events[:-1]
-                and tuple(cand.active) == active):
-            return cand
-    return None
+        if cand.t in periods:
+            groups.setdefault((cand.t, cand.events, cand.active), []).append(cand)
+    return {k: groups.get(sig, []) for k, sig in want.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     single-period carrier.  Inequality 3: carrier gains from any pretense
     are capped by the stripped-prospect gaps net of the posted factor.
     """
-    from .synthesis import _find_parent
+    from .synthesis import _parents
 
     game = engine.game
     mech = engine.mechanism
@@ -299,28 +299,25 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c2 = 0.0
     wit_c2 = None
     if eta is not None:
+        parents = _parents(engine.walker, nodes)
         for n in nodes:
-            if n.t <= 1 or n.t > game.horizon or not n.events:
-                continue
-            parent = _find_parent(engine.walker, n)
-            if parent is None:
-                continue
-            rec = n.events[-1]
-            for i in n.active:
-                if i not in rec.participants or (i, n.key) not in eta:
-                    continue
-                a_idx = rec.action_indices[rec.participants.index(i)]
-                a_val = game.action_grids[(i, parent.t)].value(a_idx)
-                menu = engine.walker.menu(i, parent)
-                pos = menu.position(a_val, tol=1e-6)
-                phi_v = mech.phi.value(i, n, 0 if mech.phi.state_dependent() else None)
-                for s in menu.generating_states[pos]:
-                    lhs = phi_v + carriers.marginal_carrier(i, parent, s)
-                    rhs = eta[(i, n.key)] + carriers.carrier(i, parent, s, parent.t)
-                    r = abs(lhs - rhs)
-                    if r > worst_c2:
-                        worst_c2 = r
-                        wit_c2 = {"agent": i, "node": n.key, "state": s}
+            for parent in parents.get(n.key, ()):
+                rec = n.events[-1]
+                for i in n.active:
+                    if i not in rec.participants or (i, n.key) not in eta:
+                        continue
+                    a_idx = rec.action_indices[rec.participants.index(i)]
+                    a_val = game.action_grids[(i, parent.t)].value(a_idx)
+                    menu = engine.walker.menu(i, parent)
+                    pos = menu.position(a_val, tol=1e-6)
+                    phi_v = mech.phi.value(i, n, 0 if mech.phi.state_dependent() else None)
+                    for s in menu.generating_states[pos]:
+                        lhs = phi_v + carriers.marginal_carrier(i, parent, s)
+                        rhs = eta[(i, n.key)] + carriers.carrier(i, parent, s, parent.t)
+                        r = abs(lhs - rhs)
+                        if r > worst_c2:
+                            worst_c2 = r
+                            wit_c2 = {"agent": i, "node": n.key, "parent": parent.key, "state": s}
         verdicts.append(Verdict("flow-c2", worst_c2 <= tol, worst_c2, tol,
                                 witness=wit_c2 if worst_c2 > tol else None))
 

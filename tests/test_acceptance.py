@@ -115,7 +115,7 @@ def test_criterion_3_transform_representation(doublewell, monotone_ir,
             for i in node.active:
                 for s in range(engine.game.grid(i, node.t).points):
                     lam = engine.payoff_to_go(i, node, s, conj)
-                    rep = transforms.total(i, node, transforms.project(i, node, s, "up"))
+                    rep = transforms.total(i, node, transforms.project(i, node, s))
                     worst = max(worst, abs(lam - rep))
                     cells += 1
     report(3, "transform representation of the payoff-to-go",

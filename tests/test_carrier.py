@@ -188,16 +188,6 @@ def test_response_bound_requires_declared_constants(g1):
     assert car.impulse_bound(0, 1) is None
 
 
-def test_impulse_response_mc_seeded_and_consistent(g1):
-    car, walker = tables(g1)
-    root = walker.store.root()
-    a = car.impulse_response_mc(0, root, 2, 3000, seed=11)
-    b = car.impulse_response_mc(0, root, 2, 3000, seed=11)
-    assert (a == b).all()
-    exact = car.q_profile(0, root, 2)
-    assert max(abs(a - exact)) < 0.1  # common-random-number estimates track exact values
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
     """Column reads equal a fresh integral bit for bit, in any query order,

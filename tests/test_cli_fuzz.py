@@ -50,6 +50,7 @@ def mutated_scenarios(draw):
             if isinstance(parent, dict) and draw(st.booleans()):
                 parent.pop(path[-1], None)
             elif isinstance(parent, dict) or (isinstance(parent, list)
+                                              and isinstance(path[-1], int)
                                               and path[-1] < len(parent)):
                 parent[path[-1]] = json.loads(json.dumps(draw(REPLACEMENTS)))
     return raw

@@ -112,8 +112,8 @@ def test_uppt_expectation_mc_is_seeded(doublewell):
     def K(k, us, node, prev, prev_node):
         return carriers.mg(0, node, us)
 
-    a = transforms.uppt_expectation(0, root, 2, 3, K, mode="mc", samples=500, seed=13)
-    b = transforms.uppt_expectation(0, root, 2, 3, K, mode="mc", samples=500, seed=13)
+    a = transforms._uppt_mc(0, root, 2, 3, K, 500, 13)
+    b = transforms._uppt_mc(0, root, 2, 3, K, 500, 13)
     exact = transforms.uppt_expectation(0, root, 2, 3, K)
     assert a == b
     assert abs(a - exact) < 0.2

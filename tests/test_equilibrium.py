@@ -247,7 +247,7 @@ def test_transform_representation_identity(doublewell, monotone_ir, pair_doublew
                 continue
             for s in range(5):
                 lam = engine.payoff_to_go(0, node, s, conj)
-                rep = transforms.total(0, node, transforms.project(0, node, s, "up"))
+                rep = transforms.total(0, node, transforms.project(0, node, s))
                 assert lam == pytest.approx(rep, abs=1e-9)
 
 
@@ -310,7 +310,7 @@ def test_transform_representation_needs_indifference(shelf):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = shelf
     root = engine.root()
     lam = engine.payoff_to_go(0, root, 2, conj)
-    rep = transforms.total(0, root, transforms.project(0, root, 2, "up"))
+    rep = transforms.total(0, root, transforms.project(0, root, 2))
     assert rep > lam + 1e-6
     # inside the off region the on-rent is strictly negative here
     assert engine.on_rent(0, root, 0, conj) < -1e-6

@@ -8,10 +8,8 @@ from offmenu.histories import TreeWalker
 from offmenu.mechanism import (
     BoundaryProfile,
     CallableCoupling,
-    Mechanism,
     TaskPolicy,
     ZeroCoupling,
-    ZeroOffSwitch,
     action_menu,
 )
 from offmenu.model import GameError
@@ -61,17 +59,6 @@ def test_zero_coupling_and_additivity(g1):
     two = CallableCoupling(lambda i, node, a: 2.0 * a[i])
     both = CallableCoupling(lambda i, node, a: one.fn(i, node, a) + two.fn(i, node, a))
     assert both.value(0, root, {0: 0.5}) == pytest.approx(1.5)
-
-
-def test_utility_with_om_branches(g1):
-    walker = TreeWalker(g1, IDENTITY)
-    root = walker.store.root()
-    mech = Mechanism(IDENTITY, ZeroCoupling(),
-                     type(ZeroOffSwitch(3))(3))
-    # OM = 0 with zero coupling reduces to the intrinsic reward
-    assert mech.utility_with_om(g1, 0, root, 0, {0: 1.0}, 0.5) == pytest.approx(0.5)
-    with pytest.raises(GameError):
-        mech.utility_with_om(g1, 0, root, 2, {0: 1.0}, 0.5)
 
 
 def test_off_switch_constant_over_states_and_actions(monotone_ir):

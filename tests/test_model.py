@@ -59,21 +59,6 @@ def test_transition_rejects_unknown_shock_and_bad_history(g1):
         g1.transition(0, 2, 0.5, [], 0.25)
 
 
-def test_cdf_reaches_one_at_top(g1):
-    assert g1.transition_cdf(0, 2, 1.0, 0.5, [{}]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cdf_three_point_enumeration(g1):
-    # successors of 0.5 are {0.25, 0.5, 0.75} with weight 1/3 each
-    assert g1.transition_cdf(0, 2, 0.5, 0.5, [{}]) == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_cdf_point_mass_above_threshold():
-    game = make_game(shocks=ShockModel.uniform([0.0]))
-    eps = 1e-6
-    assert game.transition_cdf(0, 2, 0.5 - eps, 0.5, [{}]) == 0.0
-
-
 def test_cdf_monotone_and_row_stochastic(g1):
     hist = [{}]
     for s in GRID5.values:

@@ -1,4 +1,4 @@
-"""Projections, the transformed process, accumulated deviations, supports."""
+"""Projections, the transformed process, accumulated deviations, barriers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from offmenu.carrier import CarrierTables
 from offmenu.histories import RegionConjecture, TreeWalker
 from offmenu.mechanism import BoundaryProfile
-from offmenu.model import GameError
 from offmenu.oracle import TreeOracle
 from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import partition_from_boundary
@@ -35,15 +34,15 @@ def test_project_identity_outside_off_region():
     tr, walker, parts = build(game, [0.0, 0.25])
     root = walker.store.root()
     for s in (2, 3, 4):
-        assert tr.project(0, root, s, "up") == s
+        assert tr.project(0, root, s) == s
 
 
 def test_project_increasing_marginal_carrier_hits_right_endpoint():
     game = exo_game(SHELF_SLOPES)  # strictly increasing marginal carrier
     tr, walker, parts = build(game, [0.0, 0.25])
     root = walker.store.root()
-    assert tr.project(0, root, 0, "up") == 1
-    assert tr.project(0, root, 1, "up") == 1
+    assert tr.project(0, root, 0) == 1
+    assert tr.project(0, root, 1) == 1
 
 
 def test_project_constant_marginal_carrier_takes_largest():
@@ -51,24 +50,16 @@ def test_project_constant_marginal_carrier_takes_largest():
     tr, walker, parts = build(game, [0.0, 0.5])
     root = walker.store.root()
     for s in (0, 1, 2):
-        assert tr.project(0, root, s, "up") == 2
+        assert tr.project(0, root, s) == 2
 
 
 def test_project_idempotent():
     game = exo_game(DOUBLEWELL_SLOPES)
     tr, walker, parts = build(game, [0.25, 0.25, 0.75, 0.75])
     root = walker.store.root()
-    for mode in ("up", "jump"):
-        for s in range(5):
-            once = tr.project(0, root, s, mode)
-            assert tr.project(0, root, once, mode) == once
-
-
-def test_jump_requires_partition_cover():
-    game = exo_game(SHELF_SLOPES)
-    tr, walker, parts = build(game)  # bottom-singleton everywhere, full cover
-    root = walker.store.root()
-    assert tr.project(0, root, 3, "jump") == tr.d_down(0, root, 0)
+    for s in range(5):
+        once = tr.project(0, root, s)
+        assert tr.project(0, root, once) == once
 
 
 def test_uppt_empty_off_region_equals_standard_expectation(g1):
@@ -132,7 +123,7 @@ def test_uppt_two_step_matches_oracle_tree(g1):
         for br in walker.other_branches(0, node, NOQUIT.plan()):
             child = walker.child_after(0, node, s, a_idx, br)
             for pp, s2 in walker.own_kernel(0, node, s, child):
-                us = tr.project(0, child, s2, "up")
+                us = tr.project(0, child, s2)
                 total += p * br.prob * pp * K(child.t, us, child, s, node)
                 stack.append((p * br.prob * pp, child, us))
     assert got == pytest.approx(total, abs=1e-12)
@@ -167,56 +158,12 @@ def test_delta_bar_matches_oracle_enumeration():
     plans = NOQUIT.plans(0, root)
     want = oracle.delta_bar(
         0, root, 2, plans,
-        project=lambda i, t, s, node: tr.project(i, node, s, "up"),
+        project=lambda i, t, s, node: tr.project(i, node, s),
         max_carrier=lambda i, node, s: car.mg(i, node, s),
         expected_next=lambda i, node, s, plan: car.expected_next_mg(i, node, s))
     got = tr.delta_bar(0, root, 2)
     assert got != 0.0  # the shelf instance has a genuinely nonzero premium
     assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_uppt_support_full_support_image_start_independent():
-    game = exo_game(SHELF_SLOPES)  # exogenous uniform: strict full support
-    tr, walker, parts = build(game, [0.0, 0.25])
-    report = game.validate_full_support(mode="strict")
-    assert report.passed
-    root = walker.store.root()
-    images = {s: tr.uppt_support(0, root, s, 3, require_full_support=True,
-                                 support_report=report) for s in range(5)}
-    nodes3 = [n for n in walker.reachable_nodes(NOQUIT.plan()) if n.t == 3]
-    lemma = tr.projected_grid_image(0, 3, nodes3[0])
-    for s in range(5):
-        assert images[s] == lemma
-
-
-def test_uppt_support_requires_support_report():
-    game = exo_game(SHELF_SLOPES)
-    tr, walker, parts = build(game, [0.0, 0.25])
-    with pytest.raises(GameError):
-        tr.uppt_support(0, walker.store.root(), 0, 3, require_full_support=True)
-
-
-def test_uppt_support_deterministic_singleton_chain(g2):
-    tr, walker, parts = build(g2)  # identity dynamics, degenerate shock
-    root = walker.store.root()
-    for s in range(5):
-        assert tr.uppt_support(0, root, s, 3) == frozenset({s})
-
-
-def test_uppt_support_relaxed_bfs_matches_reachability(g1):
-    tr, walker, parts = build(g1, [0.0, 0.25])
-    root = walker.store.root()
-    got = tr.uppt_support(0, root, 2, 2)
-    # one-step reachable set from 0.5 is {0.25, 0.5, 0.75}; projection sends
-    # the off interval [0, 0.25] to its marginal-carrier maximizer
-    targets = set()
-    plan = NOQUIT.plan()
-    a, a_idx = walker.obedient_action(0, root, 2)
-    for br in walker.other_branches(0, root, plan):
-        child = walker.child_after(0, root, 2, a_idx, br)
-        for pp, s2 in walker.own_kernel(0, root, 2, child):
-            targets.add(tr.project(0, child, s2, "up"))
-    assert got == frozenset(targets)
 
 
 def test_barrier_property_enumeration_and_sampled(shelf):

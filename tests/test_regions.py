@@ -1,4 +1,4 @@
-"""Partitions, essential certificates, dominated regions, monotone detection."""
+"""Partitions, monotone detection and the essential-region properties of synthesized mechanisms."""
 
 from __future__ import annotations
 
@@ -9,15 +9,9 @@ from offmenu.carrier import CarrierTables
 from offmenu.mechanism import BoundaryProfile
 from offmenu.model import GameError, ShockModel, DynamicsModel, RewardModel
 from offmenu.persistence import PersistenceTransforms
-from offmenu.regions import (
-    check_dcr,
-    detect_monotone,
-    dominated_region,
-    essential_certificate,
-    partition_from_boundary,
-)
+from offmenu.regions import detect_monotone, partition_from_boundary
 
-from conftest import GRID5, IDENTITY, exo_game, make_game
+from conftest import GRID5, IDENTITY, make_game
 
 NOQUIT = RegionConjecture({})
 
@@ -58,77 +52,6 @@ def test_partition_interval_lookup():
     assert [part.global_interval_index(j) for j in range(5)] == [0, 1, 1, 2, 2]
 
 
-def test_essential_certificate_monotone_bottom_interval():
-    # increasing totals: a bottom interval peaks at its right end and is
-    # dominated by everything outside
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 0.25]))
-    totals = [0.0, 0.5, 1.0, 1.5, 2.0]
-    cert = essential_certificate(part, totals)
-    assert cert.passed
-    assert cert.points == (1,)
-
-
-def test_essential_certificate_constant_totals_picks_largest():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 1.0]))
-    cert = essential_certificate(part, [2.0] * 5)
-    assert cert.passed
-    assert cert.points == (4,)
-
-
-def test_essential_certificate_decreasing_totals_fail_with_witness():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 0.25]))
-    totals = [2.0, 1.5, 1.0, 0.5, 0.0]
-    cert = essential_certificate(part, totals)
-    assert not cert.passed
-    assert cert.witness is not None
-
-
-def test_essential_certificate_soundness_reevaluates(doublewell):
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    root = engine.root()
-    W = [transforms.total(0, root, s) for s in range(5)]
-    part = parts[(0, 1)]
-    pts = [transforms.d_up(0, root, b) for b in range(len(part.sub_off))]
-    cert = essential_certificate(part, W, pts)
-    assert cert.passed
-    for b, pt in enumerate(cert.points):
-        lo, hi = part.sub_off[b]
-        assert all(W[pt] >= W[j] - 1e-12 for j in range(lo, hi + 1))
-        assert all(W[j] >= W[pt] - 1e-12 for j in range(5) if j not in part.off_indices)
-
-
-def test_dcr_and_dominated_region_fosd_bottom_interval(monotone_game):
-    walker = TreeWalker(monotone_game, IDENTITY)
-    car = CarrierTables(walker, NOQUIT)
-    root = walker.store.root()
-    zeta = car.zeta_profile(0, root)
-    ok, wit = check_dcr(monotone_game, 0, 1, (), [0])
-    assert ok and wit is None
-    reg = dominated_region(monotone_game, 0, 1, (), [0, 1], zeta)
-    assert reg.dcr_ok
-    assert reg.indices  # the level cut keeps the low states
-
-
-def test_dominated_region_constant_marginal_takes_everything():
-    # exogenous dynamics make every candidate a crossing region; with a flat
-    # marginal carrier the single level cut keeps the whole candidate
-    game = exo_game((2.0, 2.0, 2.0, 2.0, 2.0))
-    reg = dominated_region(game, 0, 1, (), [0, 1, 2], [1.0] * 5)
-    assert reg.dcr_ok
-    assert reg.indices == (0, 1, 2)
-
-
-def test_dominated_region_anti_monotone_kernel_fails_with_witness():
-    # reflecting dynamics: high states map low, violating the crossing inequality
-    dyn = DynamicsModel(lambda i, t, s, h, om: 1.0 - s + 0.0 * om,
-                        lambda i, t, s, h, om: -1.0)
-    game = make_game(shocks=ShockModel.uniform([0.0]), dynamics=dyn)
-    reg = dominated_region(game, 0, 1, (), [0], [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert not reg.dcr_ok
-    assert reg.indices == ()
-    assert reg.dcr_witness is not None
-
-
 def test_detect_monotone_pass_and_orientation(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
     rep = detect_monotone(engine.game, lambda i, n: carriers.zeta_profile(i, n),
@@ -157,8 +80,12 @@ def test_membership_h_mode(doublewell):
             continue
         W = [transforms.total(0, node, s) for s in range(5)]
         part = parts[(0, node.t)]
-        pts = [transforms.d_up(0, node, b) for b in range(len(part.sub_off))]
-        assert essential_certificate(part, W, pts).passed
+        outside = [j for j in range(5) if j not in part.off_indices]
+        # each off interval peaks at its projection target, which everything outside dominates
+        for b, (lo, hi) in enumerate(part.sub_off):
+            pt = transforms.d_up(0, node, b)
+            assert all(W[pt] >= W[j] - 1e-9 for j in range(lo, hi + 1))
+            assert all(W[j] >= W[pt] - 1e-9 for j in outside)
 
 
 def test_membership_k_mode(shelf_knowledgeable):
@@ -190,37 +117,10 @@ def test_monotone_shortcut_every_bottom_interval_essential(monotone_game):
         parts = {(0, t): partition_from_boundary(GRID5, prof) for t in (1, 2, 3)}
         tr = PersistenceTransforms(car, parts)
         W = [tr.total(0, root, s) for s in range(5)]
-        assert essential_certificate(parts[(0, 1)], W).passed, j
-
-
-def test_membership_op_h_and_k(doublewell, shelf_knowledgeable):
-    from offmenu.regions import membership_sh_sk
-
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    cert = membership_sh_sk(transforms, 0, engine.root(), "H")
-    assert cert.passed
-    mechk, cark, trk, conjk, engk, nodesk, partsk, diagsk = shelf_knowledgeable
-    certk = membership_sh_sk(trk, 0, engk.root(), "K")
-    assert certk.passed
-
-
-def test_membership_inherits_failed_certificate(shelf):
-    from offmenu.regions import membership_sh_sk
-
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = shelf
-    # increasing totals with a bottom-interval off region: peak lies at the
-    # target, so H passes here; force a failing candidate via a top interval
-    from offmenu.mechanism import BoundaryProfile
-    from offmenu.persistence import PersistenceTransforms
-    from offmenu.regions import partition_from_boundary
-
-    bad_parts = {(0, t): partition_from_boundary(engine.game.grid(0, t),
-                                                 BoundaryProfile.from_flat([0.75, 1.0]))
-                 for t in (1, 2, 3)}
-    bad_tr = PersistenceTransforms(carriers, bad_parts)
-    cert = membership_sh_sk(bad_tr, 0, engine.root(), "H")
-    assert not cert.passed
-    assert cert.witness is not None
+        # some point of the bottom interval [0, j] peaks inside it and is dominated above it
+        assert any(all(W[pt] >= W[k] - 1e-9 for k in range(j + 1))
+                   and all(W[k] >= W[pt] - 1e-9 for k in range(j + 1, 5))
+                   for pt in range(j + 1)), j
 
 
 def test_detect_monotone_on_clamped_additive_follows_tables(g1):

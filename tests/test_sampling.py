@@ -79,42 +79,6 @@ def ref_prospect_mc(engine, i, node, s_idx, x, n_samples, seed, a_pos=None):
     return mean, np.sqrt(var / max(1, n_samples - 1))
 
 
-def ref_impulse_response_mc(car, i, node, s_idx, samples, seed, a_pos=None):
-    rng = np.random.default_rng(seed)
-    T = car.game.horizon
-    sums = np.zeros(T - node.t + 1)
-    plans = car.conjecture.plans(i, node)
-    probs = np.array([p for p, _ in plans])
-    probs = probs / probs.sum()
-    for _ in range(max(1, samples)):
-        plan = plans[rng.choice(len(plans), p=probs)][1]
-        cur, s, mp, acc = node, s_idx, 1.0, 0.0
-        for k in range(node.t, T + 1):
-            menu = car.walker.menu(i, cur)
-            if k == node.t and a_pos is not None:
-                a_own = menu.actions[a_pos]
-            else:
-                a_own = menu.actions[menu.action_index_of_state[s]]
-            a_idx = car.game.action_grids[(i, k)].index_of(a_own, tol=1e-6)
-            branches = list(car.walker.other_branches(i, cur, plan))
-            bw = np.array([b.prob for b in branches])
-            br = branches[rng.choice(len(branches), p=bw / bw.sum())]
-            actions = dict(br.actions)
-            actions[i] = a_own
-            s_val = car.game.grid(i, k).value(s)
-            acc += car.game.du_ds(i, k, s_val, actions) * mp
-            sums[k - node.t] += acc
-            if k == T:
-                break
-            child = car.walker.child_after(i, cur, s, a_idx, br)
-            shocks = car.walker.own_shock_branches(i, cur, s, child)
-            sw = np.array([w for w, *_ in shocks])
-            _, _omega, j2, dk = shocks[rng.choice(len(shocks), p=sw / sw.sum())]
-            mp *= dk
-            cur, s = child, j2
-    return sums / max(1, samples)
-
-
 def ref_uppt_mc(tr, i, node, s_idx, L, integrand, samples, seed):
     rng = np.random.default_rng(seed)
     plans = tr.carriers.conjecture.plans(i, node)
@@ -133,7 +97,7 @@ def ref_uppt_mc(tr, i, node, s_idx, L, integrand, samples, seed):
             kern = tr.walker.own_kernel(i, cur, s, child)
             kw = np.array([p for p, _ in kern])
             j2 = kern[rng.choice(len(kern), p=kw / kw.sum())][1]
-            us = tr.project(i, child, j2, "up")
+            us = tr.project(i, child, j2)
             acc += integrand(child.t, us, child, s, cur)
             cur, s = child, us
     return acc / max(1, samples)
@@ -262,7 +226,7 @@ def _om_rule(i, t, s, node):
 
 def _calls(b, ref: bool) -> list:
     """The same sampler calls on one copy, through the reference or the engine."""
-    engine, conj, car, tr = b["engine"], b["conj"], b["carriers"], b["transforms"]
+    engine, conj, tr = b["engine"], b["conj"], b["transforms"]
     game = engine.game
     root = engine.root()
     out = []
@@ -279,17 +243,12 @@ def _calls(b, ref: bool) -> list:
                     else:
                         m, se = engine.prospect_mc(i, root, s, x, SAMPLES, seed, a_pos)
                     out.append(("prospect", m.tolist(), se.tolist()))
-            a_pos = len(menu.actions) - 1
             if ref:
-                q = ref_impulse_response_mc(car, i, root, s, SAMPLES, seed, a_pos)
                 u = ref_uppt_mc(tr, i, root, s, game.horizon, _integrand, SAMPLES, seed)
                 bad = ref_barrier_violations_mc(tr, i, root, s, SAMPLES, seed)
             else:
-                q = car.impulse_response_mc(i, root, s, SAMPLES, seed, a_pos)
-                u = tr.uppt_expectation(i, root, s, game.horizon, _integrand,
-                                        mode="mc", samples=SAMPLES, seed=seed)
+                u = tr._uppt_mc(i, root, s, game.horizon, _integrand, SAMPLES, seed)
                 bad = tr.barrier_violations_mc(i, root, s, SAMPLES, seed)
-            out.append(("impulse", q.tolist()))
             out.append(("uppt", u))
             out.append(("barrier", bad))
         later = [n for n in engine.walker.reachable_nodes(conj.plan())
@@ -388,14 +347,10 @@ def test_bad_kernel_row_still_raises(row):
     engine, walker = b["engine"], b["engine"].walker
     root = engine.root()
     walker.own_kernel = lambda i, node, s, child: ((row[0], 0), (row[1], 1))
-    walker.own_shock_branches = lambda i, node, s, child: ((row[0], 0.0, 0, 1.0),
-                                                           (row[1], 0.5, 1, 1.0))
     with pytest.raises(ValueError):
         ref_prospect_mc(engine, 0, root, 2, b["conj"], 5, 1)
     with pytest.raises(ValueError):
         engine.prospect_mc(0, root, 2, b["conj"], 5, 1)
-    with pytest.raises(ValueError):
-        b["carriers"].impulse_response_mc(0, root, 2, 5, 1)
     with pytest.raises(ValueError):
         b["transforms"].barrier_violations_mc(0, root, 2, 5, 1)
     game = engine.game

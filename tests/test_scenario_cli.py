@@ -396,6 +396,16 @@ def test_cli_rejects_negative_seed(capsys):
     assert "seed must be at least 0" in capsys.readouterr().err
 
 
+def test_cli_rejects_unknown_check_name(capsys):
+    assert main(["verify", "g2-appendix", "--checks", "doicc,payoff_flow"]) == 2
+    assert "unknown check 'doicc'" in capsys.readouterr().err
+
+
+def test_run_scenario_rejects_unknown_check_override():
+    with pytest.raises(GameError, match="unknown check 'bogus'"):
+        run_scenario("g2-appendix", None, {"checks": ("bogus",)})
+
+
 # -- non-finite residuals serialize --------------------------------------------
 
 

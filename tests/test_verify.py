@@ -12,6 +12,7 @@ from offmenu.equilibrium import Engine
 from offmenu.histories import RegionConjecture, TreeWalker
 from offmenu.mechanism import CallableCoupling, CallableOffSwitch, Mechanism, TaskPolicy
 from offmenu.model import DynamicsModel, RewardModel, ShockModel
+from offmenu.run import run_scenario
 from offmenu.synthesis import posted_factor_eta, solve_phi_by_indifference
 from offmenu.verify import (
     check_constrained_monotone,
@@ -279,7 +280,7 @@ def test_off_doic_with_coupled_rewards_two_agents():
         for i in node.active:
             for s in range(5):
                 lam = engine.payoff_to_go(i, node, s, conj)
-                rep = transforms.total(i, node, transforms.project(i, node, s, "up"))
+                rep = transforms.total(i, node, transforms.project(i, node, s))
                 worst = max(worst, abs(lam - rep))
     assert worst <= 1e-9
 
@@ -445,3 +446,36 @@ def test_payoff_flow_memo_not_shared_across_eta(monotone_ir):
     assert second.worst != first.worst
     assert (second.worst, second.witness) == _flow_c3_unmemoized(engine, carriers, shifted, nodes)
     assert (again.worst, again.witness) == (first.worst, first.witness)
+
+
+def test_flow_c2_checks_every_parent_of_a_node():
+    """A constant policy reveals nothing, so a node's record does not say which
+    previous state it came from: flow-c2 must hold along every parent edge."""
+    result = run_scenario("subscription", None,
+                          {"policy_kind": "constant", "policy_params": {"value": 0.5},
+                           "checks": ("payoff_flow",)})
+    engine, carriers, nodes = result.engine, result.carriers, result.nodes
+    eta = posted_factor_eta(engine.game, engine.walker, carriers, engine.mechanism, nodes)
+    assert check_payoff_flow(engine, carriers, nodes, eta.values)[1].passed
+    by_record = {}
+    for n in nodes:
+        by_record.setdefault((n.t, n.events, n.active), []).append(n)
+    multi = []
+    for n in nodes:
+        if 1 < n.t <= engine.game.horizon:
+            rec = n.events[-1]
+            active = tuple(sorted(set(rec.participants) | set(rec.quitters)))
+            ps = by_record.get((n.t - 1, n.events[:-1], active), [])
+            if len(ps) > 1:
+                multi.append(ps)
+    assert multi
+    second = max(multi[0], key=lambda p: p.key)  # never the first parent
+    carrier = carriers.carrier
+
+    def shifted(i, node, s_idx, L, a_pos=None):
+        return carrier(i, node, s_idx, L, a_pos) + (1.0 if node is second else 0.0)
+
+    carriers.carrier = shifted  # marginal carriers stay as the run memoized them
+    c2 = check_payoff_flow(engine, carriers, nodes, eta.values)[1]
+    assert c2.name == "flow-c2" and not c2.passed
+    assert c2.witness["parent"] == second.key
