@@ -10,7 +10,8 @@ carrier.
 
 Carriers depend on the game, the task policy and the conjecture about
 others' quitting; they are independent of the coupling and off-switch
-parts of a mechanism.  Tables are built lazily and memoized per node; the
+parts of a mechanism.  Tables are built lazily and memoized per Markov
+class of node (``Node.lump``), since every entry is a class function; the
 expected-next-carrier helper here is the single implementation every
 downstream identity (marginal carrier, expected-coupling synthesis, the
 projected-process deviations) subtracts, which keeps those identities
@@ -37,7 +38,7 @@ class CarrierTables:
     relative to the lowest state.
 
     Carriers above the anchor are read from running trapezoid sums, one
-    column per (agent, node, cutoff, frozen action), extended lazily up to
+    column per (agent, node class, cutoff, frozen action), extended lazily up to
     the largest state asked for.  A column adds the same terms in the same
     order as a fresh integral would, so a read equals a recomputation
     bit for bit, and impulse responses are still computed in increasing
@@ -78,7 +79,7 @@ class CarrierTables:
 
     def _q_plan(self, i: int, node: Node, s_idx: int, L: int,
                 a_pos: int | None, plan: OppPlan) -> float:
-        key = (i, node.key, s_idx, L, a_pos, self._pid(plan))
+        key = (i, node.lump, s_idx, L, a_pos, self._pid(plan))
         hit = self._q.get(key)
         if hit is not None:
             return hit
@@ -144,7 +145,7 @@ class CarrierTables:
             for a, b in zip(qs, qs[1:]):
                 total += 0.5 * (a + b) * step
             return -total
-        key = (i, node.key, L, a_pos)
+        key = (i, node.lump, L, a_pos)
         run = self._col.get(key)
         if run is None:
             run = self._col[key] = [0.0]
@@ -164,7 +165,7 @@ class CarrierTables:
     def max_carrier(self, i: int, node: Node, s_idx: int,
                     a_pos: int | None = None) -> tuple[float, int]:
         """(max over cutoffs of the carrier, argmax cutoff); ties take the largest cutoff."""
-        key = (i, node.key, s_idx, a_pos)
+        key = (i, node.lump, s_idx, a_pos)
         hit = self._mg.get(key)
         if hit is not None:
             return hit
@@ -191,7 +192,7 @@ class CarrierTables:
         """
         if node.t >= self.game.horizon:
             return 0.0
-        key = (i, node.key, s_idx)
+        key = (i, node.lump, s_idx)
         hit = self._m.get(key)
         if hit is not None:
             return hit

@@ -80,6 +80,8 @@ def main(argv=None) -> int:
             overrides["checks"] = ()
         elif args.command == "verify" and args.checks is not None:
             overrides["checks"] = tuple(c for c in args.checks.split(",") if c)
+            if not overrides["checks"]:
+                raise GameError(f"--checks {args.checks!r} names no check")
         result = run_scenario(scenario, args.out, overrides)
         for v in result.report["verdicts"]:
             status = "PASS" if v["passed"] else "FAIL"

@@ -7,6 +7,10 @@ fixtures because grid-trapezoid integration of its derivative is exact.
 
 Per-agent parameters: any scalar parameter may instead be a list indexed
 by agent.
+
+Every dynamics and policy family declares the history window it reads:
+none reads the action history except ``action_feedback``, which reads the
+last record.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _dyn_additive(params):
     def kappa(i, t, s, hist, om):
         return s + _per_agent(params, "scale", i, 1.0) * om
 
-    return DynamicsModel(kappa, lambda i, t, s, hist, om: 1.0)
+    return DynamicsModel(kappa, lambda i, t, s, hist, om: 1.0, history_window=0)
 
 
 def _dyn_ar1(params):
@@ -56,7 +60,7 @@ def _dyn_ar1(params):
     def deriv(i, t, s, hist, om):
         return _per_agent(params, "alpha", i, 0.5)
 
-    return DynamicsModel(kappa, deriv)
+    return DynamicsModel(kappa, deriv, history_window=0)
 
 
 def _dyn_exogenous(params):
@@ -64,12 +68,12 @@ def _dyn_exogenous(params):
     def kappa(i, t, s, hist, om):
         return _per_agent(params, "offset", i, 0.0) + _per_agent(params, "scale", i, 1.0) * om
 
-    return DynamicsModel(kappa, lambda i, t, s, hist, om: 0.0)
+    return DynamicsModel(kappa, lambda i, t, s, hist, om: 0.0, history_window=0)
 
 
 def _dyn_identity(params):
     return DynamicsModel(lambda i, t, s, hist, om: s + 0.0 * om,
-                         lambda i, t, s, hist, om: 1.0)
+                         lambda i, t, s, hist, om: 1.0, history_window=0)
 
 
 def _dyn_periodic(params):
@@ -89,7 +93,7 @@ def _dyn_periodic(params):
     def deriv(i, t, s, hist, om):
         return 1.0 if kind(t) == "identity" else 0.0
 
-    return DynamicsModel(kappa, deriv)
+    return DynamicsModel(kappa, deriv, history_window=0)
 
 
 def _dyn_action_feedback(params):
@@ -100,7 +104,8 @@ def _dyn_action_feedback(params):
         last = hist[-1].get(i, 0.0) if hist else 0.0
         return s + beta * last + _per_agent(params, "scale", i, 1.0) * om
 
-    return DynamicsModel(kappa, lambda i, t, s, hist, om: 1.0)
+    # reads the agent's own action in the last record only
+    return DynamicsModel(kappa, lambda i, t, s, hist, om: 1.0, history_window=1)
 
 
 DYNAMICS_KINDS: dict[str, Callable] = {
@@ -269,18 +274,18 @@ def build_rewards(kind: str, params: Mapping) -> RewardModel:
 
 
 def _pol_identity(params):
-    return TaskPolicy(lambda i, t, s, hist: s, "identity")
+    return TaskPolicy(lambda i, t, s, hist: s, "identity", history_window=0)
 
 
 def _pol_affine(params):
     a = params.get("gain", 1.0)
     b = params.get("shift", 0.0)
-    return TaskPolicy(lambda i, t, s, hist: a * s + b, "affine")
+    return TaskPolicy(lambda i, t, s, hist: a * s + b, "affine", history_window=0)
 
 
 def _pol_constant(params):
     v = params.get("value", 0.0)
-    return TaskPolicy(lambda i, t, s, hist: v, "constant")
+    return TaskPolicy(lambda i, t, s, hist: v, "constant", history_window=0)
 
 
 def _pol_table(params):
@@ -293,7 +298,7 @@ def _pol_table(params):
         rows = table[i] if isinstance(table[0][0], (list, tuple)) else table
         return float(rows[t - 1][g.index_of(s)])
 
-    return TaskPolicy(fn, "table")
+    return TaskPolicy(fn, "table", history_window=0)
 
 
 POLICY_KINDS: dict[str, Callable] = {

@@ -93,6 +93,7 @@ class Engine:
         self.directive_quit = directive_quit or (lambda i, t, s_idx: False)
         self.memo_budget = memo_budget
         self._g: dict[tuple, float] = {}
+        self._markov = mechanism.rho.markov and mechanism.phi.markov
 
     # -- plumbing -----------------------------------------------------------
 
@@ -105,6 +106,11 @@ class Engine:
 
     def plan_id(self, plan: OppPlan) -> int:
         return self.walker.plan_id(plan)
+
+    def memo_key(self, node: Node) -> int:
+        """Node id for memos of mechanism values: the Markov class when the
+        coupling and off-switch are class functions, else the full history."""
+        return node.lump if self._markov else node.key
 
     def _guard(self) -> None:
         if len(self._g) > self.memo_budget:
@@ -133,7 +139,7 @@ class Engine:
 
     def _g_plan(self, i: int, node: Node, s_idx: int, L: int,
                 a_pos: int | None, plan: OppPlan) -> float:
-        key = (i, node.key, s_idx, L, a_pos, self.plan_id(plan))
+        key = (i, self.memo_key(node), s_idx, L, a_pos, self.plan_id(plan))
         hit = self._g.get(key)
         if hit is not None:
             return hit
@@ -250,7 +256,7 @@ class Engine:
     def _chi(self, i: int, node: Node, plan: RegionPlan, memo: dict) -> Mapping[int, float]:
         if node.t > self.game.horizon or i not in node.active:
             return {self.game.horizon + 1: 1.0}
-        key = (i, node.key)
+        key = (i, node.lump)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -370,7 +376,8 @@ class Engine:
         for i in game.agents():
             dist = game.initial_dist(i)
             initial[i] = choice_cdf(np.asarray(dist) / sum(dist))
-        # per-call memos of the deterministic parts of a period
+        # per-call memos of the deterministic parts of a period; only the
+        # successor needs the full history, the rest are class functions
         flows: dict[tuple, float] = {}          # quit or stay payoff flow
         children: dict[tuple, Node] = {}
         kernels: dict[tuple, list[float]] = {}
@@ -392,7 +399,7 @@ class Engine:
                 actions: dict[int, float] = {}
                 for i in live:
                     if i in quitters:
-                        key = (i, node.key, states[i])
+                        key = (i, self.memo_key(node), states[i])
                         v = flows.get(key)
                         if v is None:
                             v = flows[key] = self.phi_value(i, node, states[i])
@@ -409,7 +416,7 @@ class Engine:
                     action_hist[(i, t, a_idx)] = action_hist.get((i, t, a_idx), 0) + 1
                 played = tuple(actions.items())
                 for i in list(actions):
-                    key = (i, node.key, states[i], played)
+                    key = (i, self.memo_key(node), states[i], played)
                     z = flows.get(key)
                     if z is None:
                         s_val = game.grid(i, t).value(states[i])
@@ -427,7 +434,7 @@ class Engine:
                         never_counts[i] += 1
                     break
                 for i in sorted(alive):
-                    key = (child.key, i, states[i])
+                    key = (child.lump, i, states[i])
                     cdf = kernels.get(key)
                     if cdf is None:
                         probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),

@@ -7,6 +7,12 @@ public at the end of each period) and the full action history with quit
 markers.  Nodes are interned so that value tables can be memoized on a
 stable integer key; identity is by action *indices*, not values.
 
+Each node also carries the id of its Markov class (``lump``): the node
+with its action history cut to the last ``window`` records, where the
+window is the most any dynamics or policy closure reads.  Values that
+depend on history only through the closures are class functions, so
+their memo tables key on the class and each class is evaluated once.
+
 Opponent behavior enters every expectation through a conjecture object:
 either a region rule (quit on first entry into the principal-desired off
 region, re-evaluated each period) or an explicit distribution over fixed
@@ -33,6 +39,7 @@ __all__ = [
     "RegionConjecture",
     "ProfileConjecture",
     "TreeWalker",
+    "history_window",
 ]
 
 
@@ -54,6 +61,7 @@ class Node:
     prev_states: tuple[tuple[int, int], ...]  # (agent, state index at t-1); empty at t=1
     events: tuple[PeriodRecord, ...]
     key: int = field(compare=False, hash=False, default=-1)
+    lump: int = field(compare=False, hash=False, default=-1)  # Markov class id
 
     def signature(self) -> str:
         """Session-independent history id (store keys are insertion-ordered)."""
@@ -74,13 +82,26 @@ class Node:
         return None
 
 
-class NodeStore:
-    """Interner for nodes plus cached closure-facing history materialization."""
+def history_window(game: BaseGame, sigma: TaskPolicy) -> int | None:
+    """Trailing records the game's dynamics and the policy read; None for the whole history."""
+    windows = (game.dynamics.history_window, sigma.history_window)
+    return None if None in windows else max(windows)
 
-    def __init__(self, game: BaseGame):
+
+class NodeStore:
+    """Interner for nodes plus cached closure-facing history materialization.
+
+    ``window`` sets the Markov classes: nodes that agree on (t, active,
+    prev_states) and the last ``window`` records share a ``lump`` id.  With
+    None every node is its own class (``lump == key``).
+    """
+
+    def __init__(self, game: BaseGame, window: int | None = None):
         self.game = game
+        self.window = window
         self._by_sig: dict[tuple, Node] = {}
         self._nodes: list[Node] = []
+        self._lumps: dict[tuple, int] = {}
         self._histories: dict[int, tuple[dict[int, float], ...]] = {}
 
     def root(self) -> Node:
@@ -90,7 +111,13 @@ class NodeStore:
         sig = (t, tuple(active), tuple(prev_states), tuple(events))
         node = self._by_sig.get(sig)
         if node is None:
-            node = Node(t, sig[1], sig[2], sig[3], key=len(self._nodes))
+            key = len(self._nodes)
+            if self.window is None:
+                lump = key
+            else:
+                cls = sig[:3] + (sig[3][len(sig[3]) - self.window:],)
+                lump = self._lumps.setdefault(cls, len(self._lumps))
+            node = Node(t, sig[1], sig[2], sig[3], key=key, lump=lump)
             self._by_sig[sig] = node
             self._nodes.append(node)
         return node
@@ -120,6 +147,25 @@ class NodeStore:
         rec = PeriodRecord(stayers, tuple(actions_idx[j] for j in stayers), tuple(sorted(quitters)))
         prev = tuple((j, states[j]) for j in stayers)
         return self.intern(node.t + 1, stayers, prev, node.events + (rec,))
+
+    def parents(self, node: Node) -> list[Node]:
+        """Every node with an edge to ``node``, lowest key first (interned here).
+
+        The node's last record fixes its parent's period, active set and
+        history, but not the parent's previous states: every grid
+        combination of those is a parent.  The set depends only on the
+        node, not on what the store happens to hold.
+        """
+        if node.t == 1:
+            return []
+        rec = node.events[-1]
+        t = node.t - 1
+        active = tuple(sorted(set(rec.participants) | set(rec.quitters)))
+        pools = [[(j, s) for s in range(self.game.grid(j, t - 1).points)]
+                 for j in active] if t > 1 else []
+        found = [self.intern(t, active, prev, node.events[:-1])
+                 for prev in itertools.product(*pools)]
+        return sorted(found, key=lambda n: n.key)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +309,15 @@ class TreeWalker:
     transforms agree on lives here: beliefs at a node, the one joint-step
     enumerator (``joint_steps``) every exact walk resolves a period with,
     successor construction, and the node closures built on one depth-first
-    walk.  Menus are cached per (agent, node).
+    walk.  Menus and beliefs are cached per (agent, Markov class).  The
+    default store's classes follow the game's and the policy's history
+    window; a given store must not lump more coarsely than that.
     """
 
     def __init__(self, game: BaseGame, sigma: TaskPolicy, store: NodeStore | None = None):
         self.game = game
         self.sigma = sigma
-        self.store = store if store is not None else NodeStore(game)
+        self.store = store if store is not None else NodeStore(game, history_window(game, sigma))
         self._menus: dict[tuple[int, int], Menu] = {}
         self._beliefs: dict[tuple[int, int], tuple[tuple[float, int], ...]] = {}
         self._plan_ids: dict[tuple, int] = {}
@@ -281,7 +329,7 @@ class TreeWalker:
         return self._plan_ids.setdefault(plan.signature(), len(self._plan_ids))
 
     def menu(self, i: int, node: Node) -> Menu:
-        key = (i, node.key)
+        key = (i, node.lump)
         m = self._menus.get(key)
         if m is None:
             m = action_menu(self.game, self.sigma, i, node.t, self.store.history(node))
@@ -290,7 +338,7 @@ class TreeWalker:
 
     def belief(self, i: int, node: Node) -> tuple[tuple[float, int], ...]:
         """Distribution over agent i's period-t state given the node's public record."""
-        key = (i, node.key)
+        key = (i, node.lump)
         b = self._beliefs.get(key)
         if b is None:
             if node.t == 1:
@@ -398,7 +446,10 @@ class TreeWalker:
                 if child.key not in seen:
                     seen[child.key] = child
                     if len(seen) > max_nodes:
-                        raise GameError(f"{what} exceeds the exact-mode budget; rerun with mode=mc")
+                        raise GameError(
+                            f"{what} exceeds its budget of {max_nodes} nodes; every mode "
+                            "builds it, so only a shorter horizon or fewer grid points "
+                            "shrink it")
                 if (child.key, child_tag) not in visited:
                     visited.add((child.key, child_tag))
                     frontier.append((child, child_tag))

@@ -40,10 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaskPolicy:
-    """Pure task policy sigma(i, t, s, history) -> action value."""
+    """Pure task policy sigma(i, t, s, history) -> action value.
+
+    ``history_window`` is how many trailing records of ``history`` ``fn``
+    reads; None (the default) means the whole history.
+    """
 
     fn: Callable[[int, int, float, "History"], float]
     name: str = "custom"
+    history_window: int | None = None
 
     def value(self, i: int, t: int, s: float, history) -> float:
         return self.fn(i, t, s, history)
@@ -96,13 +101,21 @@ def action_menu(game: BaseGame, policy: TaskPolicy, i: int, t: int, history) -> 
 
 
 class CouplingPolicy:
-    """Coupling value m_{i,t} as a function of the joint action profile and history."""
+    """Coupling value m_{i,t} as a function of the joint action profile and history.
+
+    ``markov`` says the value depends on the node only through its Markov
+    class (``Node.lump``), so prospects may be memoized per class.
+    """
+
+    markov = False
 
     def value(self, i: int, node: "Node", actions: Actions) -> float:
         raise NotImplementedError
 
 
 class ZeroCoupling(CouplingPolicy):
+    markov = True
+
     def value(self, i, node, actions):
         return 0.0
 
@@ -173,10 +186,12 @@ class OffSwitch:
 
     ``value`` accepts an optional state index for the knowledgeable variant,
     where the principal observes which partition interval the state lies in.
-    Querying past the horizon returns 0 (terminal convention).
+    Querying past the horizon returns 0 (terminal convention).  ``markov``
+    says the value depends on the node only through its Markov class.
     """
 
     horizon: int
+    markov = False
 
     def value(self, i: int, node: "Node", state_index: int | None = None) -> float:
         raise NotImplementedError
@@ -192,6 +207,7 @@ class OffSwitch:
 @dataclass
 class ZeroOffSwitch(OffSwitch):
     horizon: int
+    markov = True
 
     def value(self, i, node, state_index=None):
         return 0.0

@@ -122,10 +122,13 @@ class DynamicsModel:
     period-t state; ``history`` contains the joint actions of periods
     1..t-1.  When ``deriv`` is absent the derivative falls back to a central
     finite difference of the clamped closure with step = grid_step / 10.
+    ``history_window`` is how many trailing records of ``history`` the
+    closures read; None (the default) means the whole history.
     """
 
     kappa: DynamicsFn
     deriv: DynamicsDeriv | None = None
+    history_window: int | None = None
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class PersistenceTransforms:
 
     def d_up(self, i: int, node: Node, b: int) -> int:
         """Largest marginal-carrier maximizer inside the b-th sub-off interval."""
-        key = (i, node.key, b)
+        key = (i, node.lump, b)
         hit = self._dup.get(key)
         if hit is None:
             part = self.partitions[(i, node.t)]
@@ -62,7 +62,7 @@ class PersistenceTransforms:
 
     def d_down(self, i: int, node: Node, e: int) -> int:
         """Largest marginal-carrier minimizer inside the e-th sub-on interval."""
-        key = (i, node.key, e)
+        key = (i, node.lump, e)
         hit = self._ddown.get(key)
         if hit is None:
             part = self.partitions[(i, node.t)]
@@ -154,7 +154,7 @@ class PersistenceTransforms:
         """
         if node.t >= self.game.horizon:
             return 0.0
-        key = (i, node.key, s_idx)
+        key = (i, node.lump, s_idx)
         hit = self._delta.get(key)
         if hit is not None:
             return hit

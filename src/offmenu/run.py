@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .equilibrium import Engine, TreeSizeError
-from .histories import RegionConjecture, TreeWalker
+from .histories import NodeStore, RegionConjecture, TreeWalker
 from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
 from .model import GameError
 from .regions import detect_monotone, partition_from_boundary
@@ -361,7 +361,8 @@ def _load_tables(scenario: Scenario):
     tables = _read_tables(tables_path)
     game = scenario.build_game()
     sigma = scenario.build_policy()
-    walker = TreeWalker(game, sigma)
+    # the tables key by full history signature, so no Markov classes here
+    walker = TreeWalker(game, sigma, NodeStore(game))
     if tables["variant"] == "ir" or not tables["boundaries"]:
         partitions = ir_partitions(game)
         regions = {}

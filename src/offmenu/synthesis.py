@@ -58,8 +58,11 @@ class SynthesizedCoupling(CouplingPolicy):
     actions).  Values are computed lazily per node: marginal carrier at the
     action's generating state minus the expected intrinsic reward there.
     Non-injective policies are served from the largest generating state;
-    the spread across generating states lands in the diagnostics.
+    the spread across generating states lands in the diagnostics.  Values
+    are class functions of the node, memoized per ``Node.lump``.
     """
+
+    markov = True
 
     def __init__(self, carriers: CarrierTables, diagnostics: SynthesisDiagnostics | None = None):
         self.carriers = carriers
@@ -80,7 +83,7 @@ class SynthesizedCoupling(CouplingPolicy):
         return total
 
     def value_at_slot(self, i: int, node: Node, pos: int) -> float:
-        key = (i, node.key, pos)
+        key = (i, node.lump, pos)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -104,7 +107,9 @@ class SynthesizedCoupling(CouplingPolicy):
 
 
 class SynthesizedCutoff(OffSwitch):
-    """Cutoff off-switch evaluated lazily per node from the carrier tables."""
+    """Cutoff off-switch evaluated lazily per node class from the carrier tables."""
+
+    markov = True
 
     def __init__(self, variant: str, transforms: PersistenceTransforms,
                  diagnostics: SynthesisDiagnostics | None = None,
@@ -171,13 +176,13 @@ class SynthesizedCutoff(OffSwitch):
                 raise GameError("knowledgeable cutoff needs the state's interval")
             part = self.transforms.partition(i, node.t)
             w = part.global_interval_index(state_index)
-            key = (i, node.key, w)
+            key = (i, node.lump, w)
             hit = self._memo.get(key)
             if hit is None:
                 hit = self.per_interval_values(i, node)[w]
                 self._memo[key] = hit
             return hit
-        key = (i, node.key)
+        key = (i, node.lump)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -281,11 +286,11 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
         if n.t == 1:
             for i in n.active:
                 values[(i, n.key)] = mech.phi.value(i, n, 0 if _interval_keyed(mech) else None)
-    parents = _parents(walker, nodes)
     for n in nodes:
-        if not parents.get(n.key):
+        if not 1 < n.t <= game.horizon:
             continue
-        parent = parents[n.key][0]
+        # the lowest key: the reachable parent, since reachable nodes are interned first
+        parent = walker.store.parents(n)[0]
         rec = n.events[-1]
         for i in n.active:
             if i not in rec.participants:
@@ -318,29 +323,6 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
 
 def _interval_keyed(mech: Mechanism) -> bool:
     return isinstance(mech.phi, SynthesizedCutoff) and mech.phi.variant == "knowledgeable"
-
-
-def _parent_active(n: Node):
-    rec = n.events[-1]
-    return tuple(sorted(set(rec.participants) | set(rec.quitters)))
-
-
-def _parents(walker: TreeWalker, nodes) -> dict[int, list[Node]]:
-    """Interned candidate parents of each node at periods 2..T, lowest key first.
-
-    A node's record fixes its parent's period, active set and action
-    history but not the parent's previous states, so a node has one parent
-    per such state.  Only store nodes at periods some node needs are grouped.
-    """
-    want = {n.key: (n.t - 1, n.events[:-1], _parent_active(n))
-            for n in nodes if 1 < n.t <= walker.game.horizon}
-    periods = {sig[0] for sig in want.values()}
-    groups: dict[tuple, list[Node]] = {}
-    for key in range(len(walker.store)):
-        cand = walker.store.node(key)
-        if cand.t in periods:
-            groups.setdefault((cand.t, cand.events, cand.active), []).append(cand)
-    return {k: groups.get(sig, []) for k, sig in want.items()}
 
 
 # ---------------------------------------------------------------------------

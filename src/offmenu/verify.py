@@ -272,8 +272,6 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     single-period carrier.  Inequality 3: carrier gains from any pretense
     are capped by the stripped-prospect gaps net of the posted factor.
     """
-    from .synthesis import _parents
-
     game = engine.game
     mech = engine.mechanism
     worst_c1 = 0.0
@@ -299,9 +297,10 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c2 = 0.0
     wit_c2 = None
     if eta is not None:
-        parents = _parents(engine.walker, nodes)
         for n in nodes:
-            for parent in parents.get(n.key, ()):
+            if not 1 < n.t <= game.horizon:
+                continue
+            for parent in engine.store.parents(n):
                 rec = n.events[-1]
                 for i in n.active:
                     if i not in rec.participants or (i, n.key) not in eta:
@@ -377,19 +376,24 @@ def _lambda(engine: Engine, memo, i, node, s, L, x, a_pos):
     return g - phi_term - erho
 
 
-def _terminal_map(engine: Engine, memo, kind, i, node, s, L, x, a_pos, leaf_fn):
-    """Expectation of leaf_fn(child at L+1, own state there) along the branch."""
+def _terminal_map(engine: Engine, memo, kind, node_id, i, node, s, L, x, a_pos, leaf_fn):
+    """Expectation of leaf_fn(child at L+1, own state there) along the branch.
+
+    ``node_id(node)`` keys the memo of obedient walks: the Markov class when
+    the leaf values are class functions, else the full history.
+    """
     total = 0.0
     for p, plan in x.plans(i, node):
-        total += p * _terminal_walk(engine, memo, kind, i, node, s, L, plan, a_pos, leaf_fn)
+        total += p * _terminal_walk(engine, memo, kind, node_id, i, node, s, L, plan, a_pos,
+                                    leaf_fn)
     return total
 
 
-def _terminal_walk(engine: Engine, memo, kind, i, node, s, L, plan, a_pos, leaf_fn):
+def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, L, plan, a_pos, leaf_fn):
     # obedient walks repeat across deviations and pretenses; the one-off
     # deviation walk at the top is not kept
     if a_pos is None:
-        key = (kind, i, node.key, s, L, engine.walker.plan_id(plan))
+        key = (kind, i, node_id(node), s, L, engine.walker.plan_id(plan))
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -408,8 +412,8 @@ def _terminal_walk(engine: Engine, memo, kind, i, node, s, L, plan, a_pos, leaf_
                     total += br.prob * pp * leaf_fn(child, s2)
         else:
             for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                total += br.prob * pp * _terminal_walk(engine, memo, kind, i, child, s2, L,
-                                                       plan, None, leaf_fn)
+                total += br.prob * pp * _terminal_walk(engine, memo, kind, node_id, i, child,
+                                                       s2, L, plan, None, leaf_fn)
     if a_pos is None:
         memo[key] = total
     return total
@@ -419,19 +423,24 @@ def _expected_phi(engine: Engine, memo, i, node, s, L, x, a_pos):
     def leaf(child, s2):
         return engine.mechanism.phi.value(i, child, s2)
 
-    return _terminal_map(engine, memo, "phi", i, node, s, L, x, a_pos, leaf)
+    return _terminal_map(engine, memo, "phi", engine.memo_key, i, node, s, L, x, a_pos, leaf)
 
 
 def _expected_eta(engine: Engine, eta, memo, i, node, s, pos, L, x):
     # histories only openable by a deviation carry no emitted posted factor;
     # they default to zero, which is exact on the separable family where the
-    # inequality is asserted (the factor vanishes identically there)
+    # inequality is asserted (the factor vanishes identically there).  So
+    # eta is no class function, and its walks keep full-history keys.
     def leaf(child, s2):
         if child.t > engine.game.horizon:
             return 0.0
         return eta.get((i, child.key), 0.0)
 
-    return _terminal_map(engine, memo, "eta", i, node, s, L, x, pos, leaf)
+    return _terminal_map(engine, memo, "eta", _full_history, i, node, s, L, x, pos, leaf)
+
+
+def _full_history(node: Node) -> int:
+    return node.key
 
 
 # ---------------------------------------------------------------------------

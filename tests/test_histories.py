@@ -107,16 +107,26 @@ def _pair_walker():
     return TreeWalker(game, IDENTITY), RegionConjecture({}).plan()
 
 
+def _assert_budget_advice(exc, what, budget):
+    # every mode builds these closures, so the advice must not be "use mc"
+    msg = str(exc.value)
+    assert f"{what} exceeds its budget of {budget} nodes" in msg
+    assert "horizon" in msg and "grid points" in msg
+    assert "mode=mc" not in msg
+
+
 def test_reachable_nodes_budget_error():
     walker, plan = _pair_walker()
-    with pytest.raises(GameError, match="reachable node set exceeds the exact-mode budget"):
+    with pytest.raises(GameError) as exc:
         walker.reachable_nodes(plan, max_nodes=3)
+    _assert_budget_advice(exc, "reachable node set", 3)
 
 
 def test_full_state_closure_budget_error():
     walker, plan = _pair_walker()
-    with pytest.raises(GameError, match="full-state closure exceeds the exact-mode budget"):
+    with pytest.raises(GameError) as exc:
         walker.full_state_closure(plan, max_nodes=3)
+    _assert_budget_advice(exc, "full-state closure", 3)
 
 
 def test_one_shot_closure_budget_error():
@@ -124,5 +134,6 @@ def test_one_shot_closure_budget_error():
     reachable = len(walker.reachable_nodes(plan))
     assert len(walker.one_shot_closure(plan)) > reachable
     # the obedient walk fits the budget; the deviations take it over
-    with pytest.raises(GameError, match="deviation closure exceeds the exact-mode budget"):
+    with pytest.raises(GameError) as exc:
         walker.one_shot_closure(plan, max_nodes=reachable)
+    _assert_budget_advice(exc, "deviation closure", reachable)

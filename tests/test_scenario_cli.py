@@ -401,6 +401,13 @@ def test_cli_rejects_unknown_check_name(capsys):
     assert "unknown check 'doicc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [",", "", ",,"])
+def test_cli_verify_with_no_check_names_exits_two(checks, capsys):
+    # running nothing must not read as "every verdict passed"
+    assert main(["verify", "g2-appendix", "--checks", checks]) == 2
+    assert "names no check" in capsys.readouterr().err
+
+
 def test_run_scenario_rejects_unknown_check_override():
     with pytest.raises(GameError, match="unknown check 'bogus'"):
         run_scenario("g2-appendix", None, {"checks": ("bogus",)})
