@@ -61,12 +61,6 @@ class CarrierTables:
     def theta_index(self, i: int, t: int) -> int:
         return self.theta.get((i, t), 0)
 
-    def _pid(self, plan: OppPlan) -> int:
-        return self.walker.plan_id(plan)
-
-    def _plans(self, i: int, node: Node):
-        return self.conjecture.plans(i, node)
-
     # -- impulse response --------------------------------------------------------
 
     def impulse_response(self, i: int, node: Node, s_idx: int, L: int,
@@ -75,32 +69,25 @@ class CarrierTables:
         if not node.t <= L <= self.game.horizon:
             raise GameError(f"cutoff {L} outside {node.t}..{self.game.horizon}")
         return sum(p * self._q_plan(i, node, s_idx, L, a_pos, plan)
-                   for p, plan in self._plans(i, node))
+                   for p, plan in self.conjecture.plans(i, node))
 
     def _q_plan(self, i: int, node: Node, s_idx: int, L: int,
                 a_pos: int | None, plan: OppPlan) -> float:
-        key = (i, node.lump, s_idx, L, a_pos, self._pid(plan))
+        key = (i, node.lump, s_idx, L, a_pos, self.walker.plan_id(plan))
         hit = self._q.get(key)
         if hit is not None:
             return hit
         walker = self.walker
-        menu = walker.menu(i, node)
-        if a_pos is None:
-            a_own = menu.actions[menu.action_index_of_state[s_idx]]
-        else:
-            a_own = menu.actions[a_pos]
-        a_idx = self.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
+        a_own, a_idx = walker.own_action(i, node, s_idx, a_pos)
         s_val = self.game.grid(i, node.t).value(s_idx)
         total = 0.0
-        for br in walker.other_branches(i, node, plan):
-            actions = dict(br.actions)
-            actions[i] = a_own
+        for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
             term = self.game.du_ds(i, node.t, s_val, actions)
             if L > node.t:
                 child = walker.child_after(i, node, s_idx, a_idx, br)
-                for w, _omega, j2, dk in walker.own_shock_branches(i, node, s_idx, child):
-                    term += w * dk * self._q_plan(i, child, j2, L, None, plan)
-            total += br.prob * term
+                for ws, _omega, j2, dk in walker.own_shock_branches(i, node, s_idx, child):
+                    term += ws * dk * self._q_plan(i, child, j2, L, None, plan)
+            total += w * term
         self._q[key] = total
         return total
 
@@ -197,13 +184,12 @@ class CarrierTables:
         if hit is not None:
             return hit
         walker = self.walker
-        a_own, a_idx = walker.obedient_action(i, node, s_idx)
+        a_own, a_idx = walker.own_action(i, node, s_idx)
         total = 0.0
-        for p, plan in self._plans(i, node):
-            for br in walker.other_branches(i, node, plan):
-                child = walker.child_after(i, node, s_idx, a_idx, br)
-                for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                    total += p * br.prob * pp * self.mg(i, child, j2)
+        for w, _, br in walker.own_branches(i, node, self.conjecture.plans(i, node), a_own):
+            child = walker.child_after(i, node, s_idx, a_idx, br)
+            for pp, j2 in walker.own_kernel(i, node, s_idx, child):
+                total += w * pp * self.mg(i, child, j2)
         self._m[key] = total
         return total
 

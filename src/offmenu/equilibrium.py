@@ -21,6 +21,7 @@ Semantics pinned here and shared with the carrier/persistence machinery:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -44,7 +45,7 @@ __all__ = ["Engine", "BestResponse", "FixedPointResult", "EmpiricalOutcome", "Tr
 
 
 class TreeSizeError(GameError):
-    """Exact enumeration exceeded its budget; retry in Monte Carlo mode."""
+    """The exact prospect table exceeded its entry budget."""
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,6 @@ class Engine:
     def root(self) -> Node:
         return self.store.root()
 
-    def plan_id(self, plan: OppPlan) -> int:
-        return self.walker.plan_id(plan)
-
     def memo_key(self, node: Node) -> int:
         """Node id for memos of mechanism values: the Markov class when the
         coupling and off-switch are class functions, else the full history."""
@@ -115,8 +113,16 @@ class Engine:
     def _guard(self) -> None:
         if len(self._g) > self.memo_budget:
             raise TreeSizeError(
-                "exact-mode prospect table exceeded "
-                f"{self.memo_budget} entries; rerun with mode=mc and a sample budget")
+                f"exact prospect table exceeds its budget of {self.memo_budget} entries; the "
+                "checks doic (exact mode), payoff_flow, transform, fixed_point, envelope, mso "
+                "and phi_uniqueness and the on_rent.csv export fill it, so only leaving those "
+                "out, a shorter horizon or fewer grid points avoid it")
+
+    def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float]) -> float:
+        """Agent i's one-period payoff flow: intrinsic reward plus coupling."""
+        s_val = self.game.grid(i, node.t).value(s_idx)
+        return (self.game.reward(i, node.t, s_val, actions)
+                + self.mechanism.rho.value(i, node, actions))
 
     def phi_value(self, i: int, node: Node, s_idx: int | None = None) -> float:
         return self.mechanism.phi.value(i, node, s_idx)
@@ -139,26 +145,17 @@ class Engine:
 
     def _g_plan(self, i: int, node: Node, s_idx: int, L: int,
                 a_pos: int | None, plan: OppPlan) -> float:
-        key = (i, self.memo_key(node), s_idx, L, a_pos, self.plan_id(plan))
+        key = (i, self.memo_key(node), s_idx, L, a_pos, self.walker.plan_id(plan))
         hit = self._g.get(key)
         if hit is not None:
             return hit
         self._guard()
-        menu = self.walker.menu(i, node)
-        if a_pos is None:
-            a_own = menu.actions[menu.action_index_of_state[s_idx]]
-        else:
-            a_own = menu.actions[a_pos]
-        a_own_idx = self.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
-        s_val = self.game.grid(i, node.t).value(s_idx)
+        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, a_pos)
         phi = self.mechanism.phi
         interval_keyed = phi.state_dependent()
         total = 0.0
-        for br in self.walker.other_branches(i, node, plan):
-            actions = dict(br.actions)
-            actions[i] = a_own
-            z = (self.game.reward(i, node.t, s_val, actions)
-                 + self.mechanism.rho.value(i, node, actions))
+        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
+            z = self.flow(i, node, s_idx, actions)
             child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
             if L == node.t:
                 if child.t > self.game.horizon or not interval_keyed:
@@ -171,7 +168,7 @@ class Engine:
                 cont = 0.0
                 for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
                     cont += pp * self._g_plan(i, child, s2, L, None, plan)
-            total += br.prob * (z + cont)
+            total += w * (z + cont)
         self._g[key] = total
         return total
 
@@ -323,13 +320,8 @@ class Engine:
         sums = [0.0] * n
         sq = [0.0] * n
         by_state = phi.state_dependent()
-
-        def flow(cur: Node, s: int, actions: dict) -> float:
-            s_val = game.grid(i, cur.t).value(s)
-            return game.reward(i, cur.t, s_val, actions) + self.mechanism.rho.value(i, cur, actions)
-
         paths = PathSampler(self.walker, i, x.plans(i, node), np.random.default_rng(seed),
-                            n_samples * 2 * n, a_pos, flow)
+                            n_samples * 2 * n, a_pos, functools.partial(self.flow, i))
         for _ in range(n_samples):
             slot = paths.plan()
             acc = 0.0
@@ -407,7 +399,7 @@ class Engine:
                         quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
                         continue
                     if action_rule is None:
-                        a, a_idx = self.walker.obedient_action(i, node, states[i])
+                        a, a_idx = self.walker.own_action(i, node, states[i])
                     else:
                         a = action_rule(i, t, states[i], node)
                         a_idx = game.action_grids[(i, t)].index_of(a, tol=1e-6)
@@ -419,9 +411,7 @@ class Engine:
                     key = (i, self.memo_key(node), states[i], played)
                     z = flows.get(key)
                     if z is None:
-                        s_val = game.grid(i, t).value(states[i])
-                        z = flows[key] = (game.reward(i, t, s_val, actions)
-                                          + self.mechanism.rho.value(i, node, actions))
+                        z = flows[key] = self.flow(i, node, states[i], actions)
                     payoff[i] += z
                 key = (node.key, tuple(states[i] for i in live), tuple(quitters),
                        tuple(actions_idx.items()))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import BaseGame, GameError
 from .mechanism import Menu, TaskPolicy, action_menu
@@ -40,6 +40,7 @@ __all__ = [
     "ProfileConjecture",
     "TreeWalker",
     "history_window",
+    "live_cells",
 ]
 
 
@@ -308,10 +309,12 @@ class TreeWalker:
     Everything the equilibrium engine, the carrier tables and the persistence
     transforms agree on lives here: beliefs at a node, the one joint-step
     enumerator (``joint_steps``) every exact walk resolves a period with,
-    successor construction, and the node closures built on one depth-first
-    walk.  Menus and beliefs are cached per (agent, Markov class).  The
-    default store's classes follow the game's and the policy's history
-    window; a given store must not lump more coarsely than that.
+    the one own-step enumerator (``own_action`` and ``own_branches``: the
+    agent's action, then the others' branches under each plan), successor
+    construction, and the node closures built on one depth-first walk.
+    Menus and beliefs are cached per (agent, Markov class).  The default
+    store's classes follow the game's and the policy's history window; a
+    given store must not lump more coarsely than that.
     """
 
     def __init__(self, game: BaseGame, sigma: TaskPolicy, store: NodeStore | None = None):
@@ -354,11 +357,12 @@ class TreeWalker:
             self._beliefs[key] = b
         return b
 
-    def obedient_action(self, i: int, node: Node, s_idx: int) -> tuple[float, int]:
+    def own_action(self, i: int, node: Node, s_idx: int,
+                   a_pos: int | None = None) -> tuple[float, int]:
+        """(action, action-grid index) of menu slot ``a_pos``; obedient at s_idx when absent."""
         menu = self.menu(i, node)
-        pos = menu.action_index_of_state[s_idx]
-        a = menu.actions[pos]
-        return a, self.game.action_grids[(i, node.t)].index_of(a, tol=1e-6)
+        pos = menu.action_index_of_state[s_idx] if a_pos is None else a_pos
+        return menu.actions[pos], menu.grid_indices[pos]
 
     # -- enumeration ----------------------------------------------------------
 
@@ -385,7 +389,7 @@ class TreeWalker:
                 if j != stays and plan.quits(j, node.t, s_idx, node):
                     quitters.append(j)
                 else:
-                    actions[j], actions_idx[j] = self.obedient_action(j, node, s_idx)
+                    actions[j], actions_idx[j] = self.own_action(j, node, s_idx)
             yield StepBranch(prob, tuple(states), tuple(quitters), actions, actions_idx)
 
     def other_branches(self, i: int, node: Node, plan: OppPlan) -> Iterator[StepBranch]:
@@ -395,6 +399,20 @@ class TreeWalker:
             yield StepBranch(1.0, (), (), {}, {})
             return
         yield from self.joint_steps(node, plan, others)
+
+    def own_branches(self, i: int, node: Node, plans: Sequence[tuple[float, OppPlan]],
+                     a_own: float) -> Iterator[tuple[float, dict[int, float], StepBranch]]:
+        """(weight, joint actions, branch) over weighted plans, agent i playing ``a_own``.
+
+        The weight is the plan's probability times the branch's; a single
+        plan is passed as ``((1.0, plan),)``.  Successors stay the caller's
+        (``child_after``), so a walk that needs none interns none.
+        """
+        for p, plan in plans:
+            for br in self.other_branches(i, node, plan):
+                actions = dict(br.actions)
+                actions[i] = a_own
+                yield p * br.prob, actions, br
 
     def child_after(self, i: int, node: Node, s_own: int, a_own_idx: int,
                     branch: StepBranch) -> Node:
@@ -478,7 +496,7 @@ class TreeWalker:
                 yield self.store.child(node, states, br.quitters, br.actions_idx), tag
                 # an evaluating agent stays even where the plan would quit
                 for keep in br.quitters:
-                    idx = {**br.actions_idx, keep: self.obedient_action(keep, node, states[keep])[1]}
+                    idx = {**br.actions_idx, keep: self.own_action(keep, node, states[keep])[1]}
                     yield self.store.child(node, states, [j for j in br.quitters if j != keep],
                                            idx), tag
 
@@ -500,9 +518,7 @@ class TreeWalker:
             def successors(node, deviated, evaluator=evaluator):
                 if evaluator not in node.active:
                     return
-                grid = self.game.action_grids[(evaluator, node.t)]
-                menu_idx = [] if deviated else [grid.index_of(a, tol=1e-6)
-                                                for a in self.menu(evaluator, node).actions]
+                menu_idx = () if deviated else self.menu(evaluator, node).grid_indices
                 for br in self.joint_steps(node, plan, node.active, stays=evaluator):
                     states = dict(br.states)
                     obedient = br.actions_idx[evaluator]
@@ -514,6 +530,14 @@ class TreeWalker:
 
             self._closure(successors, False, "deviation closure", max_nodes, seen)
         return _in_period_order(seen)
+
+
+def live_cells(nodes: Iterable[Node], horizon: int) -> Iterator[tuple[int, Node]]:
+    """(agent, node) for each active agent at each node up to the horizon, in node order."""
+    for node in nodes:
+        if node.t <= horizon:
+            for i in node.active:
+                yield i, node
 
 
 def _in_period_order(seen: Mapping[int, Node]) -> list[Node]:

@@ -61,6 +61,7 @@ class Menu:
     actions: tuple[float, ...]
     generating_states: tuple[tuple[int, ...], ...]  # state indices per action
     action_index_of_state: tuple[int, ...]          # menu position per state index
+    grid_indices: tuple[int, ...]                   # action-grid index per menu position
 
     def position(self, action: float, tol: float = 1e-9) -> int:
         k = bisect.bisect_left(self.actions, action - tol)
@@ -86,13 +87,14 @@ def action_menu(game: BaseGame, policy: TaskPolicy, i: int, t: int, history) -> 
                 f"for agent {i}, period {t}")
         by_action.setdefault(agrid.index_of(a, tol=1e-6), []).append(j)
     slots = sorted(by_action.items())
-    actions = tuple(agrid.value(k) for k, _ in slots)
+    indices = tuple(k for k, _ in slots)
+    actions = tuple(agrid.value(k) for k in indices)
     gen = tuple(tuple(js) for _, js in slots)
     pos_of_state = [0] * grid.points
     for pos, (_, js) in enumerate(slots):
         for j in js:
             pos_of_state[j] = pos
-    return Menu(actions, gen, tuple(pos_of_state))
+    return Menu(actions, gen, tuple(pos_of_state), indices)
 
 
 # ---------------------------------------------------------------------------

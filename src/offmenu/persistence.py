@@ -110,16 +110,16 @@ class PersistenceTransforms:
         if node.t >= L:
             return 0.0
         walker = self.walker
-        a_own, a_idx = walker.obedient_action(i, node, s_idx)
+        a_own, a_idx = walker.own_action(i, node, s_idx)
         total = 0.0
-        for br in walker.other_branches(i, node, plan):
+        for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
             child = walker.child_after(i, node, s_idx, a_idx, br)
             inner = 0.0
             for pp, j2 in walker.own_kernel(i, node, s_idx, child):
                 us = self.project(i, child, j2)
                 inner += pp * (integrand(child.t, us, child, s_idx, node)
                                + self._uppt_walk(i, child, us, L, integrand, plan))
-            total += br.prob * inner
+            total += w * inner
         return total
 
     def _uppt_mc(self, i, node, s_idx, L, integrand, samples, seed) -> float:
@@ -159,15 +159,14 @@ class PersistenceTransforms:
         if hit is not None:
             return hit
         walker = self.walker
-        a_own, a_idx = walker.obedient_action(i, node, s_idx)
+        a_own, a_idx = walker.own_action(i, node, s_idx)
         total = 0.0
-        for p, plan in self.carriers.conjecture.plans(i, node):
-            for br in walker.other_branches(i, node, plan):
-                child = walker.child_after(i, node, s_idx, a_idx, br)
-                for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                    us = self.project(i, child, j2)
-                    total += p * br.prob * pp * (self.carriers.mg(i, child, us)
-                                                 + self.delta_bar(i, child, us))
+        plans = self.carriers.conjecture.plans(i, node)
+        for w, _, br in walker.own_branches(i, node, plans, a_own):
+            child = walker.child_after(i, node, s_idx, a_idx, br)
+            for pp, j2 in walker.own_kernel(i, node, s_idx, child):
+                us = self.project(i, child, j2)
+                total += w * pp * (self.carriers.mg(i, child, us) + self.delta_bar(i, child, us))
         total -= self.carriers.expected_next_mg(i, node, s_idx)
         self._delta[key] = total
         return total

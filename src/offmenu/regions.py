@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .histories import live_cells
 from .mechanism import BoundaryProfile
 from .model import BaseGame, GameError, Grid
 
@@ -46,9 +47,6 @@ class RegionPartition:
     def full_cover(self) -> bool:
         return len(self.off_indices) + sum(hi - lo + 1 for lo, hi in self.sub_on) >= self.points
 
-    def interval_count(self) -> int:
-        return len(self.sub_off) + len(self.sub_on)
-
     def interval_of(self, j: int) -> tuple[str, int]:
         """('off', b) or ('on', e) for a grid index; on intervals cover the complement."""
         for b, (lo, hi) in enumerate(self.sub_off):
@@ -59,11 +57,14 @@ class RegionPartition:
                 return ("on", e)
         raise GameError(f"grid index {j} not covered by the partition")
 
+    def intervals(self) -> list[tuple[int, int, str, int]]:
+        """Every interval as (lo, hi, 'off' or 'on', its index), left to right."""
+        return sorted([(lo, hi, "off", b) for b, (lo, hi) in enumerate(self.sub_off)]
+                      + [(lo, hi, "on", e) for e, (lo, hi) in enumerate(self.sub_on)])
+
     def global_interval_index(self, j: int) -> int:
         """Position of the covering interval in left-to-right order (knowledgeable keying)."""
-        ivs = sorted([(lo, hi, "off", b) for b, (lo, hi) in enumerate(self.sub_off)]
-                     + [(lo, hi, "on", e) for e, (lo, hi) in enumerate(self.sub_on)])
-        for w, (lo, hi, _, _) in enumerate(ivs):
+        for w, (lo, hi, _, _) in enumerate(self.intervals()):
             if lo <= j <= hi:
                 return w
         raise GameError(f"grid index {j} not covered by the partition")
@@ -136,31 +137,28 @@ def detect_monotone(game: BaseGame, zeta_by_cell, nodes, store, tol: float = 1e-
     """
     ok_inc, ok_dec = True, True
     wit_inc = wit_dec = None
-    for node in nodes:
-        if node.t > game.horizon:
+    for i, node in live_cells(nodes, game.horizon):
+        z = zeta_by_cell(i, node)
+        for j in range(len(z) - 1):
+            if z[j + 1] < z[j] - tol:
+                ok_inc = False
+                wit_inc = wit_inc or {"kind": "zeta", "agent": i, "node": node.key, "state": j}
+            if z[j + 1] > z[j] + tol:
+                ok_dec = False
+                wit_dec = wit_dec or {"kind": "zeta", "agent": i, "node": node.key, "state": j}
+        if node.t >= game.horizon:
             continue
-        for i in node.active:
-            z = zeta_by_cell(i, node)
-            for j in range(len(z) - 1):
-                if z[j + 1] < z[j] - tol:
+        cdf = _cdf_matrix(game, i, node.t, store.history(node))
+        for j in range(cdf.shape[0] - 1):
+            for col in range(cdf.shape[1]):
+                if cdf[j + 1, col] > cdf[j, col] + tol:
                     ok_inc = False
-                    wit_inc = wit_inc or {"kind": "zeta", "agent": i, "node": node.key, "state": j}
-                if z[j + 1] > z[j] + tol:
+                    wit_inc = wit_inc or {"kind": "cdf", "agent": i, "node": node.key,
+                                          "state": j, "column": col}
+                if cdf[j + 1, col] < cdf[j, col] - tol:
                     ok_dec = False
-                    wit_dec = wit_dec or {"kind": "zeta", "agent": i, "node": node.key, "state": j}
-            if node.t >= game.horizon:
-                continue
-            cdf = _cdf_matrix(game, i, node.t, store.history(node))
-            for j in range(cdf.shape[0] - 1):
-                for col in range(cdf.shape[1]):
-                    if cdf[j + 1, col] > cdf[j, col] + tol:
-                        ok_inc = False
-                        wit_inc = wit_inc or {"kind": "cdf", "agent": i, "node": node.key,
-                                              "state": j, "column": col}
-                    if cdf[j + 1, col] < cdf[j, col] - tol:
-                        ok_dec = False
-                        wit_dec = wit_dec or {"kind": "cdf", "agent": i, "node": node.key,
-                                              "state": j, "column": col}
+                    wit_dec = wit_dec or {"kind": "cdf", "agent": i, "node": node.key,
+                                          "state": j, "column": col}
     if ok_inc:
         return MonotoneReport(True, "increasing", None)
     if ok_dec:

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .histories import Node
+from .histories import Node, live_cells
 
 __all__ = [
     "report_json_bytes",
@@ -74,12 +74,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def on_rent_rows(engine, conjecture, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, on-rent) per cell."""
-    for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
-        for i in node.active:
-            for s in range(engine.game.grid(i, node.t).points):
-                yield (i, node.t, node.key, s, float(engine.on_rent(i, node, s, conjecture)))
+    for i, node in live_cells(nodes, engine.game.horizon):
+        for s in range(engine.game.grid(i, node.t).points):
+            yield (i, node.t, node.key, s, float(engine.on_rent(i, node, s, conjecture)))
 
 
 def quit_frequency_rows(chi_by_agent: Mapping[int, Mapping[int, float]],
@@ -92,44 +89,34 @@ def quit_frequency_rows(chi_by_agent: Mapping[int, Mapping[int, float]],
 
 def projection_rows(transforms, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, up-projected index) per cell."""
-    for node in nodes:
-        if node.t > transforms.game.horizon:
-            continue
-        for i in node.active:
-            m = transforms.game.grid(i, node.t).points
-            for s in range(m):
-                yield (i, node.t, node.key, s, transforms.project(i, node, s))
+    for i, node in live_cells(nodes, transforms.game.horizon):
+        for s in range(transforms.game.grid(i, node.t).points):
+            yield (i, node.t, node.key, s, transforms.project(i, node, s))
 
 
 def carrier_rows(carriers, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, cutoff, carrier, max-carrier, marginal)."""
     game = carriers.game
-    for node in nodes:
-        if node.t > game.horizon:
-            continue
-        for i in node.active:
-            for s in range(game.grid(i, node.t).points):
-                mg = carriers.mg(i, node, s)
-                zeta = carriers.marginal_carrier(i, node, s)
-                for L in range(node.t, game.horizon + 1):
-                    yield (i, node.t, node.key, s, L,
-                           float(carriers.carrier(i, node, s, L)), float(mg), float(zeta))
+    for i, node in live_cells(nodes, game.horizon):
+        for s in range(game.grid(i, node.t).points):
+            mg = carriers.mg(i, node, s)
+            zeta = carriers.marginal_carrier(i, node, s)
+            for L in range(node.t, game.horizon + 1):
+                yield (i, node.t, node.key, s, L,
+                       float(carriers.carrier(i, node, s, L)), float(mg), float(zeta))
 
 
 def mechanism_table_rows(engine, nodes: Sequence[Node]):
     """Coupling and posted values keyed by (agent, period, history-id, action-slot)."""
     mech = engine.mechanism
-    for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
-        for i in node.active:
-            menu = engine.walker.menu(i, node)
-            if mech.phi.state_dependent():
-                m = engine.game.grid(i, node.t).points
-                phis = sorted({float(mech.phi.value(i, node, s)) for s in range(m)})
-                phi_repr = ";".join(repr(v) for v in phis)
-            else:
-                phi_repr = repr(float(mech.phi.value(i, node)))
-            for pos, a in enumerate(menu.actions):
-                rho = float(mech.rho.value(i, node, {i: a}))
-                yield (i, node.t, node.key, pos, repr(float(a)), repr(rho), phi_repr)
+    for i, node in live_cells(nodes, engine.game.horizon):
+        menu = engine.walker.menu(i, node)
+        if mech.phi.state_dependent():
+            m = engine.game.grid(i, node.t).points
+            phis = sorted({float(mech.phi.value(i, node, s)) for s in range(m)})
+            phi_repr = ";".join(repr(v) for v in phis)
+        else:
+            phi_repr = repr(float(mech.phi.value(i, node)))
+        for pos, a in enumerate(menu.actions):
+            rho = float(mech.rho.value(i, node, {i: a}))
+            yield (i, node.t, node.key, pos, repr(float(a)), repr(rho), phi_repr)

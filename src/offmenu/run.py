@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .equilibrium import Engine, TreeSizeError
-from .histories import NodeStore, RegionConjecture, TreeWalker
+from .histories import NodeStore, RegionConjecture, TreeWalker, live_cells
 from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
 from .model import GameError
 from .regions import detect_monotone, partition_from_boundary
@@ -159,14 +159,11 @@ def run_scenario(source, out_dir: str | Path | None = None,
             verdicts.append(Verdict("barrier", count == 0, float(count), 0.0))
         elif check == "transform":
             worst = 0.0
-            for node in nodes:
-                if node.t > game.horizon:
-                    continue
-                for i in node.active:
-                    for s in range(game.grid(i, node.t).points):
-                        lam = engine.payoff_to_go(i, node, s, conj)
-                        rep = transforms.total(i, node, transforms.project(i, node, s))
-                        worst = max(worst, abs(lam - rep))
+            for i, node in live_cells(nodes, game.horizon):
+                for s in range(game.grid(i, node.t).points):
+                    lam = engine.payoff_to_go(i, node, s, conj)
+                    rep = transforms.total(i, node, transforms.project(i, node, s))
+                    worst = max(worst, abs(lam - rep))
             verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
 
     if carriers is not None:
@@ -235,20 +232,13 @@ def run_scenario(source, out_dir: str | Path | None = None,
 
 def _closed_form_phi(engine: Engine, mech, transforms, nodes) -> dict:
     out = {}
-    for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
-        for i in node.active:
-            if mech.phi.state_dependent():
-                part = transforms.partition(i, node.t)
-                for w in range(part.interval_count()):
-                    # representative state of the interval
-                    for s in range(part.points):
-                        if part.global_interval_index(s) == w:
-                            out[(i, node.key, w)] = mech.phi.value(i, node, s)
-                            break
-            else:
-                out[(i, node.key)] = mech.phi.value(i, node)
+    for i, node in live_cells(nodes, engine.game.horizon):
+        if mech.phi.state_dependent():
+            # each interval is represented by its lowest state
+            for w, (lo, _, _, _) in enumerate(transforms.partition(i, node.t).intervals()):
+                out[(i, node.key, w)] = mech.phi.value(i, node, lo)
+        else:
+            out[(i, node.key)] = mech.phi.value(i, node)
     return out
 
 
@@ -294,19 +284,16 @@ def export_mechanism_tables(engine: Engine, conj, scenario: Scenario,
     coupling = []
     posted = []
     posted_intervals = []
-    for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
-        for i in node.active:
-            menu = walker.menu(i, node)
-            sig = node.signature()
-            for pos, a in enumerate(menu.actions):
-                coupling.append([i, sig, pos, float(mech.rho.value(i, node, {i: a}))])
-            if mech.phi.state_dependent():
-                for w, v in sorted(mech.phi.per_interval_values(i, node).items()):
-                    posted_intervals.append([i, sig, w, float(v)])
-            else:
-                posted.append([i, sig, float(mech.phi.value(i, node))])
+    for i, node in live_cells(nodes, engine.game.horizon):
+        menu = walker.menu(i, node)
+        sig = node.signature()
+        for pos, a in enumerate(menu.actions):
+            coupling.append([i, sig, pos, float(mech.rho.value(i, node, {i: a}))])
+        if mech.phi.state_dependent():
+            for w, v in sorted(mech.phi.per_interval_values(i, node).items()):
+                posted_intervals.append([i, sig, w, float(v)])
+        else:
+            posted.append([i, sig, float(mech.phi.value(i, node))])
     body = {
         "source": scenario.name,
         "variant": scenario.variant,

@@ -141,11 +141,7 @@ class PathSampler:
 
     def _cell(self, slot: int, node: Node, s_idx: int, first: bool) -> tuple:
         walker, i = self.walker, self.i
-        if first:
-            a_own = walker.menu(i, node).actions[self.a_pos]
-            a_idx = walker.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
-        else:
-            a_own, a_idx = walker.obedient_action(i, node, s_idx)
+        a_own, a_idx = walker.own_action(i, node, s_idx, self.a_pos if first else None)
         branches = list(walker.other_branches(i, node, self.plans[slot]))
         probs = np.array([b.prob for b in branches])
         return choice_cdf(probs / probs.sum()), branches, [None] * len(branches), a_own, a_idx

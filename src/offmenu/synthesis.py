@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .carrier import CarrierTables
-from .histories import Node, RegionConjecture, TreeWalker
+from .histories import Node, RegionConjecture, TreeWalker, live_cells
 from .mechanism import BoundaryProfile, CouplingPolicy, Mechanism, OffSwitch, TaskPolicy
 from .model import BaseGame, GameError
 from .persistence import PersistenceTransforms
@@ -75,11 +75,9 @@ class SynthesizedCoupling(CouplingPolicy):
         game = self.walker.game
         s_val = game.grid(i, node.t).value(s_idx)
         total = 0.0
-        for p, plan in self.carriers.conjecture.plans(i, node):
-            for br in self.walker.other_branches(i, node, plan):
-                actions = dict(br.actions)
-                actions[i] = a_own
-                total += p * br.prob * game.reward(i, node.t, s_val, actions)
+        plans = self.carriers.conjecture.plans(i, node)
+        for w, actions, _ in self.walker.own_branches(i, node, plans, a_own):
+            total += w * game.reward(i, node.t, s_val, actions)
         return total
 
     def value_at_slot(self, i: int, node: Node, pos: int) -> float:
@@ -132,9 +130,7 @@ class SynthesizedCutoff(OffSwitch):
         if part is None:
             raise GameError(f"no partition for agent {i}, period {node.t}")
         out: dict[int, float] = {}
-        ivs = sorted([(lo, "off", b) for b, (lo, _) in enumerate(part.sub_off)]
-                     + [(lo, "on", e) for e, (lo, _) in enumerate(part.sub_on)])
-        for w, (_, kind, k) in enumerate(ivs):
+        for w, (_, _, kind, k) in enumerate(part.intervals()):
             pt = (self.transforms.d_up(i, node, k) if kind == "off"
                   else self.transforms.d_down(i, node, k))
             out[w] = self.transforms.total(i, node, pt)
@@ -349,22 +345,19 @@ def check_dcm_zero(transforms: PersistenceTransforms, nodes, mode: str = "H",
         raise GameError(f"unknown mode {mode!r}")
     res: dict[tuple[int, int, int], float] = {}
     worst = 0.0
-    for node in nodes:
-        if node.t > transforms.game.horizon:
+    for i, node in live_cells(nodes, transforms.game.horizon):
+        part = transforms.partition(i, node.t)
+        if part is None:
             continue
-        for i in node.active:
-            part = transforms.partition(i, node.t)
-            if part is None:
-                continue
-            for b in range(len(part.sub_off)):
-                r = transforms.total(i, node, transforms.d_up(i, node, b))
-                res[(i, node.key, b)] = r
+        for b in range(len(part.sub_off)):
+            r = transforms.total(i, node, transforms.d_up(i, node, b))
+            res[(i, node.key, b)] = r
+            worst = max(worst, abs(r))
+        if mode == "K":
+            for e in range(len(part.sub_on)):
+                r = transforms.total(i, node, transforms.d_down(i, node, e))
+                res[(i, node.key, len(part.sub_off) + e)] = r
                 worst = max(worst, abs(r))
-            if mode == "K":
-                for e in range(len(part.sub_on)):
-                    r = transforms.total(i, node, transforms.d_down(i, node, e))
-                    res[(i, node.key, len(part.sub_off) + e)] = r
-                    worst = max(worst, abs(r))
     return DcmZeroReport(worst <= tol, worst, res)
 
 
@@ -406,25 +399,19 @@ def solve_phi_by_indifference(game: BaseGame, sigma: TaskPolicy, rho: CouplingPo
     plan = conjecture.plans(0, transforms.walker.store.root())[0][1]
     fill_nodes = transforms.walker.full_state_closure(plan)
 
-    for node in sorted(fill_nodes, key=lambda n: -n.t):
-        if node.t > game.horizon:
-            continue
-        for i in node.active:
-            part = transforms.partition(i, node.t)
-            if variant == "knowledgeable":
-                ivs = sorted([(lo_, "off", b) for b, (lo_, _) in enumerate(part.sub_off)]
-                             + [(lo_, "on", e) for e, (lo_, _) in enumerate(part.sub_on)])
-                for w, (_, kind, k) in enumerate(ivs):
-                    pt = (transforms.d_up(i, node, k) if kind == "off"
-                          else transforms.d_down(i, node, k))
-                    v = engine.stay_value(i, node, pt, conjecture)[0]
-                    by_interval[(i, node.key, w)] = v
-                    if node.key in emit_keys:
-                        out[(i, node.key, w)] = v
-            else:
-                pt = 0 if variant == "ir" else transforms.d_up(i, node, 0)
+    for i, node in live_cells(sorted(fill_nodes, key=lambda n: -n.t), game.horizon):
+        if variant == "knowledgeable":
+            for w, (_, _, kind, k) in enumerate(transforms.partition(i, node.t).intervals()):
+                pt = (transforms.d_up(i, node, k) if kind == "off"
+                      else transforms.d_down(i, node, k))
                 v = engine.stay_value(i, node, pt, conjecture)[0]
-                table[(i, node.key)] = v
+                by_interval[(i, node.key, w)] = v
                 if node.key in emit_keys:
-                    out[(i, node.key)] = v
+                    out[(i, node.key, w)] = v
+        else:
+            pt = 0 if variant == "ir" else transforms.d_up(i, node, 0)
+            v = engine.stay_value(i, node, pt, conjecture)[0]
+            table[(i, node.key)] = v
+            if node.key in emit_keys:
+                out[(i, node.key)] = v
     return out

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .carrier import CarrierTables
 from .equilibrium import Engine
-from .histories import Conjecture, Node
+from .histories import Conjecture, Node, live_cells
 from .model import GameError
 from .regions import PartitionSet
 
@@ -57,16 +57,13 @@ class Verdict:
 
 
 def _cells(engine: Engine, nodes: Sequence[Node], support_only: bool = False):
-    for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
-        for i in node.active:
-            if support_only:
-                for _, s in engine.walker.belief(i, node):
-                    yield i, node, s
-            else:
-                for s in range(engine.game.grid(i, node.t).points):
-                    yield i, node, s
+    for i, node in live_cells(nodes, engine.game.horizon):
+        if support_only:
+            for _, s in engine.walker.belief(i, node):
+                yield i, node, s
+        else:
+            for s in range(engine.game.grid(i, node.t).points):
+                yield i, node, s
 
 
 # ---------------------------------------------------------------------------
@@ -183,65 +180,50 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     """
     regions = directive_regions or {}
     game = engine.game
+    walker = engine.walker
     memo_best: dict[tuple, float] = {}
     memo_directed: dict[tuple, float] = {}
+
+    def stay(i: int, node: Node, s: int, plan, a_pos: int | None, then) -> float:
+        """Stay this period playing menu slot ``a_pos`` (obedient when None), then ``then``."""
+        a_own, a_idx = walker.own_action(i, node, s, a_pos)
+        total = 0.0
+        for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
+            z = engine.flow(i, node, s, actions)
+            child = walker.child_after(i, node, s, a_idx, br)
+            cont = 0.0
+            if node.t < game.horizon:
+                for pp, s2 in walker.own_kernel(i, node, s, child):
+                    cont += pp * then(i, child, s2, plan)
+            total += w * (z + cont)
+        return total
 
     def best(i: int, node: Node, s: int, plan) -> float:
         if node.t > game.horizon:
             return 0.0
-        key = (i, node.key, s, engine.plan_id(plan))
+        key = (i, node.key, s, walker.plan_id(plan))
         hit = memo_best.get(key)
         if hit is not None:
             return hit
-        menu = engine.walker.menu(i, node)
-        s_val = game.grid(i, node.t).value(s)
         stay_best = -math.inf
-        for pos, a_own in enumerate(menu.actions):
-            a_idx = game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
-            total = 0.0
-            for br in engine.walker.other_branches(i, node, plan):
-                actions = dict(br.actions)
-                actions[i] = a_own
-                z = (game.reward(i, node.t, s_val, actions)
-                     + engine.mechanism.rho.value(i, node, actions))
-                child = engine.walker.child_after(i, node, s, a_idx, br)
-                cont = 0.0
-                if node.t < game.horizon:
-                    for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                        cont += pp * best(i, child, s2, plan)
-                total += br.prob * (z + cont)
-            stay_best = max(stay_best, total)
-        out = max(engine.phi_value(i, node, s), stay_best)
-        memo_best[key] = out
+        for pos in range(len(walker.menu(i, node).actions)):
+            stay_best = max(stay_best, stay(i, node, s, plan, pos, best))
+        out = memo_best[key] = max(engine.phi_value(i, node, s), stay_best)
         return out
 
     def directed(i: int, node: Node, s: int, plan) -> float:
         if node.t > game.horizon:
             return 0.0
-        key = (i, node.key, s, engine.plan_id(plan))
+        key = (i, node.key, s, walker.plan_id(plan))
         hit = memo_directed.get(key)
         if hit is not None:
             return hit
         if s in regions.get((i, node.t), frozenset()):
             out = engine.phi_value(i, node, s)
-            memo_directed[key] = out
-            return out
-        a_own, a_idx = engine.walker.obedient_action(i, node, s)
-        s_val = game.grid(i, node.t).value(s)
-        total = 0.0
-        for br in engine.walker.other_branches(i, node, plan):
-            actions = dict(br.actions)
-            actions[i] = a_own
-            z = (game.reward(i, node.t, s_val, actions)
-                 + engine.mechanism.rho.value(i, node, actions))
-            child = engine.walker.child_after(i, node, s, a_idx, br)
-            cont = 0.0
-            if node.t < game.horizon:
-                for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                    cont += pp * directed(i, child, s2, plan)
-            total += br.prob * (z + cont)
-        memo_directed[key] = total
-        return total
+        else:
+            out = stay(i, node, s, plan, None, directed)
+        memo_directed[key] = out
+        return out
 
     worst = 0.0
     witness = None
@@ -274,19 +256,15 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     """
     game = engine.game
     mech = engine.mechanism
+    walker = engine.walker
     worst_c1 = 0.0
     wit_c1 = None
     for i, node, s in _cells(engine, nodes):
-        menu = engine.walker.menu(i, node)
-        a_own = menu.actions[menu.action_index_of_state[s]]
-        s_val = game.grid(i, node.t).value(s)
+        a_own, _ = walker.own_action(i, node, s)
         ez = 0.0
-        for p, plan in carriers.conjecture.plans(i, node):
-            for br in engine.walker.other_branches(i, node, plan):
-                actions = dict(br.actions)
-                actions[i] = a_own
-                ez += p * br.prob * (game.reward(i, node.t, s_val, actions)
-                                     + mech.rho.value(i, node, actions))
+        for w, actions, _ in walker.own_branches(i, node, carriers.conjecture.plans(i, node),
+                                                 a_own):
+            ez += w * engine.flow(i, node, s, actions)
         r = abs(ez - carriers.marginal_carrier(i, node, s))
         if r > worst_c1:
             worst_c1 = r
@@ -364,15 +342,10 @@ def _lambda(engine: Engine, memo, i, node, s, L, x, a_pos):
     """Prospect stripped of the current coupling and the terminal off-switch."""
     g = engine.prospect(i, node, s, L, x, a_pos)
     phi_term = _expected_phi(engine, memo, i, node, s, L, x, a_pos)
-    menu = engine.walker.menu(i, node)
-    pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
-    a_own = menu.actions[pos]
+    a_own, _ = engine.walker.own_action(i, node, s, a_pos)
     erho = 0.0
-    for p, plan in x.plans(i, node):
-        for br in engine.walker.other_branches(i, node, plan):
-            actions = dict(br.actions)
-            actions[i] = a_own
-            erho += p * br.prob * engine.mechanism.rho.value(i, node, actions)
+    for w, actions, _ in engine.walker.own_branches(i, node, x.plans(i, node), a_own):
+        erho += w * engine.mechanism.rho.value(i, node, actions)
     return g - phi_term - erho
 
 
@@ -397,23 +370,21 @@ def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, L, plan, a_p
         hit = memo.get(key)
         if hit is not None:
             return hit
-    menu = engine.walker.menu(i, node)
-    pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
-    a_own = menu.actions[pos]
-    a_idx = engine.game.action_grids[(i, node.t)].index_of(a_own, tol=1e-6)
+    walker = engine.walker
+    a_own, a_idx = walker.own_action(i, node, s, a_pos)
     total = 0.0
-    for br in engine.walker.other_branches(i, node, plan):
-        child = engine.walker.child_after(i, node, s, a_idx, br)
+    for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
+        child = walker.child_after(i, node, s, a_idx, br)
         if node.t == L:
             if child.t > engine.game.horizon:
-                total += br.prob * leaf_fn(child, None)
+                total += w * leaf_fn(child, None)
             else:
-                for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                    total += br.prob * pp * leaf_fn(child, s2)
+                for pp, s2 in walker.own_kernel(i, node, s, child):
+                    total += w * pp * leaf_fn(child, s2)
         else:
-            for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                total += br.prob * pp * _terminal_walk(engine, memo, kind, node_id, i, child,
-                                                       s2, L, plan, None, leaf_fn)
+            for pp, s2 in walker.own_kernel(i, node, s, child):
+                total += w * pp * _terminal_walk(engine, memo, kind, node_id, i, child,
+                                                 s2, L, plan, None, leaf_fn)
     if a_pos is None:
         memo[key] = total
     return total
@@ -458,35 +429,32 @@ def check_constrained_monotone(carriers: CarrierTables, nodes: Sequence[Node],
     source state's action.
     """
     game = carriers.game
+    T = game.horizon
     worst = math.inf
     witness = None
-    for node in nodes:
-        if node.t > game.horizon:
-            continue
-        for i in node.active:
-            grid = game.grid(i, node.t)
-            step = grid.step
-            T = game.horizon
-            menu = carriers.walker.menu(i, node)
-            qs_obed = {L: [carriers.impulse_response(i, node, j, L)
-                           for j in range(grid.points)]
-                       for L in range(node.t, T + 1)}
-            for sp in range(grid.points):
-                pos = menu.action_index_of_state[sp]
-                qs_frozen = {L: [carriers.impulse_response(i, node, j, L, pos)
-                                 for j in range(grid.points)]
-                             for L in range(node.t, T + 1)}
-                for s in range(grid.points):
-                    if s == sp:
-                        continue
-                    lhs = max(_trapz(qs_obed[L], sp, s, step) for L in range(node.t, T + 1))
-                    rhs = max(_trapz(qs_frozen[L], sp, s, step) for L in range(node.t, T + 1))
-                    margin = lhs - rhs
-                    if margin < worst:
-                        worst = margin
-                        if margin < -tol:
-                            witness = {"agent": i, "period": node.t, "node": node.key,
-                                       "from": sp, "to": s}
+    for i, node in live_cells(nodes, T):
+        grid = game.grid(i, node.t)
+        step = grid.step
+        menu = carriers.walker.menu(i, node)
+        qs_obed = {L: [carriers.impulse_response(i, node, j, L)
+                       for j in range(grid.points)]
+                   for L in range(node.t, T + 1)}
+        for sp in range(grid.points):
+            pos = menu.action_index_of_state[sp]
+            qs_frozen = {L: [carriers.impulse_response(i, node, j, L, pos)
+                             for j in range(grid.points)]
+                         for L in range(node.t, T + 1)}
+            for s in range(grid.points):
+                if s == sp:
+                    continue
+                lhs = max(_trapz(qs_obed[L], sp, s, step) for L in range(node.t, T + 1))
+                rhs = max(_trapz(qs_frozen[L], sp, s, step) for L in range(node.t, T + 1))
+                margin = lhs - rhs
+                if margin < worst:
+                    worst = margin
+                    if margin < -tol:
+                        witness = {"agent": i, "period": node.t, "node": node.key,
+                                   "from": sp, "to": s}
     return Verdict("constrained-monotone", worst >= -tol, worst, tol, witness=witness)
 
 
@@ -524,41 +492,38 @@ def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
     witness = None
     kinks: list[dict] = []
     bound_used = None
-    for node in nodes:
-        if node.t > game.horizon:
+    for i, node in live_cells(nodes, game.horizon):
+        grid = game.grid(i, node.t)
+        if grid.points < 3:
             continue
-        for i in node.active:
-            grid = game.grid(i, node.t)
-            if grid.points < 3:
+        C = lipschitz
+        if C is None:
+            C = carriers.impulse_bound(i, node.t)
+        if C is None:
+            C = max(abs(carriers.impulse_response(i, node, j, L))
+                    for j in range(grid.points)
+                    for L in range(node.t, game.horizon + 1)) or 1.0
+        bound = bound_factor * grid.step * C
+        bound_used = bound if bound_used is None else max(bound_used, bound)
+
+        def cut(idx: int) -> int:
+            if cutoff_rule is not None:
+                return cutoff_rule(i, node, idx)
+            _, L = engine.stay_value(i, node, idx, x)
+            return L
+
+        V = [engine.value_fn(i, node, j, x) for j in range(grid.points)]
+        for j in range(1, grid.points - 1):
+            if cut(j - 1) != cut(j + 1) or cut(j) != cut(j + 1):
+                kinks.append({"agent": i, "period": node.t, "node": node.key, "state": j})
                 continue
-            C = lipschitz
-            if C is None:
-                C = carriers.impulse_bound(i, node.t)
-            if C is None:
-                C = max(abs(carriers.impulse_response(i, node, j, L))
-                        for j in range(grid.points)
-                        for L in range(node.t, game.horizon + 1)) or 1.0
-            bound = bound_factor * grid.step * C
-            bound_used = bound if bound_used is None else max(bound_used, bound)
-
-            def cut(idx: int) -> int:
-                if cutoff_rule is not None:
-                    return cutoff_rule(i, node, idx)
-                _, L = engine.stay_value(i, node, idx, x)
-                return L
-
-            V = [engine.value_fn(i, node, j, x) for j in range(grid.points)]
-            for j in range(1, grid.points - 1):
-                if cut(j - 1) != cut(j + 1) or cut(j) != cut(j + 1):
-                    kinks.append({"agent": i, "period": node.t, "node": node.key, "state": j})
-                    continue
-                fd = (V[j + 1] - V[j - 1]) / (2.0 * grid.step)
-                q = carriers.impulse_response(i, node, j, cut(j))
-                dev = abs(fd - q)
-                if dev > worst:
-                    worst = dev
-                    if dev > bound:
-                        witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
+            fd = (V[j + 1] - V[j - 1]) / (2.0 * grid.step)
+            q = carriers.impulse_response(i, node, j, cut(j))
+            dev = abs(fd - q)
+            if dev > worst:
+                worst = dev
+                if dev > bound:
+                    witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
     tol = bound_used if bound_used is not None else 0.0
     return Verdict("envelope", worst <= tol, worst, tol, witness=witness,
                    details={"kink_cells": kinks})
@@ -573,26 +538,23 @@ def check_mso(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     against max_L d/ds G at every interior cell.
     """
     game = engine.game
+    T = game.horizon
     worst = 0.0
     witness = None
-    for node in nodes:
-        if node.t > game.horizon:
+    for i, node in live_cells(nodes, T):
+        grid = game.grid(i, node.t)
+        if grid.points < 3:
             continue
-        for i in node.active:
-            grid = game.grid(i, node.t)
-            if grid.points < 3:
-                continue
-            T = game.horizon
-            G = {L: [engine.prospect(i, node, j, L, x) for j in range(grid.points)]
-                 for L in range(node.t, T + 1)}
-            for j in range(1, grid.points - 1):
-                lhs = (max(G[L][j + 1] for L in G) - max(G[L][j - 1] for L in G)) / (2 * grid.step)
-                rhs = max((G[L][j + 1] - G[L][j - 1]) / (2 * grid.step) for L in G)
-                dev = abs(lhs - rhs)
-                if dev > worst:
-                    worst = dev
-                    if dev > tol:
-                        witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
+        G = {L: [engine.prospect(i, node, j, L, x) for j in range(grid.points)]
+             for L in range(node.t, T + 1)}
+        for j in range(1, grid.points - 1):
+            lhs = (max(G[L][j + 1] for L in G) - max(G[L][j - 1] for L in G)) / (2 * grid.step)
+            rhs = max((G[L][j + 1] - G[L][j - 1]) / (2 * grid.step) for L in G)
+            dev = abs(lhs - rhs)
+            if dev > worst:
+                worst = dev
+                if dev > tol:
+                    witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
     return Verdict("max-sensitive-obedience", worst <= tol, worst, tol, witness=witness)
 
 

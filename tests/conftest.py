@@ -293,7 +293,7 @@ class LoopWalker(TreeWalker):
                 if plan.quits(j, node.t, s_idx, node):
                     quitters.append(j)
                 else:
-                    a, a_idx = self.obedient_action(j, node, s_idx)
+                    a, a_idx = self.own_action(j, node, s_idx)
                     actions[j] = a
                     actions_idx[j] = a_idx
             yield StepBranch(prob, tuple(states), tuple(quitters), actions, actions_idx)
@@ -320,7 +320,7 @@ class LoopWalker(TreeWalker):
                     if plan.quits(j, node.t, s_idx, node):
                         quitters.append(j)
                     else:
-                        _, a_idx = self.obedient_action(j, node, s_idx)
+                        _, a_idx = self.own_action(j, node, s_idx)
                         actions_idx[j] = a_idx
                 child = self.store.child(node, states, quitters, actions_idx)
                 if child.key not in seen:
@@ -349,7 +349,7 @@ class LoopWalker(TreeWalker):
                     for j in node.active:
                         if j in quitters:
                             continue
-                        _, a_idx = self.obedient_action(j, node, states[j])
+                        _, a_idx = self.own_action(j, node, states[j])
                         actions_idx[j] = a_idx
                     child = self.store.child(node, states, quitters, actions_idx)
                     if child.key not in seen:
@@ -380,7 +380,7 @@ class LoopWalker(TreeWalker):
                         if j != evaluator and plan.quits(j, node.t, s_idx, node):
                             quitters.append(j)
                         else:
-                            _, a_idx = self.obedient_action(j, node, s_idx)
+                            _, a_idx = self.own_action(j, node, s_idx)
                             actions_idx[j] = a_idx
                     own_menu = self.menu(evaluator, node)
                     choices = [(actions_idx[evaluator], deviated)]
@@ -427,7 +427,7 @@ class LoopEngine(Engine):
                 if plan.quits(j, node.t, sj, node):
                     quitters.append(j)
                 else:
-                    _, a_idx = self.walker.obedient_action(j, node, sj)
+                    _, a_idx = self.walker.own_action(j, node, sj)
                     actions_idx[j] = a_idx
             if i in quitters:
                 out[node.t] = out.get(node.t, 0.0) + prob

@@ -243,7 +243,7 @@ def test_criterion_10_phi_uniqueness(monotone_ir, doublewell, shelf_knowledgeabl
                 continue
             if variant == "knowledgeable":
                 part = parts[(0, node.t)]
-                for w in range(part.interval_count()):
+                for w in range(len(part.intervals())):
                     rep = next(s for s in range(part.points)
                                if part.global_interval_index(s) == w)
                     worst = max(worst, abs(solved[(0, node.key, w)]

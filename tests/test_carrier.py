@@ -140,7 +140,7 @@ def test_marginal_carrier_deterministic_dynamics(g2):
     root = walker.store.root()
     plan = NOQUIT.plan()
     for s in range(5):
-        a, a_idx = walker.obedient_action(0, root, s)
+        a, a_idx = walker.own_action(0, root, s)
         br = list(walker.other_branches(0, root, plan))[0]
         child = walker.child_after(0, root, s, a_idx, br)
         want = car.mg(0, root, s) - car.mg(0, child, s)
@@ -152,7 +152,7 @@ def test_marginal_carrier_vs_enumerated_shock_expectation(g1):
     root = walker.store.root()
     plan = NOQUIT.plan()
     for s in range(5):
-        a, a_idx = walker.obedient_action(0, root, s)
+        a, a_idx = walker.own_action(0, root, s)
         br = list(walker.other_branches(0, root, plan))[0]
         child = walker.child_after(0, root, s, a_idx, br)
         exp = sum(p * car.mg(0, child, j) for p, j in walker.own_kernel(0, root, s, child))

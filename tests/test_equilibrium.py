@@ -261,7 +261,7 @@ def test_dp_recursion_equals_plan_semantics_on_synthesized(doublewell):
         if node.t > game.horizon:
             return 0.0
         quit_val = engine.phi_value(i, node, s)
-        a, a_idx = engine.walker.obedient_action(i, node, s)
+        a, a_idx = engine.walker.own_action(i, node, s)
         stay = 0.0
         for br in engine.walker.other_branches(i, node, plan):
             actions = dict(br.actions)

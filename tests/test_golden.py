@@ -4,6 +4,10 @@ Every output file of ``offmenu verify`` is a pure function of (scenario,
 seed).  These digests pin the current bytes, so a change that moves a
 summation order, an RNG stream or the interning order shows here; a change
 that means to move them updates the digests and says why.
+
+The outputs name only the nodes the checks report, so the order in which
+the run interned every node is pinned on its own: a digest of the store's
+signatures in key order after the run.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import json
 
 import pytest
 
+import offmenu.cli
 from offmenu.cli import main
+from offmenu.run import run_scenario
 from offmenu.scenario import bundled_scenarios
 
 OUTPUTS = ("carriers.csv", "histograms.csv", "mechanism.csv", "mechanism_tables.json",
@@ -76,21 +82,45 @@ PAIR_CHURN_T2 = (
 )
 
 
-def _verify_digests(scenario: str, out, *args) -> dict[str, str]:
+# sha256 of the store's node signatures in key order, one per line, after the run
+INTERNING = {
+    ("g2-appendix",): "8bceb06cc0fc40a3d7aad4f22c77b476c2f21cf5708bad5db216051227d1d0df",
+    ("subscription",): "c1087821b50c91017d24e11a8d721cd8548ca90625e4f88bfb2fd7dd975761fe",
+    ("double-well",): "f090e60428790fa600f38d2b97b05c15fa5be47744c77a0e8be830d4a32738f4",
+    ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
+        "03d9c7f39f6a68362252a023679b0e408cad8cc9b91a02cb1df60d3f7ed09375",
+}
+PAIR_CHURN_T2_INTERNING = "398d7c808bef2de4e9e04fa664907d71cad4b7b07e91c9cba11fcd7582626ba2"
+
+
+def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, str], str]:
+    """Digests of the output files and of the interning order of one CLI run."""
+    runs = []
+
+    def recording_run(*a, **kw):
+        runs.append(run_scenario(*a, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(offmenu.cli, "run_scenario", recording_run)
     assert main(["verify", scenario, "--out", str(out), *args]) == 0
     assert sorted(p.name for p in out.iterdir()) == list(OUTPUTS)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    store = runs[0].engine.store
+    order = "\n".join(store.node(k).signature() for k in range(len(store)))
+    return files, hashlib.sha256(order.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
-def test_verify_output_bytes_are_golden(tmp_path, args):
-    got = _verify_digests(args[0], tmp_path / "out", *args[1:])
-    assert got == dict(zip(OUTPUTS, GOLDEN[args]))
+def test_verify_output_bytes_are_golden(tmp_path, monkeypatch, args):
+    files, order = _verify_digests(monkeypatch, args[0], tmp_path / "out", *args[1:])
+    assert files == dict(zip(OUTPUTS, GOLDEN[args]))
+    assert order == INTERNING[args]
 
 
-def test_pair_churn_horizon_two_output_bytes_are_golden(tmp_path):
+def test_pair_churn_horizon_two_output_bytes_are_golden(tmp_path, monkeypatch):
     raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
     path = tmp_path / "pair-churn-t2.json"
     path.write_text(json.dumps({**raw, "horizon": 2}))
-    got = _verify_digests(str(path), tmp_path / "out")
-    assert got == dict(zip(OUTPUTS, PAIR_CHURN_T2))
+    files, order = _verify_digests(monkeypatch, str(path), tmp_path / "out")
+    assert files == dict(zip(OUTPUTS, PAIR_CHURN_T2))
+    assert order == PAIR_CHURN_T2_INTERNING

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from offmenu.histories import TreeWalker
+from offmenu.histories import RegionConjecture, TreeWalker
 from offmenu.mechanism import (
     BoundaryProfile,
     CallableCoupling,
@@ -12,9 +13,10 @@ from offmenu.mechanism import (
     ZeroCoupling,
     action_menu,
 )
-from offmenu.model import GameError
+from offmenu.model import GameError, Grid
+from offmenu.scenario import bundled_scenarios, load_scenario
 
-from conftest import GRID5, IDENTITY
+from conftest import GRID5, IDENTITY, random_instance
 
 
 def test_identity_menu_equals_state_grid(g1):
@@ -121,3 +123,43 @@ def test_synthesized_terminal_coupling_identity(monotone_ir):
             want = carriers.mg(0, node, s) - game.reward(0, T, game.grid(0, T).value(s), {0: a})
             assert mech.rho.value(0, node, {0: a}) == pytest.approx(want, abs=1e-12)
         break
+
+
+def _menu_grid_mismatches(walker, nodes):
+    """Menu slots whose stored grid index differs from a lookup of the slot's action."""
+    game = walker.game
+    bad = []
+    for node in nodes:
+        if node.t > game.horizon:
+            continue
+        for i in node.active:
+            menu = walker.menu(i, node)
+            agrid = game.action_grids[(i, node.t)]
+            assert len(menu.grid_indices) == len(menu.actions)
+            bad += [(i, node.signature(), pos) for pos, a in enumerate(menu.actions)
+                    if agrid.index_of(a, tol=1e-6) != menu.grid_indices[pos]]
+    return bad
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_menu_grid_indices_equal_grid_lookup_on_random_instances(seed):
+    game, _, conj = random_instance(np.random.default_rng(seed))
+    walker = TreeWalker(game, IDENTITY)
+    assert _menu_grid_mismatches(walker, walker.full_state_closure(conj.plan())) == []
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_menu_grid_indices_equal_grid_lookup_on_bundled_scenarios(name):
+    scenario = load_scenario(name)
+    game = scenario.build_game()
+    walker = TreeWalker(game, scenario.build_policy())
+    nodes = walker.reachable_nodes(RegionConjecture({}).plan())
+    assert _menu_grid_mismatches(walker, nodes) == []
+
+
+@pytest.mark.parametrize("points", [2, 3, 5, 9, 17, 33, 65, 129])
+def test_grid_lookup_of_a_node_value_is_its_index(points):
+    for lo, hi in ((0.0, 1.0), (-0.3, 0.7), (0.1, 2.9)):
+        grid = Grid(lo, hi, points)
+        found = [grid.index_of(grid.value(k), tol=1e-6) for k in range(points)]
+        assert found == list(range(points))

@@ -78,7 +78,7 @@ def test_uppt_empty_off_region_equals_standard_expectation(g1):
         p, node, s = stack.pop()
         if node.t >= 3:
             continue
-        a, a_idx = walker.obedient_action(0, node, s)
+        a, a_idx = walker.own_action(0, node, s)
         for br in walker.other_branches(0, node, NOQUIT.plan()):
             child = walker.child_after(0, node, s, a_idx, br)
             for pp, s2 in walker.own_kernel(0, node, s, child):
@@ -119,7 +119,7 @@ def test_uppt_two_step_matches_oracle_tree(g1):
         p, node, s = stack.pop()
         if node.t >= 3:
             continue
-        a, a_idx = walker.obedient_action(0, node, s)
+        a, a_idx = walker.own_action(0, node, s)
         for br in walker.other_branches(0, node, NOQUIT.plan()):
             child = walker.child_after(0, node, s, a_idx, br)
             for pp, s2 in walker.own_kernel(0, node, s, child):

@@ -116,7 +116,7 @@ def test_synthesized_conservation_identity_random():
         root = engine.root()
         plan = conj.plan()
         for s in range(game.grid(0, 1).points):
-            a, _ = engine.walker.obedient_action(0, root, s)
+            a, _ = engine.walker.own_action(0, root, s)
             z = 0.0
             for br in engine.walker.other_branches(0, root, plan):
                 actions = dict(br.actions)

@@ -33,7 +33,8 @@ def test_partition_two_pairs_interval_arithmetic():
     part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.25, 0.25, 0.75, 0.75]))
     assert part.sub_off == ((1, 1), (3, 3))
     assert part.sub_on == ((0, 0), (2, 2), (4, 4))
-    assert part.interval_count() == 5
+    assert part.intervals() == [(0, 0, "on", 0), (1, 1, "off", 0), (2, 2, "on", 1),
+                                (3, 3, "off", 1), (4, 4, "on", 2)]
     assert part.full_cover
 
 

@@ -92,7 +92,7 @@ def ref_uppt_mc(tr, i, node, s_idx, L, integrand, samples, seed):
             branches = list(tr.walker.other_branches(i, cur, plan))
             bw = np.array([b.prob for b in branches])
             br = branches[rng.choice(len(branches), p=bw / bw.sum())]
-            _, a_idx = tr.walker.obedient_action(i, cur, s)
+            _, a_idx = tr.walker.own_action(i, cur, s)
             child = tr.walker.child_after(i, cur, s, a_idx, br)
             kern = tr.walker.own_kernel(i, cur, s, child)
             kw = np.array([p for p, _ in kern])
@@ -141,7 +141,7 @@ def ref_simulate(engine, n_paths, seed, om_rule=None, action_rule=None):
                     quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
                     continue
                 if action_rule is None:
-                    a, a_idx = engine.walker.obedient_action(i, node, states[i])
+                    a, a_idx = engine.walker.own_action(i, node, states[i])
                 else:
                     a = action_rule(i, t, states[i], node)
                     a_idx = game.action_grids[(i, t)].index_of(a, tol=1e-6)

@@ -252,7 +252,7 @@ def test_table_backed_run_matches_native(tmp_path, name):
 
 
 
-def test_tree_size_error_suggests_sampling(g1_unused=None):
+def test_tree_size_error_names_the_table_and_its_budget(g1_unused=None):
     from offmenu.equilibrium import Engine, TreeSizeError
     from offmenu.mechanism import Mechanism, ZeroCoupling, ZeroOffSwitch
     from conftest import make_game, IDENTITY
@@ -261,8 +261,13 @@ def test_tree_size_error_suggests_sampling(g1_unused=None):
     game = make_game()
     mech = Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(3))
     engine = Engine(game, mech, memo_budget=5)
-    with pytest.raises(TreeSizeError, match="mode=mc"):
+    with pytest.raises(TreeSizeError,
+                       match="prospect table exceeds its budget of 5 entries") as exc:
         engine.prospect(0, engine.root(), 2, 3, RegionConjecture({}))
+    msg = str(exc.value)
+    # sampled mode replaces only doic, so the message must not send users there
+    assert "mode=mc" not in msg
+    assert "on_rent.csv" in msg and "horizon" in msg and "grid points" in msg
 
 
 WELL_RIDGE = {

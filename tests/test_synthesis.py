@@ -112,7 +112,7 @@ def test_indifference_solver_knowledgeable(shelf_knowledgeable):
                                        conj, nodes, "knowledgeable")
     part = parts[(0, 1)]
     root = engine.root()
-    for w in range(part.interval_count()):
+    for w in range(len(part.intervals())):
         for s in range(5):
             if part.global_interval_index(s) == w:
                 assert solved[(0, root.key, w)] == pytest.approx(
