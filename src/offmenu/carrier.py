@@ -3,7 +3,7 @@
 The impulse response measures the expected marginal effect of the current
 state on cumulative rewards up to a cutoff period: a sum, along continuing
 outcomes, of reward slopes weighted by running products of state-dynamic
-slopes.  Carriers integrate the impulse response from an anchor state; the
+slopes.  Carriers integrate the impulse response from the bottom state; the
 maximum carrier takes the best cutoff, and the marginal carrier is the
 one-period difference between the current and expected next maximum
 carrier.
@@ -20,8 +20,6 @@ exact in exact mode.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .histories import Conjecture, Node, OppPlan, TreeWalker
@@ -33,33 +31,23 @@ __all__ = ["CarrierTables"]
 class CarrierTables:
     """Lazily built q / g / Mg / zeta tables for one (game, policy, conjecture).
 
-    ``theta`` maps (agent, period) to the anchor state index; it defaults to
-    the bottom grid node, which makes carriers read as information rents
-    relative to the lowest state.
-
-    Carriers above the anchor are read from running trapezoid sums, one
-    column per (agent, node class, cutoff, frozen action), extended lazily up to
-    the largest state asked for.  A column adds the same terms in the same
-    order as a fresh integral would, so a read equals a recomputation
-    bit for bit, and impulse responses are still computed in increasing
-    state order.
+    Carriers are anchored at the bottom grid state, so they read as
+    information rents relative to the lowest state.  They are read from
+    running trapezoid sums, one column per (agent, node class, cutoff,
+    frozen action), extended lazily up to the largest state asked for.  A
+    column adds the same terms in the same order as a fresh integral would,
+    so a read equals a recomputation bit for bit, and impulse responses are
+    still computed in increasing state order.
     """
 
-    def __init__(self, walker: TreeWalker, conjecture: Conjecture,
-                 theta: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, walker: TreeWalker, conjecture: Conjecture):
         self.walker = walker
         self.game = walker.game
         self.conjecture = conjecture
-        self.theta = dict(theta or {})
         self._q: dict[tuple, float] = {}
         self._mg: dict[tuple, tuple[float, int]] = {}
         self._m: dict[tuple, float] = {}
         self._col: dict[tuple, list[float]] = {}
-
-    # -- helpers ---------------------------------------------------------------
-
-    def theta_index(self, i: int, t: int) -> int:
-        return self.theta.get((i, t), 0)
 
     # -- impulse response --------------------------------------------------------
 
@@ -111,7 +99,7 @@ class CarrierTables:
 
     def carrier(self, i: int, node: Node, s_idx: int, L: int,
                 a_pos: int | None = None) -> float:
-        """Trapezoid integral of the impulse response from the anchor to ``s_idx``.
+        """Trapezoid integral of the impulse response from the bottom state to ``s_idx``.
 
         Obedient branch integrates q at the policy's own action of each grid
         state; a fixed ``a_pos`` freezes the first action along the whole
@@ -122,23 +110,14 @@ class CarrierTables:
             menu = self.walker.menu(i, node)
             if menu.action_index_of_state[s_idx] == a_pos:
                 a_pos = None
-        j0 = self.theta_index(i, node.t)
-        if j0 == s_idx:
-            return 0.0
-        step = self.game.grid(i, node.t).step
-        if s_idx < j0:
-            qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(s_idx, j0 + 1)]
-            total = 0.0
-            for a, b in zip(qs, qs[1:]):
-                total += 0.5 * (a + b) * step
-            return -total
         key = (i, node.lump, L, a_pos)
         run = self._col.get(key)
         if run is None:
             run = self._col[key] = [0.0]
-        # run[k] integrates from the anchor to j0 + k; extend only as far as asked
-        if len(run) <= s_idx - j0:
-            j = j0 + len(run) - 1
+        # run[k] integrates from the bottom state to k; extend only as far as asked
+        if len(run) <= s_idx:
+            step = self.game.grid(i, node.t).step
+            j = len(run) - 1
             q_prev = self.impulse_response(i, node, j, L, a_pos)
             total = run[-1]
             while j < s_idx:
@@ -147,7 +126,7 @@ class CarrierTables:
                 total += 0.5 * (q_prev + q) * step
                 run.append(total)
                 q_prev = q
-        return run[s_idx - j0]
+        return run[s_idx]
 
     def max_carrier(self, i: int, node: Node, s_idx: int,
                     a_pos: int | None = None) -> tuple[float, int]:

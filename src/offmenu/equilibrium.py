@@ -43,6 +43,11 @@ from .sampling import PathSampler, choice_cdf, inverse_cdf_draws
 
 __all__ = ["Engine", "BestResponse", "FixedPointResult", "EmpiricalOutcome", "TreeSizeError"]
 
+TIE_TOL = 1e-9           # values this close count as tied (plans, actions, the on-rent sign)
+FIXED_POINT_TOL = 1e-8   # sup-norm residual at which the off-menu fixed point has converged
+FIXED_POINT_DAMPING = 0.5
+FIXED_POINT_MAX_ITER = 10_000
+
 
 class TreeSizeError(GameError):
     """The exact prospect table exceeded its entry budget."""
@@ -84,13 +89,11 @@ class Engine:
 
     def __init__(self, game: BaseGame, mechanism: Mechanism, *,
                  walker: TreeWalker | None = None,
-                 tie_tol: float = 1e-9,
                  directive_quit: Callable[[int, int, int], bool] | None = None,
                  memo_budget: int = 4_000_000):
         self.game = game
         self.mechanism = mechanism
         self.walker = walker if walker is not None else TreeWalker(game, mechanism.sigma)
-        self.tie_tol = tie_tol
         self.directive_quit = directive_quit or (lambda i, t, s_idx: False)
         self.memo_budget = memo_budget
         self._g: dict[tuple, float] = {}
@@ -180,8 +183,8 @@ class Engine:
         best, best_L = -math.inf, node.t
         for L in range(node.t, self.game.horizon + 1):
             v = self.prospect(i, node, s_idx, L, x, a_pos)
-            if v >= best - self.tie_tol:
-                if v > best + self.tie_tol or L > best_L:
+            if v >= best - TIE_TOL:
+                if v > best + TIE_TOL or L > best_L:
                     best_L = L
                 best = max(best, v)
         return best, best_L
@@ -207,15 +210,15 @@ class Engine:
         best_val, best_pos, best_L = -math.inf, obedient_pos, node.t
         for pos in range(len(menu.actions)):
             v, L = self.stay_value(i, node, s_idx, x, pos)
-            better = v > best_val + self.tie_tol
-            tied = abs(v - best_val) <= self.tie_tol
+            better = v > best_val + TIE_TOL
+            tied = abs(v - best_val) <= TIE_TOL
             if better or (tied and pos == obedient_pos):
                 best_val, best_pos, best_L = max(v, best_val), pos, L
         quit_val = self.phi_value(i, node, s_idx)
         rent = best_val - quit_val
-        if rent > self.tie_tol:
+        if rent > TIE_TOL:
             om = 0
-        elif rent < -self.tie_tol:
+        elif rent < -TIE_TOL:
             om = 1
         else:
             om = 1 if self.directive_quit(i, node.t, s_idx) else 0
@@ -238,17 +241,13 @@ class Engine:
     # -- quit-time distribution (first hit) -----------------------------------
 
     def quit_distribution(self, i: int, node: Node,
-                          regions: Mapping[tuple[int, int], frozenset[int]],
-                          _memo: dict | None = None) -> dict[int, float]:
+                          regions: Mapping[tuple[int, int], frozenset[int]]) -> dict[int, float]:
         """First-hit quit-period distribution of agent i from a node.
 
         All agents follow the region rule with obedient actions.  Mass that
         survives the horizon sits at T+1; the weights always sum to one.
         """
-        memo = _memo if _memo is not None else {}
-        plan = RegionPlan(regions)
-        out = self._chi(i, node, plan, memo)
-        return dict(out)
+        return dict(self._chi(i, node, RegionPlan(regions), {}))
 
     def _chi(self, i: int, node: Node, plan: RegionPlan, memo: dict) -> Mapping[int, float]:
         if node.t > self.game.horizon or i not in node.active:
@@ -270,22 +269,22 @@ class Engine:
 
     # -- off-menu fixed point ---------------------------------------------------
 
-    def om_fixed_point(self, node: Node, start: Mapping[int, Mapping[int, float]],
-                       *, damping: float = 0.5, tol: float = 1e-8,
-                       max_iter: int = 10_000) -> FixedPointResult:
+    def om_fixed_point(self, node: Node,
+                       start: Mapping[int, Mapping[int, float]]) -> FixedPointResult:
         """Damped best-response iteration on the quit-time stage game at a node.
 
         ``start`` gives per-agent quit-period marginals over node.t .. T+1.
         Each round maps every agent's marginal through the distribution of
         his best-responding quit period against the product conjecture of
-        the others' current marginals.
+        the others' current marginals; it stops once the sup-norm residual
+        is below ``FIXED_POINT_TOL``.
         """
         T1 = self.game.horizon + 1
         periods = list(range(node.t, T1 + 1))
         mu = {i: {k: float(start[i].get(k, 0.0)) for k in periods} for i in node.active}
         history: list[float] = []
         residual = math.inf
-        for it in range(1, max_iter + 1):
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
             conj = ProfileConjecture.from_marginals(mu)
             new = {}
             for i in node.active:
@@ -296,12 +295,13 @@ class Engine:
                 new[i] = dist
             residual = max(abs(mu[i][k] - new[i][k]) for i in node.active for k in periods)
             history.append(residual)
-            if residual < tol:
+            if residual < FIXED_POINT_TOL:
                 mu = new
                 return FixedPointResult(mu, residual, it, True, history)
-            mu = {i: {k: (1.0 - damping) * mu[i][k] + damping * new[i][k] for k in periods}
+            mu = {i: {k: ((1.0 - FIXED_POINT_DAMPING) * mu[i][k]
+                          + FIXED_POINT_DAMPING * new[i][k]) for k in periods}
                   for i in node.active}
-        return FixedPointResult(mu, residual, max_iter, False, history)
+        return FixedPointResult(mu, residual, FIXED_POINT_MAX_ITER, False, history)
 
     # -- Monte Carlo prospect (common random numbers across plans) --------------
 
@@ -351,16 +351,13 @@ class Engine:
 
     # -- simulation ---------------------------------------------------------------
 
-    def simulate(self, n_paths: int, seed: int, *,
-                 om_rule: Callable[[int, int, int, Node], bool] | None = None,
-                 action_rule: Callable[[int, int, int, Node], float] | None = None) -> EmpiricalOutcome:
+    def simulate(self, n_paths: int, seed: int) -> EmpiricalOutcome:
         """Seeded Monte Carlo rollouts with population dynamics.
 
-        Defaults: agents quit per the engine's directive (the principal's
-        desired off regions) and act obediently.  Identical (seed, rules)
-        reproduce identical outputs bit for bit.
+        Agents quit per the engine's directive (the principal's desired off
+        regions) and act obediently.  Identical seeds reproduce identical
+        outputs bit for bit.
         """
-        om_rule = om_rule or (lambda i, t, s_idx, node: self.directive_quit(i, t, s_idx))
         game = self.game
         draw = inverse_cdf_draws(np.random.default_rng(seed),
                                  n_paths * game.n_agents * game.horizon)
@@ -386,7 +383,7 @@ class Engine:
                 live = sorted(alive)
                 for i in live:
                     state_hist[(i, t, states[i])] = state_hist.get((i, t, states[i]), 0) + 1
-                quitters = [i for i in live if om_rule(i, t, states[i], node)]
+                quitters = [i for i in live if self.directive_quit(i, t, states[i])]
                 actions_idx: dict[int, int] = {}
                 actions: dict[int, float] = {}
                 for i in live:
@@ -398,11 +395,7 @@ class Engine:
                         payoff[i] += v
                         quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
                         continue
-                    if action_rule is None:
-                        a, a_idx = self.walker.own_action(i, node, states[i])
-                    else:
-                        a = action_rule(i, t, states[i], node)
-                        a_idx = game.action_grids[(i, t)].index_of(a, tol=1e-6)
+                    a, a_idx = self.walker.own_action(i, node, states[i])
                     actions[i] = a
                     actions_idx[i] = a_idx
                     action_hist[(i, t, a_idx)] = action_hist.get((i, t, a_idx), 0) + 1

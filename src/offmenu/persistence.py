@@ -15,8 +15,6 @@ states inside a sub-off interval that are off its projection target.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .carrier import CarrierTables
@@ -88,59 +86,6 @@ class PersistenceTransforms:
             return self.d_up(i, node, k)
         return s_idx
 
-    # -- transformed process ------------------------------------------------------
-
-    def uppt_expectation(self, i: int, node: Node, s_idx: int, L: int,
-                         integrand: Callable[[int, int, Node, int, Node], float]) -> float:
-        """E[sum over k = t+1..L of integrand(k, us_k, node_k, us_{k-1}, node_{k-1})].
-
-        Each step transitions the (projected) state through the real dynamics
-        and then applies the up transform at the arrival period; expected
-        histories record obedient actions at the projected states, and other
-        agents follow the conjecture the carrier tables were built with.
-        """
-        if L <= node.t:
-            return 0.0
-        total = 0.0
-        for p, plan in self.carriers.conjecture.plans(i, node):
-            total += p * self._uppt_walk(i, node, s_idx, L, integrand, plan)
-        return total
-
-    def _uppt_walk(self, i, node, s_idx, L, integrand, plan) -> float:
-        if node.t >= L:
-            return 0.0
-        walker = self.walker
-        a_own, a_idx = walker.own_action(i, node, s_idx)
-        total = 0.0
-        for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
-            child = walker.child_after(i, node, s_idx, a_idx, br)
-            inner = 0.0
-            for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                us = self.project(i, child, j2)
-                inner += pp * (integrand(child.t, us, child, s_idx, node)
-                               + self._uppt_walk(i, child, us, L, integrand, plan))
-            total += w * inner
-        return total
-
-    def _uppt_mc(self, i, node, s_idx, L, integrand, samples, seed) -> float:
-        samples = max(1, samples)
-        paths = PathSampler(self.walker, i, self.carriers.conjecture.plans(i, node),
-                            np.random.default_rng(seed), samples * (1 + 2 * (L - node.t)))
-        acc = 0.0
-        for _ in range(samples):
-            slot = paths.plan()
-            cur, s = node, s_idx
-            while cur.t < L:
-                step = paths.step(slot, cur, s)
-                j = paths.transition(cur, s, step)
-                child = step.child
-                us = step.after[j]
-                if us is None:
-                    us = step.after[j] = self.project(i, child, step.outcomes[j][1])
-                acc += integrand(child.t, us, child, s, cur)
-                cur, s = child, us
-        return acc / samples
-
     # -- accumulated deviation ------------------------------------------------------
 
     def delta_bar(self, i: int, node: Node, s_idx: int) -> float:
@@ -177,36 +122,58 @@ class PersistenceTransforms:
 
     # -- barrier diagnostics ------------------------------------------------------
 
+    def _violates(self, i: int, node: Node, us: int) -> bool:
+        """Is the projected state ``us`` inside a sub-off interval but off its target?"""
+        part = self.partitions.get((i, node.t))
+        if part is None:
+            return False
+        kind, b = part.interval_of(us)
+        return kind == "off" and us != self.d_up(i, node, b)
+
     def barrier_violations(self, i: int, node: Node, s_idx: int) -> list[tuple[int, int, int]]:
         """Projected-process states strictly inside a sub-off interval but off its target.
 
-        Walks the full projected tree from (s, node); any reachable projected
-        state lying in a sub-off interval must equal that interval's
-        projection target.  Returns (period, node key, state) triples.
+        Walks the full projected tree from (s, node) to the horizon: each step
+        transitions the projected state through the real dynamics and then
+        applies the up transform at the arrival period, with obedient actions
+        and the others following the carriers' conjecture.  Returns
+        (period, node key, state) triples.
         """
         bad: list[tuple[int, int, int]] = []
-
-        def visit(k: int, us: int, nd: Node, *_prev) -> float:
-            part = self.partitions.get((i, k))
-            if part is not None:
-                kind, b = part.interval_of(us)
-                if kind == "off" and us != self.d_up(i, nd, b):
-                    bad.append((k, nd.key, us))
-            return 0.0
-
-        self.uppt_expectation(i, node, s_idx, self.game.horizon, visit)
+        for _, plan in self.carriers.conjecture.plans(i, node):
+            self._barrier_walk(i, node, s_idx, plan, bad)
         return bad
+
+    def _barrier_walk(self, i, node, s_idx, plan, bad) -> None:
+        if node.t >= self.game.horizon:
+            return
+        walker = self.walker
+        a_own, a_idx = walker.own_action(i, node, s_idx)
+        for _, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
+            child = walker.child_after(i, node, s_idx, a_idx, br)
+            for _, j2 in walker.own_kernel(i, node, s_idx, child):
+                us = self.project(i, child, j2)
+                if self._violates(i, child, us):
+                    bad.append((child.t, child.key, us))
+                self._barrier_walk(i, child, us, plan, bad)
 
     def barrier_violations_mc(self, i: int, node: Node, s_idx: int,
                               n_paths: int, seed: int) -> int:
         """Sampled-path version of the barrier check; returns the violation count."""
-        def visit(k: int, us: int, nd: Node, *_prev) -> float:
-            part = self.partitions.get((i, k))
-            if part is not None:
-                kind, b = part.interval_of(us)
-                if kind == "off" and us != self.d_up(i, nd, b):
-                    return 1.0
-            return 0.0
-
-        total = self._uppt_mc(i, node, s_idx, self.game.horizon, visit, n_paths, seed)
-        return int(round(total * n_paths))
+        horizon = self.game.horizon
+        paths = PathSampler(self.walker, i, self.carriers.conjecture.plans(i, node),
+                            np.random.default_rng(seed), n_paths * (1 + 2 * (horizon - node.t)))
+        count = 0
+        for _ in range(n_paths):
+            slot = paths.plan()
+            cur, s = node, s_idx
+            while cur.t < horizon:
+                step = paths.step(slot, cur, s)
+                j = paths.transition(cur, s, step)
+                child = step.child
+                us = step.after[j]
+                if us is None:
+                    us = step.after[j] = self.project(i, child, step.outcomes[j][1])
+                count += self._violates(i, child, us)
+                cur, s = child, us
+        return count

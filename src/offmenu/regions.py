@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .carrier import CarrierTables
 from .histories import live_cells
 from .mechanism import BoundaryProfile
 from .model import BaseGame, GameError, Grid
@@ -73,8 +74,7 @@ class RegionPartition:
 PartitionSet = Mapping[tuple[int, int], RegionPartition]
 
 
-def partition_from_boundary(grid: Grid, profile: BoundaryProfile,
-                            full_cover: bool = True) -> RegionPartition:
+def partition_from_boundary(grid: Grid, profile: BoundaryProfile) -> RegionPartition:
     """Sub-off intervals from consecutive boundary pairs; complement runs as on-intervals."""
     sub_off: list[tuple[int, int]] = []
     last_hi = -1
@@ -95,7 +95,7 @@ def partition_from_boundary(grid: Grid, profile: BoundaryProfile,
             sub_on.append((cursor, lo - 1))
         cursor = max(cursor, hi + 1)
     part = RegionPartition(grid.points, tuple(sub_off), tuple(sub_on))
-    if full_cover and not part.full_cover:
+    if not part.full_cover:
         raise GameError("partition does not cover the grid")
     return part
 
@@ -127,18 +127,18 @@ class MonotoneReport:
     witness: dict | None
 
 
-def detect_monotone(game: BaseGame, zeta_by_cell, nodes, store, tol: float = 1e-9) -> MonotoneReport:
+def detect_monotone(carriers: CarrierTables, nodes, tol: float = 1e-9) -> MonotoneReport:
     """Grid check of the monotone environment over the supplied nodes.
 
-    ``zeta_by_cell(i, node)`` must return the marginal-carrier array at the
-    node.  Passes when, for one orientation consistently across all cells,
-    the marginal carrier is monotone in the state and every next-period CDF
+    Passes when, for one orientation consistently across all cells, the
+    marginal carrier is monotone in the state and every next-period CDF
     column is counter-monotone in the current state.
     """
+    game, store = carriers.game, carriers.walker.store
     ok_inc, ok_dec = True, True
     wit_inc = wit_dec = None
     for i, node in live_cells(nodes, game.horizon):
-        z = zeta_by_cell(i, node)
+        z = carriers.zeta_profile(i, node)
         for j in range(len(z) - 1):
             if z[j + 1] < z[j] - tol:
                 ok_inc = False

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .equilibrium import Engine, TreeSizeError
+from .equilibrium import FIXED_POINT_TOL, Engine, TreeSizeError
 from .histories import NodeStore, RegionConjecture, TreeWalker, live_cells
 from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
 from .model import GameError
@@ -111,7 +111,8 @@ def run_scenario(source, out_dir: str | Path | None = None,
             mode = "ir" if variant == "ir" else "off"
             if scenario.mode == "mc":
                 verdicts += check_doic_mc(engine, conj, nodes, scenario.samples,
-                                          scenario.seed, mode=mode, partitions=partitions)
+                                          scenario.seed, mode=mode, partitions=partitions,
+                                          tol=tol)
             else:
                 # table-backed mechanisms cover positive-probability cells only
                 try:
@@ -121,7 +122,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
                 except TreeSizeError as exc:
                     raise GameError(f"exact doic enumeration too large: {exc}") from exc
         elif check == "payoff_flow":
-            eta = posted_factor_eta(game, engine.walker, carriers, mech, nodes, tol=tol)
+            eta = posted_factor_eta(carriers, mech, nodes, tol=tol)
             extras["eta"] = {"consistent": eta.consistent,
                              "worst_spread": eta.worst_spread,
                              "worst_spread_all_cutoffs": eta.worst_spread_all_L}
@@ -138,15 +139,15 @@ def run_scenario(source, out_dir: str | Path | None = None,
                                                nodes, variant)
             verdicts.append(check_phi_uniqueness(closed, solved))
         elif check == "dcm_zero":
-            rep = check_dcm_zero(transforms, nodes, mode="H", tol=tol)
+            rep = check_dcm_zero(mech, transforms, nodes, tol=tol)
             verdicts.append(Verdict("dcm-zero", rep.passed, rep.worst, tol))
         elif check == "fixed_point":
             fp = engine.om_fixed_point(root, chi)
             # the necessary alignment: immediate quit mass matches chi
             match = all(abs(fp.marginals[i].get(root.t, 0.0) - chi[i].get(root.t, 0.0)) <= 1e-6
                         for i in game.agents())
-            verdicts.append(Verdict("fixed-point", fp.converged and fp.residual <= 1e-8,
-                                    fp.residual, 1e-8,
+            verdicts.append(Verdict("fixed-point", fp.converged and fp.residual <= FIXED_POINT_TOL,
+                                    fp.residual, FIXED_POINT_TOL,
                                     details={"iterations": fp.iterations,
                                              "matches_chi": match}))
         elif check == "barrier":
@@ -167,8 +168,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
             verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
 
     if carriers is not None:
-        monotone = detect_monotone(game, lambda i, n: carriers.zeta_profile(i, n), nodes,
-                                   engine.store)
+        monotone = detect_monotone(carriers, nodes)
         extras["monotone_environment"] = {"passed": monotone.passed,
                                           "orientation": monotone.orientation}
         extras["synthesis"] = {"horizontal_ok": diags.horizontal_ok,
@@ -200,9 +200,12 @@ def run_scenario(source, out_dir: str | Path | None = None,
         artifacts.append(write_report(report, out / "report.json"))
     # a table-backed run has no carriers or transforms and writes only its report
     if out_dir is not None and carriers is not None:
-        artifacts.append(write_csv(out / "on_rent.csv",
-                                   ["agent", "period", "history_id", "state_index", "on_rent"],
-                                   on_rent_rows(engine, conj, nodes)))
+        # on-rents are exact values: a sampled run does not fill the prospect table for them
+        if scenario.mode != "mc":
+            artifacts.append(write_csv(out / "on_rent.csv",
+                                       ["agent", "period", "history_id", "state_index",
+                                        "on_rent"],
+                                       on_rent_rows(engine, conj, nodes)))
         artifacts.append(write_csv(out / "projections.csv",
                                    ["agent", "period", "history_id", "state_index", "projected_index"],
                                    projection_rows(transforms, nodes)))

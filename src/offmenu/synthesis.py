@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 VARIANTS = ("ir", "horizontal", "knowledgeable")
+HORIZONTAL_TOL = 1e-9   # how far a horizontal cutoff's sub-off totals and level sets may spread
 
 
 @dataclass
@@ -110,15 +111,13 @@ class SynthesizedCutoff(OffSwitch):
     markov = True
 
     def __init__(self, variant: str, transforms: PersistenceTransforms,
-                 diagnostics: SynthesisDiagnostics | None = None,
-                 horizontal_tol: float = 1e-9):
+                 diagnostics: SynthesisDiagnostics):
         if variant not in VARIANTS:
             raise GameError(f"unknown cutoff variant {variant!r}")
         self.variant = variant
         self.transforms = transforms
         self.horizon = transforms.game.horizon
-        self.diagnostics = diagnostics or SynthesisDiagnostics()
-        self.horizontal_tol = horizontal_tol
+        self.diagnostics = diagnostics
         self._memo: dict[tuple, float] = {}
 
     def state_dependent(self) -> bool:
@@ -143,7 +142,7 @@ class SynthesizedCutoff(OffSwitch):
         return [self.transforms.total(i, node, self.transforms.d_up(i, node, b))
                 for b in range(len(part.sub_off))]
 
-    def check_horizontal_conditions(self, i: int, node: Node, tol: float = 1e-9) -> bool:
+    def check_horizontal_conditions(self, i: int, node: Node) -> bool:
         """Level-set conditions: equal marginal carrier at non-extreme boundaries
         and projection targets, dominated by every on-interval value."""
         part = self.transforms.partition(i, node.t)
@@ -155,12 +154,12 @@ class SynthesizedCutoff(OffSwitch):
                 if j not in (0, grid_last):
                     levels.append(tr.carriers.marginal_carrier(i, node, j))
             levels.append(tr.carriers.marginal_carrier(i, node, tr.d_up(i, node, b)))
-        if max(levels) - min(levels) > tol:
+        if max(levels) - min(levels) > HORIZONTAL_TOL:
             return False
         level = max(levels)
         for lo, hi in part.sub_on:
             for j in range(lo, hi + 1):
-                if tr.carriers.marginal_carrier(i, node, j) < level - tol:
+                if tr.carriers.marginal_carrier(i, node, j) < level - HORIZONTAL_TOL:
                     return False
         return True
 
@@ -188,7 +187,7 @@ class SynthesizedCutoff(OffSwitch):
             vals = self.per_suboff_values(i, node)
             spread = max(vals) - min(vals)
             self.diagnostics.horizontal_spread = max(self.diagnostics.horizontal_spread, spread)
-            ok = spread <= self.horizontal_tol and self.check_horizontal_conditions(i, node)
+            ok = spread <= HORIZONTAL_TOL and self.check_horizontal_conditions(i, node)
             if self.diagnostics.horizontal_ok is None:
                 self.diagnostics.horizontal_ok = ok
             else:
@@ -210,14 +209,12 @@ def ir_partitions(game: BaseGame) -> dict[tuple[int, int], "RegionPartition"]:
         for t in game.periods():
             grid = game.grid(i, t)
             prof = BoundaryProfile(((grid.lo, grid.lo),))
-            out[(i, t)] = partition_from_boundary(grid, prof, full_cover=True)
+            out[(i, t)] = partition_from_boundary(grid, prof)
     return out
 
 
 def synthesize_mechanism(game: BaseGame, sigma: TaskPolicy, variant: str,
-                         partitions: PartitionSet | None = None,
-                         theta: Mapping[tuple[int, int], int] | None = None,
-                         walker: TreeWalker | None = None):
+                         partitions: PartitionSet | None = None):
     """Full pipeline: conjecture -> carriers -> transforms -> coupling -> cutoff.
 
     For the ir variant the desired off region is empty (everyone stays; the
@@ -226,7 +223,7 @@ def synthesize_mechanism(game: BaseGame, sigma: TaskPolicy, variant: str,
     """
     if variant not in VARIANTS:
         raise GameError(f"unknown cutoff variant {variant!r}")
-    walker = walker or TreeWalker(game, sigma)
+    walker = TreeWalker(game, sigma)
     if variant == "ir":
         parts = ir_partitions(game)
         conj = RegionConjecture({})
@@ -236,7 +233,7 @@ def synthesize_mechanism(game: BaseGame, sigma: TaskPolicy, variant: str,
         parts = dict(partitions)
         conj = RegionConjecture(off_regions(game, parts))
     diags = SynthesisDiagnostics()
-    carriers = CarrierTables(walker, conj, theta)
+    carriers = CarrierTables(walker, conj)
     transforms = PersistenceTransforms(carriers, parts)
     rho = SynthesizedCoupling(carriers, diags)
     phi = SynthesizedCutoff(variant, transforms, diags)
@@ -263,8 +260,8 @@ class EtaResult:
     witness: tuple | None
 
 
-def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTables,
-                      mech: Mechanism, nodes, tol: float = 1e-9) -> EtaResult:
+def posted_factor_eta(carriers: CarrierTables, mech: Mechanism, nodes,
+                      tol: float = 1e-9) -> EtaResult:
     """Solve the conservation identity for the posted factor along tree edges.
 
     For a node at period t reached by recording the agent's period-(t-1)
@@ -274,6 +271,8 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
     convention.  A single eta per node must fit all generating states; the
     across-cutoff spread is reported separately (see the decisions notes).
     """
+    game, walker = carriers.game, carriers.walker
+    s_phi = 0 if mech.phi.state_dependent() else None   # per-interval cutoffs: bottom interval
     values: dict[tuple[int, int], float] = {}
     spread = 0.0
     spread_all = 0.0
@@ -281,7 +280,7 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
     for n in nodes:
         if n.t == 1:
             for i in n.active:
-                values[(i, n.key)] = mech.phi.value(i, n, 0 if _interval_keyed(mech) else None)
+                values[(i, n.key)] = mech.phi.value(i, n, s_phi)
     for n in nodes:
         if not 1 < n.t <= game.horizon:
             continue
@@ -298,8 +297,7 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
             cands = []
             cands_all = []
             for s in menu.generating_states[pos]:
-                base = (mech.phi.value(i, n, 0 if _interval_keyed(mech) else None)
-                        + carriers.marginal_carrier(i, parent, s))
+                base = mech.phi.value(i, n, s_phi) + carriers.marginal_carrier(i, parent, s)
                 cands.append(base - carriers.carrier(i, parent, s, parent.t))
                 for L in range(parent.t, game.horizon + 1):
                     cands_all.append(base - carriers.carrier(i, parent, s, L))
@@ -317,10 +315,6 @@ def posted_factor_eta(game: BaseGame, walker: TreeWalker, carriers: CarrierTable
     return EtaResult(values, spread <= tol, spread, spread_all, witness)
 
 
-def _interval_keyed(mech: Mechanism) -> bool:
-    return isinstance(mech.phi, SynthesizedCutoff) and mech.phi.variant == "knowledgeable"
-
-
 # ---------------------------------------------------------------------------
 # Vanishing-cutoff test (coupling-only mechanisms)
 # ---------------------------------------------------------------------------
@@ -333,16 +327,16 @@ class DcmZeroReport:
     residuals: Mapping[tuple[int, int, int], float]  # (agent, node key, interval) -> residual
 
 
-def check_dcm_zero(transforms: PersistenceTransforms, nodes, mode: str = "H",
+def check_dcm_zero(mech: Mechanism, transforms: PersistenceTransforms, nodes,
                    tol: float = 1e-9) -> DcmZeroReport:
     """Do the synthesized cutoff values vanish at every projection target?
 
-    H checks the sub-off targets; K additionally checks the on-interval
-    targets of a full-cover partition.  Passing means the coupling-only
-    mechanism inherits the off-switch mechanism's incentive properties.
+    The targets are the sub-off ones, plus the on-interval ones when the
+    mechanism posts a value per interval (the knowledgeable cutoff).
+    Passing means the coupling-only mechanism inherits the off-switch
+    mechanism's incentive properties.
     """
-    if mode not in ("H", "K"):
-        raise GameError(f"unknown mode {mode!r}")
+    every_interval = mech.phi.state_dependent()
     res: dict[tuple[int, int, int], float] = {}
     worst = 0.0
     for i, node in live_cells(nodes, transforms.game.horizon):
@@ -353,7 +347,7 @@ def check_dcm_zero(transforms: PersistenceTransforms, nodes, mode: str = "H",
             r = transforms.total(i, node, transforms.d_up(i, node, b))
             res[(i, node.key, b)] = r
             worst = max(worst, abs(r))
-        if mode == "K":
+        if every_interval:
             for e in range(len(part.sub_on)):
                 r = transforms.total(i, node, transforms.d_down(i, node, e))
                 res[(i, node.key, len(part.sub_off) + e)] = r

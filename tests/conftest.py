@@ -256,16 +256,14 @@ class TrapezoidCarriers(CarrierTables):
     def carrier(self, i, node, s_idx, L, a_pos=None):
         if a_pos is not None and self.walker.menu(i, node).action_index_of_state[s_idx] == a_pos:
             a_pos = None
-        j0 = self.theta_index(i, node.t)
-        if j0 == s_idx:
+        if s_idx == 0:
             return 0.0
-        lo, hi, sign = (j0, s_idx, 1.0) if s_idx > j0 else (s_idx, j0, -1.0)
         step = self.game.grid(i, node.t).step
-        qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(lo, hi + 1)]
+        qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(s_idx + 1)]
         total = 0.0
         for a, b in zip(qs, qs[1:]):
             total += 0.5 * (a + b) * step
-        return sign * total
+        return total
 
 
 class LoopWalker(TreeWalker):

@@ -82,8 +82,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_ir_construction(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    mono = detect_monotone(engine.game, lambda i, n: carriers.zeta_profile(i, n),
-                           nodes, engine.store)
+    mono = detect_monotone(carriers, nodes)
     worst_sign = math.inf
     worst_bottom = 0.0
     for node in nodes:

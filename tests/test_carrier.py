@@ -90,8 +90,8 @@ def test_anchor_vanishing_for_all_cutoffs(g1):
     car, walker = tables(g1)
     root = walker.store.root()
     for L in (1, 2, 3):
-        assert car.carrier(0, root, car.theta_index(0, 1), L) == 0.0
-        assert car.carrier(0, root, car.theta_index(0, 1), L, 3) == 0.0
+        assert car.carrier(0, root, 0, L) == 0.0
+        assert car.carrier(0, root, 0, L, 3) == 0.0
 
 
 def test_max_carrier_nonnegative_response_prefers_latest(g2):
@@ -191,15 +191,12 @@ def test_response_bound_requires_declared_constants(g1):
 @pytest.mark.parametrize("seed", range(10))
 def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
     """Column reads equal a fresh integral bit for bit, in any query order,
-    above and below a nonzero anchor, obedient and frozen; the impulse
-    responses and nodes they compute appear in the same order."""
+    obedient and frozen; the impulse responses and nodes they compute appear
+    in the same order."""
     rng = np.random.default_rng(seed)
     game, mech, conj = random_instance(rng)
-    theta = {(i, t): int(rng.integers(0, game.grid(i, t).points))
-             for i in game.agents() for t in game.periods()}
-    theta[(0, 1)] = game.grid(0, 1).points // 2
-    car = CarrierTables(TreeWalker(game, IDENTITY), conj, theta)
-    ref = TrapezoidCarriers(TreeWalker(game, IDENTITY), conj, theta)
+    car = CarrierTables(TreeWalker(game, IDENTITY), conj)
+    ref = TrapezoidCarriers(TreeWalker(game, IDENTITY), conj)
     nodes = car.walker.reachable_nodes(conj.plan())
     ref_nodes = ref.walker.reachable_nodes(conj.plan())
     queries = []
@@ -211,14 +208,11 @@ def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
             for s in range(game.grid(i, node.t).points):
                 for L in range(node.t, game.horizon + 1):
                     queries += [(k, i, s, L, a_pos) for a_pos in slots]
-    below = 0
     for n in rng.permutation(len(queries)):
         k, i, s, L, a_pos = queries[n]
-        below += s < car.theta_index(i, nodes[k].t)
         got = car.carrier(i, nodes[k], s, L, a_pos)
         assert got == ref.carrier(i, ref_nodes[k], s, L, a_pos)
         assert got == car.carrier(i, nodes[k], s, L, a_pos)
-    assert below > 0
     assert list(car._q) == list(ref._q)
     store, ref_store = car.walker.store, ref.walker.store
     assert ([store.node(k).signature() for k in range(len(store))]

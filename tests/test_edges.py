@@ -1,12 +1,12 @@
-"""Edge shapes: single-period horizons, time-varying grids, custom strategies."""
+"""Edge shapes: single-period horizons, time-varying grids, distinct action grids."""
 
 from __future__ import annotations
 
 import pytest
 
 from offmenu.equilibrium import Engine
-from offmenu.histories import RegionConjecture, TreeWalker
-from offmenu.mechanism import Mechanism, TaskPolicy, ZeroCoupling, ZeroOffSwitch
+from offmenu.histories import RegionConjecture
+from offmenu.mechanism import TaskPolicy
 from offmenu.model import BaseGame, DynamicsModel, Grid, RewardModel, ShockModel
 from offmenu.oracle import TreeOracle
 from offmenu.synthesis import synthesize_mechanism
@@ -67,11 +67,10 @@ def test_action_grid_distinct_from_state_grid():
                     RewardModel(lambda i, t, s, a: s * a[0], lambda i, t, s, a: a[0]),
                     {0: (1.0, 0.0, 0.0)})
     sigma = TaskPolicy(lambda i, t, s, h: 2.0 * s, "double")
-    walker = TreeWalker(game, sigma)
+    mech, carriers, transforms, conj, diags = synthesize_mechanism(game, sigma, "ir")
+    walker = carriers.walker
     menu = walker.menu(0, walker.store.root())
     assert menu.actions == (0.0, 1.0, 2.0)
-    mech, carriers, transforms, conj, diags = synthesize_mechanism(
-        game, sigma, "ir", walker=walker)
     engine = Engine(game, mech, walker=walker)
     nodes = engine.walker.reachable_nodes(conj.plan())
     assert all(v.passed for v in check_doic(engine, conj, nodes, mode="ir"))
@@ -88,32 +87,3 @@ def test_two_point_grids_minimum_size():
     engine = Engine(game, mech, walker=carriers.walker)
     nodes = engine.walker.reachable_nodes(conj.plan())
     assert all(v.passed for v in check_doic(engine, conj, nodes, mode="ir"))
-
-
-def test_simulate_with_custom_strategies(g1):
-    """Explicit quit and action rules override the defaults."""
-    mech = Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(3))
-    engine = Engine(g1, mech)
-    out = engine.simulate(
-        300, seed=8,
-        om_rule=lambda i, t, s, node: t == 2,          # everyone quits in period 2
-        action_rule=lambda i, t, s, node: 1.0)         # and plays the top action
-    assert out.quit_freq[(0, 2)] == 1.0
-    assert (0, 3) not in out.quit_freq
-    top = g1.action_grids[(0, 1)].points - 1
-    assert out.action_hist[(0, 1, top)] == 300
-    assert out.never_quit_freq[0] == 0.0
-
-
-def test_uppt_expectation_mc_is_seeded(doublewell):
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    root = engine.root()
-
-    def K(k, us, node, prev, prev_node):
-        return carriers.mg(0, node, us)
-
-    a = transforms._uppt_mc(0, root, 2, 3, K, 500, 13)
-    b = transforms._uppt_mc(0, root, 2, 3, K, 500, 13)
-    exact = transforms.uppt_expectation(0, root, 2, 3, K)
-    assert a == b
-    assert abs(a - exact) < 0.2

@@ -56,15 +56,16 @@ GOLDEN = {
         "e70964926052d8182f8c09d7f07b525108257d02ec60c78c927193ad23f4ef3f",
         "ba29ea4e6a4c2c8a502e02ba716ea5b59d86b6246af0f5b4ce348b096c3f15d6",
     ),
+    # a sampled run writes no on_rent.csv: its values are exact
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"): (
         "2e0f3302ef876754bce4381fe0b743f3b835ee1a28289e8a91aff8887237a761",
         "59eb9f9057e1729c2448cc43a114c6339566fd47448afaa80c1442431cd88a32",
         "85d285c5af40c568499cb9b49dbc3d3f35a115082c0cf125b332243b1e6c3dae",
         "c9a0d038d81b52d99b52c01a44d8bcb7072a7e69a3d22da812740023f9c4435e",
-        "c0683f4c525607a11de2f2384fe6b9f3646f940996a8291f24e2cee6745e8ed4",
+        None,
         "144ce664684610bcc461695964476b2abad7c21726117add9d84192b50a4ad59",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
-        "c502adc8176807bc566ee43aefd14e1fe447548d73521b8500e23ae8aed6faca",
+        "36cda3dccf87870f5910f936ca6c9a7d131b5e4c90172db6fcc34b77ae08c387",
     ),
 }
 
@@ -88,7 +89,7 @@ INTERNING = {
     ("subscription",): "c1087821b50c91017d24e11a8d721cd8548ca90625e4f88bfb2fd7dd975761fe",
     ("double-well",): "f090e60428790fa600f38d2b97b05c15fa5be47744c77a0e8be830d4a32738f4",
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
-        "03d9c7f39f6a68362252a023679b0e408cad8cc9b91a02cb1df60d3f7ed09375",
+        "9e5d03962db50d7e14af460e92a0ac1a9660bf14c99ceaa483e90ff6193a05a6",
 }
 PAIR_CHURN_T2_INTERNING = "398d7c808bef2de4e9e04fa664907d71cad4b7b07e91c9cba11fcd7582626ba2"
 
@@ -103,8 +104,7 @@ def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, s
 
     monkeypatch.setattr(offmenu.cli, "run_scenario", recording_run)
     assert main(["verify", scenario, "--out", str(out), *args]) == 0
-    assert sorted(p.name for p in out.iterdir()) == list(OUTPUTS)
-    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     store = runs[0].engine.store
     order = "\n".join(store.node(k).signature() for k in range(len(store)))
     return files, hashlib.sha256(order.encode()).hexdigest()
@@ -113,7 +113,7 @@ def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, s
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
 def test_verify_output_bytes_are_golden(tmp_path, monkeypatch, args):
     files, order = _verify_digests(monkeypatch, args[0], tmp_path / "out", *args[1:])
-    assert files == dict(zip(OUTPUTS, GOLDEN[args]))
+    assert files == {name: d for name, d in zip(OUTPUTS, GOLDEN[args]) if d is not None}
     assert order == INTERNING[args]
 
 

@@ -308,7 +308,7 @@ def test_flow_c2_fails_at_a_parent_no_reachable_walk_interns():
         return marginal(i, node, s_idx) + (1.0 if node.signature() == target else 0.0)
 
     carriers.marginal_carrier = shifted
-    eta = posted_factor_eta(game, engine.walker, carriers, mech, nodes)
+    eta = posted_factor_eta(carriers, mech, nodes)
     c2 = check_payoff_flow(engine, carriers, nodes, eta.values)[1]
     assert c2.name == "flow-c2" and not c2.passed
     assert c2.worst == pytest.approx(1.0)

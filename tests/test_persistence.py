@@ -62,73 +62,6 @@ def test_project_idempotent():
         assert tr.project(0, root, once) == once
 
 
-def test_uppt_empty_off_region_equals_standard_expectation(g1):
-    tr, walker, parts = build(g1)  # projections are identities
-    car = tr.carriers
-    root = walker.store.root()
-
-    def K(k, us, node, prev, prev_node):
-        return car.mg(0, node, us)
-
-    got = tr.uppt_expectation(0, root, 2, 3, K)
-    # independent standard expectation over the same tree
-    total = 0.0
-    stack = [(1.0, root, 2)]
-    while stack:
-        p, node, s = stack.pop()
-        if node.t >= 3:
-            continue
-        a, a_idx = walker.own_action(0, node, s)
-        for br in walker.other_branches(0, node, NOQUIT.plan()):
-            child = walker.child_after(0, node, s, a_idx, br)
-            for pp, s2 in walker.own_kernel(0, node, s, child):
-                total += p * br.prob * pp * car.mg(0, child, s2)
-                stack.append((p * br.prob * pp, child, s2))
-    assert got == pytest.approx(total, abs=1e-12)
-
-
-def test_uppt_whole_space_off_region_deterministic_projected_path():
-    game = exo_game(SHELF_SLOPES)
-    tr, walker, parts = build(game, [0.0, 1.0])  # the entire grid is one off interval
-    root = walker.store.root()
-    seen = set()
-
-    def K(k, us, node, prev, prev_node):
-        seen.add((k, us))
-        return 0.0
-
-    tr.uppt_expectation(0, root, 0, 3, K)
-    targets = {us for _, us in seen}
-    assert len(targets) == 1  # every arrival is projected to the single target
-
-
-def test_uppt_two_step_matches_oracle_tree(g1):
-    boundaries = [0.0, 0.25]
-    tr, walker, parts = build(g1, boundaries)
-    car = tr.carriers
-    root = walker.store.root()
-
-    def K(k, us, node, prev, prev_node):
-        return car.mg(0, node, us) - 0.25 * us
-
-    got = tr.uppt_expectation(0, root, 1, 3, K)
-    # brute-force: enumerate (state, shock) paths, project after each transition
-    total = 0.0
-    stack = [(1.0, root, 1)]
-    while stack:
-        p, node, s = stack.pop()
-        if node.t >= 3:
-            continue
-        a, a_idx = walker.own_action(0, node, s)
-        for br in walker.other_branches(0, node, NOQUIT.plan()):
-            child = walker.child_after(0, node, s, a_idx, br)
-            for pp, s2 in walker.own_kernel(0, node, s, child):
-                us = tr.project(0, child, s2)
-                total += p * br.prob * pp * K(child.t, us, child, s, node)
-                stack.append((p * br.prob * pp, child, us))
-    assert got == pytest.approx(total, abs=1e-12)
-
-
 def test_delta_bar_zero_at_final_period(g1):
     tr, walker, parts = build(g1, [0.0, 0.25])
     nodes = walker.reachable_nodes(NOQUIT.plan())

@@ -70,9 +70,8 @@ def test_carrier_anchor_and_branch_agreement_random():
         mech, carriers, transforms, conj, diags = synthesize_mechanism(game, IDENTITY, "ir")
         root = carriers.walker.store.root()
         menu = carriers.walker.menu(0, root)
-        anchor = carriers.theta_index(0, 1)
         for L in range(1, game.horizon + 1):
-            assert carriers.carrier(0, root, anchor, L) == 0.0
+            assert carriers.carrier(0, root, 0, L) == 0.0
         for s in range(game.grid(0, 1).points):
             pos = menu.action_index_of_state[s]
             for L in range(1, game.horizon + 1):

@@ -55,8 +55,7 @@ def test_partition_interval_lookup():
 
 def test_detect_monotone_pass_and_orientation(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    rep = detect_monotone(engine.game, lambda i, n: carriers.zeta_profile(i, n),
-                          nodes, engine.store)
+    rep = detect_monotone(carriers, nodes)
     assert rep.passed
     assert rep.orientation == "increasing"
 
@@ -69,7 +68,7 @@ def test_detect_monotone_fosd_violation_witness():
     walker = TreeWalker(game, IDENTITY)
     car = CarrierTables(walker, NOQUIT)
     nodes = walker.reachable_nodes(NOQUIT.plan())
-    rep = detect_monotone(game, lambda i, n: car.zeta_profile(i, n), nodes, walker.store)
+    rep = detect_monotone(car, nodes)
     assert not rep.passed
     assert rep.witness is not None
 
@@ -109,8 +108,7 @@ def test_monotone_shortcut_every_bottom_interval_essential(monotone_game):
     walker = TreeWalker(monotone_game, IDENTITY)
     car = CarrierTables(walker, NOQUIT)
     nodes = walker.reachable_nodes(NOQUIT.plan())
-    rep = detect_monotone(monotone_game, lambda i, n: car.zeta_profile(i, n),
-                          nodes, walker.store)
+    rep = detect_monotone(car, nodes)
     assert rep.passed
     root = walker.store.root()
     for j in range(5):
@@ -130,7 +128,7 @@ def test_detect_monotone_on_clamped_additive_follows_tables(g1):
     walker = TreeWalker(g1, IDENTITY)
     car = CarrierTables(walker, NOQUIT)
     nodes = walker.reachable_nodes(NOQUIT.plan())
-    rep = detect_monotone(g1, lambda i, n: car.zeta_profile(i, n), nodes, walker.store)
+    rep = detect_monotone(car, nodes)
     zeta_rows = [car.zeta_profile(0, n) for n in nodes if n.t <= 3]
     nondecreasing = all((z[1:] >= z[:-1] - 1e-9).all() for z in zeta_rows)
     assert rep.passed == nondecreasing

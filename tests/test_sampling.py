@@ -79,16 +79,16 @@ def ref_prospect_mc(engine, i, node, s_idx, x, n_samples, seed, a_pos=None):
     return mean, np.sqrt(var / max(1, n_samples - 1))
 
 
-def ref_uppt_mc(tr, i, node, s_idx, L, integrand, samples, seed):
+def ref_barrier_violations_mc(tr, i, node, s_idx, n_paths, seed):
     rng = np.random.default_rng(seed)
     plans = tr.carriers.conjecture.plans(i, node)
     probs = np.array([p for p, _ in plans])
     probs = probs / probs.sum()
-    acc = 0.0
-    for _ in range(max(1, samples)):
+    count = 0
+    for _ in range(n_paths):
         plan = plans[rng.choice(len(plans), p=probs)][1]
         cur, s = node, s_idx
-        while cur.t < L:
+        while cur.t < tr.game.horizon:
             branches = list(tr.walker.other_branches(i, cur, plan))
             bw = np.array([b.prob for b in branches])
             br = branches[rng.choice(len(branches), p=bw / bw.sum())]
@@ -98,26 +98,15 @@ def ref_uppt_mc(tr, i, node, s_idx, L, integrand, samples, seed):
             kw = np.array([p for p, _ in kern])
             j2 = kern[rng.choice(len(kern), p=kw / kw.sum())][1]
             us = tr.project(i, child, j2)
-            acc += integrand(child.t, us, child, s, cur)
+            part = tr.partitions.get((i, child.t))
+            if part is not None:
+                kind, b = part.interval_of(us)
+                count += kind == "off" and us != tr.d_up(i, child, b)
             cur, s = child, us
-    return acc / max(1, samples)
+    return count
 
 
-def ref_barrier_violations_mc(tr, i, node, s_idx, n_paths, seed):
-    def visit(k, us, nd, *_prev):
-        part = tr.partitions.get((i, k))
-        if part is not None:
-            kind, b = part.interval_of(us)
-            if kind == "off" and us != tr.d_up(i, nd, b):
-                return 1.0
-        return 0.0
-
-    total = ref_uppt_mc(tr, i, node, s_idx, tr.game.horizon, visit, n_paths, seed)
-    return int(round(total * n_paths))
-
-
-def ref_simulate(engine, n_paths, seed, om_rule=None, action_rule=None):
-    om_rule = om_rule or (lambda i, t, s_idx, node: engine.directive_quit(i, t, s_idx))
+def ref_simulate(engine, n_paths, seed):
     game = engine.game
     rng = np.random.default_rng(seed)
     quit_counts, state_hist, action_hist = {}, {}, {}
@@ -133,18 +122,14 @@ def ref_simulate(engine, n_paths, seed, om_rule=None, action_rule=None):
         for t in game.periods():
             for i in sorted(alive):
                 state_hist[(i, t, states[i])] = state_hist.get((i, t, states[i]), 0) + 1
-            quitters = [i for i in sorted(alive) if om_rule(i, t, states[i], node)]
+            quitters = [i for i in sorted(alive) if engine.directive_quit(i, t, states[i])]
             actions_idx, actions = {}, {}
             for i in sorted(alive):
                 if i in quitters:
                     payoff[i] += engine.phi_value(i, node, states[i])
                     quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
                     continue
-                if action_rule is None:
-                    a, a_idx = engine.walker.own_action(i, node, states[i])
-                else:
-                    a = action_rule(i, t, states[i], node)
-                    a_idx = game.action_grids[(i, t)].index_of(a, tol=1e-6)
+                a, a_idx = engine.walker.own_action(i, node, states[i])
                 actions[i] = a
                 actions_idx[i] = a_idx
                 action_hist[(i, t, a_idx)] = action_hist.get((i, t, a_idx), 0) + 1
@@ -209,21 +194,6 @@ def _profile(game, node):
         {j: {node.t: 0.3, late: 0.7} for j in game.agents()})
 
 
-def _integrand(k, us, nd, prev, prev_node):
-    return 0.1 * k + 0.7 * us - 0.3 * prev + 0.01 * (nd.key % 5) + 0.001 * prev_node.key
-
-
-def _action_rule(game):
-    def rule(i, t, s, node):
-        grid = game.action_grids[(i, t)]
-        return grid.value(min(s + 1, grid.points - 1))
-    return rule
-
-
-def _om_rule(i, t, s, node):
-    return t >= 2 and s == 0
-
-
 def _calls(b, ref: bool) -> list:
     """The same sampler calls on one copy, through the reference or the engine."""
     engine, conj, tr = b["engine"], b["conj"], b["transforms"]
@@ -244,12 +214,9 @@ def _calls(b, ref: bool) -> list:
                         m, se = engine.prospect_mc(i, root, s, x, SAMPLES, seed, a_pos)
                     out.append(("prospect", m.tolist(), se.tolist()))
             if ref:
-                u = ref_uppt_mc(tr, i, root, s, game.horizon, _integrand, SAMPLES, seed)
                 bad = ref_barrier_violations_mc(tr, i, root, s, SAMPLES, seed)
             else:
-                u = tr._uppt_mc(i, root, s, game.horizon, _integrand, SAMPLES, seed)
                 bad = tr.barrier_violations_mc(i, root, s, SAMPLES, seed)
-            out.append(("uppt", u))
             out.append(("barrier", bad))
         later = [n for n in engine.walker.reachable_nodes(conj.plan())
                  if n.t == 2 and i in n.active]
@@ -262,10 +229,8 @@ def _calls(b, ref: bool) -> list:
             else:
                 m, se = engine.prospect_mc(i, node, s, x, SAMPLES, seed, 0)
             out.append(("prospect-t2", m.tolist(), se.tolist()))
-    hooks = [{}, {"om_rule": _om_rule, "action_rule": _action_rule(game)}]
-    for k, kw in enumerate(hooks):
-        sim = ref_simulate(engine, SAMPLES, 5 + k, **kw) if ref else engine.simulate(SAMPLES, 5 + k, **kw)
-        out.append(("simulate", sim))
+    sim = ref_simulate(engine, SAMPLES, 5) if ref else engine.simulate(SAMPLES, 5)
+    out.append(("simulate", sim))
     out.append(("nodes", [n.signature() for n in engine.store._nodes]))
     return out
 

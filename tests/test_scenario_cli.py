@@ -447,3 +447,41 @@ def test_cli_phi_uniqueness_missing_key_writes_report_and_exits_one(tmp_path, mo
     assert main(["report", str(out / "report.json"), "--format", "csv",
                  "--out", str(tmp_path / "csv")]) == 0
     assert "phi-uniqueness,False,inf," in (tmp_path / "csv" / "verdicts.csv").read_text()
+
+
+# -- sampled runs and per-interval audits ----------------------------------------
+
+
+def test_cli_dcm_zero_audits_every_interval_of_a_knowledgeable_cutoff(tmp_path, capsys):
+    """A per-interval cutoff is audited at its on-interval targets too, where
+    the double-well's posted totals are nonzero."""
+    raw = {**_bundled("double-well"), "verify": ["dcm_zero"],
+           "mechanism": {"variant": "knowledgeable", "boundaries": {"0": [[0.0, 0.0]]}}}
+    path = tmp_path / "knowledgeable.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == 1
+    assert "[FAIL] dcm-zero" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,args", [
+    ("subscription", ("--samples", "300")),
+    ("pair-churn", ("--checks", "doic")),
+])
+def test_cli_sampled_obedience_passes_ties_within_the_tolerance(tmp_path, capsys, name, args):
+    """Sampled margins that tie at zero up to rounding pass, as exact ones do."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**_bundled(name), "horizon": 2} if name == "pair-churn"
+                               else _bundled(name)))
+    assert main(["verify", str(path), "--mode", "mc", *args]) == 0
+    out = capsys.readouterr().out
+    assert "raic" in out and "(mc)" in out
+
+
+def test_sampled_run_writes_no_exact_on_rents(tmp_path):
+    """on_rent.csv holds exact values; a sampled run leaves the prospect table empty."""
+    result = run_scenario("g2-appendix", tmp_path,
+                          {"mode": "mc", "checks": ("doic",), "samples": 50})
+    assert result.passed
+    assert not (tmp_path / "on_rent.csv").exists()
+    assert (tmp_path / "carriers.csv").exists()
+    assert result.engine._g == {}

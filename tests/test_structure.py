@@ -18,22 +18,22 @@ SRC = Path(offmenu.__file__).resolve().parent
 
 
 def _calls(attr: str):
-    """(module file, enclosing qualname, ancestor nodes, call) for every ``.attr(...)`` call."""
+    """(module file, enclosing qualname, call) for every ``.attr(...)`` call."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "oracle.py":
             continue
 
-        def visit(node, scope, ancestors):
+        def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 scope = scope + (node.name,)
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == attr):
-                found.append((path.name, ".".join(scope), ancestors, node))
+                found.append((path.name, ".".join(scope), node))
             for child in ast.iter_child_nodes(node):
-                visit(child, scope, ancestors + (node,))
+                visit(child, scope)
 
-        visit(ast.parse(path.read_text(), str(path)), (), ())
+        visit(ast.parse(path.read_text(), str(path)), ())
     return found
 
 
@@ -43,23 +43,14 @@ def _tol(call: ast.Call):
 
 
 def test_other_branches_is_called_only_by_own_branches_and_the_path_sampler():
-    callers = {(f, scope) for f, scope, _, _ in _calls("other_branches")}
+    callers = {(f, scope) for f, scope, _ in _calls("other_branches")}
     assert callers == {("histories.py", "TreeWalker.own_branches"),
                        ("sampling.py", "PathSampler._cell")}
 
 
 def test_menu_actions_are_located_on_the_grid_only_by_the_menu_and_custom_actions():
-    where = []
-    for f, scope, ancestors, call in _calls("index_of"):
-        if 1e-6 not in _tol(call):
-            continue
-        # simulate may look up an action_rule's action; the obedient branch may not
-        in_rule_branch = any(isinstance(a, ast.If) and "action_rule" in ast.unparse(a.test)
-                             and any(call in ast.walk(stmt) for stmt in a.orelse)
-                             for a in ancestors)
-        where.append((f, scope, in_rule_branch))
-    assert sorted(where) == [("equilibrium.py", "Engine.simulate", True),
-                             ("mechanism.py", "action_menu", False)]
+    where = [(f, scope) for f, scope, call in _calls("index_of") if 1e-6 in _tol(call)]
+    assert where == [("mechanism.py", "action_menu")]
 
 
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
@@ -73,6 +64,6 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
         "    idx = grid.index_of(a, tol=1e-6)\n"
         "    return [br for br in walker.other_branches(i, node, plan)], idx\n")
     monkeypatch.setattr(f"{__name__}.SRC", planted)
-    assert ("extra.py", "walk") in {(f, s) for f, s, _, _ in _calls("other_branches")}
-    assert ("extra.py", "walk") in {(f, s) for f, s, _, c in _calls("index_of")
+    assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("other_branches")}
+    assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("index_of")
                                     if 1e-6 in _tol(c)}

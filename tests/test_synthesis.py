@@ -122,14 +122,14 @@ def test_indifference_solver_knowledgeable(shelf_knowledgeable):
 
 def test_eta_consistent_on_synthesized_instance(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes)
+    eta = posted_factor_eta(carriers, mech, nodes)
     assert eta.consistent
     assert eta.worst_spread <= 1e-9
 
 
 def test_eta_root_convention(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes)
+    eta = posted_factor_eta(carriers, mech, nodes)
     root = engine.root()
     assert eta.values[(0, root.key)] == mech.phi.value(0, root)
 
@@ -147,7 +147,7 @@ def test_eta_inconsistency_flagged_across_generating_states(g1):
     mech2, carriers2, transforms2, conj2, diags2 = synthesize_mechanism(g1, coarse, "ir")
     eng2 = Engine(g1, mech2, walker=carriers2.walker)
     nodes2 = eng2.walker.reachable_nodes(conj2.plan())
-    eta2 = posted_factor_eta(g1, eng2.walker, carriers2, mech2, nodes2)
+    eta2 = posted_factor_eta(carriers2, mech2, nodes2)
     assert not eta2.consistent
     assert eta2.witness is not None
 
@@ -155,22 +155,23 @@ def test_eta_inconsistency_flagged_across_generating_states(g1):
 def test_dcm_zero_passes_when_premium_and_peak_vanish(g2_ir):
     """Bottom-anchored carriers vanish at the bottom singleton: posted value 0."""
     mech, carriers, transforms, conj, engine, nodes, parts, diags = g2_ir
-    rep = check_dcm_zero(transforms, nodes, mode="H")
+    rep = check_dcm_zero(mech, transforms, nodes)
     assert rep.passed
     assert rep.worst == 0.0
 
 
 def test_dcm_zero_fails_with_interior_off_region(doublewell):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    rep = check_dcm_zero(transforms, nodes, mode="H")
+    rep = check_dcm_zero(mech, transforms, nodes)
     assert not rep.passed
     assert rep.worst == pytest.approx(1.0, abs=1e-9)  # well depth
     assert any(abs(v) > 0.5 for v in rep.residuals.values())
 
 
 def test_dcm_zero_knowledgeable_mode(shelf_knowledgeable):
+    """A per-interval cutoff is audited at every interval's target, not only sub-off ones."""
     mech, carriers, transforms, conj, engine, nodes, parts, diags = shelf_knowledgeable
-    rep = check_dcm_zero(transforms, nodes, mode="K")
+    rep = check_dcm_zero(mech, transforms, nodes)
     # on-interval targets have strictly positive totals here
     assert not rep.passed
     ks = {k[2] for k in rep.residuals}

@@ -17,6 +17,7 @@ from offmenu.synthesis import posted_factor_eta, solve_phi_by_indifference
 from offmenu.verify import (
     check_constrained_monotone,
     check_doic,
+    check_doic_mc,
     check_envelope,
     check_mso,
     check_payoff_flow,
@@ -36,17 +37,28 @@ def test_doic_passes_on_synthesized_monotone(monotone_ir):
     assert names == {"oaic", "raic"}
 
 
-def test_doic_raic_fails_with_perturbed_coupling(monotone_ir):
+def _perturbed_coupling(engine):
     """Bumping the coupling at the middle action invites pretending to be it."""
-    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    base = mech.rho
+    base = engine.mechanism.rho
 
     def bumped(i, node, actions):
         extra = 0.1 if abs(actions[i] - 0.5) < 1e-9 else 0.0
         return base.value(i, node, actions) + extra
 
-    pert = Mechanism(IDENTITY, CallableCoupling(bumped), mech.phi)
-    e2 = Engine(engine.game, pert, walker=engine.walker)
+    pert = Mechanism(IDENTITY, CallableCoupling(bumped), engine.mechanism.phi)
+    return Engine(engine.game, pert, walker=engine.walker)
+
+
+def _raised_off_switch(engine):
+    phi = engine.mechanism.phi
+    raised = Mechanism(IDENTITY, engine.mechanism.rho,
+                       CallableOffSwitch(3, lambda i, node: phi.value(i, node) + 1.0))
+    return Engine(engine.game, raised, walker=engine.walker)
+
+
+def test_doic_raic_fails_with_perturbed_coupling(monotone_ir):
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    e2 = _perturbed_coupling(engine)
     verdicts = {v.name: v for v in check_doic(e2, conj, nodes, mode="ir")}
     assert not verdicts["raic"].passed
     assert verdicts["raic"].witness["deviation_slot"] == 2
@@ -54,12 +66,25 @@ def test_doic_raic_fails_with_perturbed_coupling(monotone_ir):
 
 def test_doic_oaic_fails_with_raised_off_switch(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    raised = Mechanism(IDENTITY, mech.rho,
-                       CallableOffSwitch(3, lambda i, node: mech.phi.value(i, node) + 1.0))
-    e2 = Engine(engine.game, raised, walker=engine.walker)
+    e2 = _raised_off_switch(engine)
     verdicts = {v.name: v for v in check_doic(e2, conj, nodes, mode="ir")}
     assert not verdicts["oaic"].passed
     assert verdicts["oaic"].witness is not None
+
+
+def test_doic_mc_gates_at_the_tolerance_and_still_flags_planted_violations(monotone_ir):
+    """Sampled margins pass at ``-tol``, like exact ones; the scenario tolerance
+    forgives a rounding tie, not the perturbed fixtures."""
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    clean = {v.name: v for v in check_doic_mc(engine, conj, nodes, 200, 3, tol=1e-9)}
+    assert all(v.passed and v.tolerance == 1e-9 for v in clean.values())
+    assert clean["raic"].worst < 0.0   # a tie that a zero gate would fail
+    raic = {v.name: v for v in check_doic_mc(_perturbed_coupling(engine), conj, nodes,
+                                             200, 3, tol=1e-9)}["raic"]
+    assert not raic.passed and raic.witness["deviation_slot"] == 2
+    oaic = {v.name: v for v in check_doic_mc(_raised_off_switch(engine), conj, nodes,
+                                             200, 3, tol=1e-9)}["oaic"]
+    assert not oaic.passed and oaic.witness is not None
 
 
 def test_doic_off_mode_sign_pattern(doublewell):
@@ -70,7 +95,7 @@ def test_doic_off_mode_sign_pattern(doublewell):
 
 def test_payoff_flow_passes_on_synthesized(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes)
+    eta = posted_factor_eta(carriers, mech, nodes)
     verdicts = {v.name: v for v in check_payoff_flow(engine, carriers, nodes, eta.values)}
     assert verdicts["flow-c1"].passed and verdicts["flow-c1"].worst == 0.0
     assert verdicts["flow-c2"].passed
@@ -85,7 +110,8 @@ def test_payoff_flow_c1_fails_with_halved_coupling(monotone_ir):
                        CallableCoupling(lambda i, n, a: 0.5 * base.value(i, n, a)),
                        mech.phi)
     e2 = Engine(engine.game, halved, walker=engine.walker)
-    verdicts = {v.name: v for v in check_payoff_flow(e2, carriers, nodes, None)}
+    eta = posted_factor_eta(carriers, mech, nodes).values
+    verdicts = {v.name: v for v in check_payoff_flow(e2, carriers, nodes, eta)}
     assert not verdicts["flow-c1"].passed
     assert verdicts["flow-c1"].witness is not None
 
@@ -219,7 +245,7 @@ def test_theorem_chain_horizontal_implies_off_doic(doublewell, shelf_knowledgeab
     """Conservation + membership + horizontal cutoff together certify alignment."""
     for bundle in (doublewell, shelf_knowledgeable):
         mech, carriers, transforms, conj, engine, nodes, parts, diags = bundle
-        eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes)
+        eta = posted_factor_eta(carriers, mech, nodes)
         flow = check_payoff_flow(engine, carriers, nodes, eta.values)
         assert all(v.passed for v in flow)
         verdicts = check_doic(engine, conj, nodes, mode="off", partitions=parts)
@@ -414,7 +440,7 @@ def _flow_setup(game, mech, conj, carrier_cls):
     carriers = carrier_cls(walker, conj)
     engine = Engine(game, mech, walker=walker)
     nodes = walker.reachable_nodes(conj.plan())
-    eta = posted_factor_eta(game, walker, carriers, mech, nodes).values
+    eta = posted_factor_eta(carriers, mech, nodes).values
     return engine, carriers, nodes, eta
 
 
@@ -438,7 +464,7 @@ def test_payoff_flow_equals_unmemoized_reference_on_random_instances(seed):
 def test_payoff_flow_memo_not_shared_across_eta(monotone_ir):
     """The flow-c3 memo lives for one call: a second eta gets its own walks."""
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    eta = posted_factor_eta(engine.game, engine.walker, carriers, mech, nodes).values
+    eta = posted_factor_eta(carriers, mech, nodes).values
     shifted = {k: v + 0.25 * k[1] for k, v in eta.items()}
     first = check_payoff_flow(engine, carriers, nodes, eta)[2]
     second = check_payoff_flow(engine, carriers, nodes, shifted)[2]
@@ -455,7 +481,7 @@ def test_flow_c2_checks_every_parent_of_a_node():
                           {"policy_kind": "constant", "policy_params": {"value": 0.5},
                            "checks": ("payoff_flow",)})
     engine, carriers, nodes = result.engine, result.carriers, result.nodes
-    eta = posted_factor_eta(engine.game, engine.walker, carriers, engine.mechanism, nodes)
+    eta = posted_factor_eta(carriers, engine.mechanism, nodes)
     assert check_payoff_flow(engine, carriers, nodes, eta.values)[1].passed
     by_record = {}
     for n in nodes:
