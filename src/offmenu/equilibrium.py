@@ -159,18 +159,17 @@ class Engine:
         total = 0.0
         for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
             z = self.flow(i, node, s_idx, actions)
-            child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-            if L == node.t:
-                if child.t > self.game.horizon or not interval_keyed:
-                    cont = phi.value(i, child)
-                else:
-                    cont = 0.0
+            cont = 0.0   # quitting after the horizon pays 0
+            if node.t < self.game.horizon:
+                child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
+                if L > node.t:
+                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
+                        cont += pp * self._g_plan(i, child, s2, L, None, plan)
+                elif interval_keyed:
                     for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
                         cont += pp * phi.value(i, child, s2)
-            else:
-                cont = 0.0
-                for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
-                    cont += pp * self._g_plan(i, child, s2, L, None, plan)
+                else:
+                    cont = phi.value(i, child)
             total += w * (z + cont)
         self._g[key] = total
         return total
@@ -250,8 +249,9 @@ class Engine:
         return dict(self._chi(i, node, RegionPlan(regions), {}))
 
     def _chi(self, i: int, node: Node, plan: RegionPlan, memo: dict) -> Mapping[int, float]:
-        if node.t > self.game.horizon or i not in node.active:
-            return {self.game.horizon + 1: 1.0}
+        T1 = self.game.horizon + 1
+        if i not in node.active:
+            return {T1: 1.0}
         key = (i, node.lump)
         hit = memo.get(key)
         if hit is not None:
@@ -260,6 +260,9 @@ class Engine:
         for br in self.walker.joint_steps(node, plan, node.active):
             if i in br.quitters:
                 out[node.t] = out.get(node.t, 0.0) + br.prob
+                continue
+            if node.t == self.game.horizon:   # staying through T survives the horizon
+                out[T1] = out.get(T1, 0.0) + br.prob
                 continue
             child = self.store.child(node, dict(br.states), br.quitters, br.actions_idx)
             for k, w in self._chi(i, child, plan, memo).items():
@@ -329,10 +332,10 @@ class Engine:
             for k in range(n):
                 step = paths.step(slot, cur, s, k == 0)
                 acc += step.value
-                child = paths.child(cur, s, step)
                 if k == n - 1:
-                    v = acc + self.phi_value(i, child)
+                    v = acc   # quitting after the horizon pays 0
                 else:
+                    child = paths.child(cur, s, step)
                     j = paths.transition(cur, s, step)
                     nxt = step.outcomes[j][1]
                     cont = step.after[j]
@@ -406,16 +409,16 @@ class Engine:
                     if z is None:
                         z = flows[key] = self.flow(i, node, states[i], actions)
                     payoff[i] += z
-                key = (node.key, tuple(states[i] for i in live), tuple(quitters),
-                       tuple(actions_idx.items()))
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = self.store.child(node, states, quitters, actions_idx)
                 alive -= set(quitters)
                 if not alive or t == game.horizon:
                     for i in sorted(alive):
                         never_counts[i] += 1
                     break
+                key = (node.key, tuple(states[i] for i in live), tuple(quitters),
+                       tuple(actions_idx.items()))
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = self.store.child(node, states, quitters, actions_idx)
                 for i in sorted(alive):
                     key = (child.lump, i, states[i])
                     cdf = kernels.get(key)

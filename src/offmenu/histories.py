@@ -312,7 +312,8 @@ class TreeWalker:
     the one own-step enumerator (``own_action`` and ``own_branches``: the
     agent's action, then the others' branches under each plan), successor
     construction, and the node closures built on one depth-first walk.
-    Menus and beliefs are cached per (agent, Markov class).  The default
+    Menus are cached per (agent, Markov class); beliefs and own transitions
+    share one cache per (agent, class, previous state).  The default
     store's classes follow the game's and the policy's history window; a
     given store must not lump more coarsely than that.
     """
@@ -322,7 +323,7 @@ class TreeWalker:
         self.sigma = sigma
         self.store = store if store is not None else NodeStore(game, history_window(game, sigma))
         self._menus: dict[tuple[int, int], Menu] = {}
-        self._beliefs: dict[tuple[int, int], tuple[tuple[float, int], ...]] = {}
+        self._transitions: dict[tuple, tuple[tuple[float, int], ...]] = {}
         self._plan_ids: dict[tuple, int] = {}
 
     # -- caches --------------------------------------------------------------
@@ -341,20 +342,31 @@ class TreeWalker:
 
     def belief(self, i: int, node: Node) -> tuple[tuple[float, int], ...]:
         """Distribution over agent i's period-t state given the node's public record."""
-        key = (i, node.lump)
-        b = self._beliefs.get(key)
+        if node.t == 1:
+            return self._transition(i, node, None)
+        prev = node.prev_state_of(i)
+        if prev is None:
+            raise GameError(f"agent {i} has no public previous state at node {node.key}")
+        return self._transition(i, node, prev)
+
+    def _transition(self, i: int, node: Node, s_prev: int | None) -> tuple[tuple[float, int], ...]:
+        """(prob, state) of agent i at node.t from grid state ``s_prev`` of the period before.
+
+        The kernel reads the history only through the node's Markov class,
+        so the cache keys on (agent, class, previous state); None is the
+        initial distribution.
+        """
+        key = (i, node.lump, s_prev)
+        b = self._transitions.get(key)
         if b is None:
-            if node.t == 1:
+            if s_prev is None:
                 dist = self.game.initial_dist(i)
                 b = tuple((w, j) for j, w in enumerate(dist) if w > 0.0)
             else:
-                prev = node.prev_state_of(i)
-                if prev is None:
-                    raise GameError(f"agent {i} has no public previous state at node {node.key}")
-                s_prev = self.game.grid(i, node.t - 1).value(prev)
-                probs, _ = self.game.kernel(i, node.t, s_prev, self.store.history(node))
+                s_val = self.game.grid(i, node.t - 1).value(s_prev)
+                probs, _ = self.game.kernel(i, node.t, s_val, self.store.history(node))
                 b = tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0)
-            self._beliefs[key] = b
+            self._transitions[key] = b
         return b
 
     def own_action(self, i: int, node: Node, s_idx: int,
@@ -425,9 +437,7 @@ class TreeWalker:
 
     def own_kernel(self, i: int, node: Node, s_own: int, child: Node) -> tuple[tuple[float, int], ...]:
         """Agent i's next-state distribution given the realized child history."""
-        s_val = self.game.grid(i, node.t).value(s_own)
-        probs, _ = self.game.kernel(i, node.t + 1, s_val, self.store.history(child))
-        return tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0)
+        return self._transition(i, child, s_own)
 
     def own_shock_branches(self, i: int, node: Node, s_own: int, child: Node):
         """Shock-level transitions (weight, omega, next index, d_kappa/d_s); for impulse responses."""
@@ -487,8 +497,12 @@ class TreeWalker:
         Verification quantifies over all grid states at every history, so
         counterfactual cells can open histories the belief-supported walk
         never visits; this closure covers them (obedient actions, plan quits).
+        Period T is terminal: its nodes are not expanded, since no value is
+        read past the horizon.
         """
         def successors(node, tag):
+            if node.t == self.game.horizon:
+                return
             pools = [[(1.0, s) for s in range(self.game.grid(j, node.t).points)]
                      for j in node.active]
             for br in self.joint_steps(node, plan, node.active, pools):
@@ -505,18 +519,21 @@ class TreeWalker:
     def one_shot_closure(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
         """Node coverage of one-shot-deviation evaluations from realizable cells.
 
-        For each evaluating agent: the agent stays and acts every period (his
-        committed staying plans ignore the quit rule for himself), deviating
+        For each evaluating agent: the agent stays and acts every period (their
+        committed staying plans ignore the quit rule for themselves), deviating
         from the obedient action at most once, while everyone else follows
         the plan.  This is exactly the set of histories whose coupling and
         posted values an obedience check over positive-probability cells can
-        query, hence the coverage exported mechanism tables need.  The walk's
-        tag says whether the evaluator has already deviated.
+        query, hence the coverage exported mechanism tables need.  Period T
+        is terminal: quitting after it pays 0, so the walk does not expand
+        its nodes, and the only nodes past the horizon are the obedient
+        tree's leaves.  The walk's tag says whether the evaluator has
+        already deviated.
         """
         seen = {n.key: n for n in self.reachable_nodes(plan, max_nodes)}
         for evaluator in self.game.agents():
             def successors(node, deviated, evaluator=evaluator):
-                if evaluator not in node.active:
+                if node.t == self.game.horizon or evaluator not in node.active:
                     return
                 menu_idx = () if deviated else self.menu(evaluator, node).grid_indices
                 for br in self.joint_steps(node, plan, node.active, stays=evaluator):

@@ -188,8 +188,11 @@ class OffSwitch:
 
     ``value`` accepts an optional state index for the knowledgeable variant,
     where the principal observes which partition interval the state lies in.
-    Querying past the horizon returns 0 (terminal convention).  ``markov``
-    says the value depends on the node only through its Markov class.
+    Querying past the horizon returns 0 (terminal convention), and every
+    subclass must keep it: the walks after the reachable set treat period T
+    as terminal and add 0 for quitting after it without building the
+    successor history.  ``markov`` says the value depends on the node only
+    through its Markov class.
     """
 
     horizon: int

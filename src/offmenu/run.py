@@ -276,8 +276,10 @@ def export_mechanism_tables(engine: Engine, conj, scenario: Scenario,
 
     Coverage is the one-shot-deviation closure of the obedient tree, which
     is exactly the node set a positive-probability obedience check visits;
-    a scenario with variant "tables" can verify and simulate against the
-    file without re-running the synthesis.
+    the closure treats period T as terminal, so every exported history is
+    a decision node up to the horizon.  A scenario with variant "tables"
+    can verify and simulate against the file without re-running the
+    synthesis.
     """
     import json
 

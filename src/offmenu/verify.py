@@ -194,9 +194,9 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         total = 0.0
         for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
             z = engine.flow(i, node, s, actions)
-            child = walker.child_after(i, node, s, a_idx, br)
             cont = 0.0
             if node.t < game.horizon:
+                child = walker.child_after(i, node, s, a_idx, br)
                 for pp, s2 in walker.own_kernel(i, node, s, child):
                     cont += pp * then(i, child, s2, plan)
             total += w * (z + cont)
@@ -354,8 +354,11 @@ def _lambda(engine: Engine, memo, i, node, s, L, x, a_pos):
 def _terminal_map(engine: Engine, memo, kind, node_id, i, node, s, L, x, a_pos, leaf_fn):
     """Expectation of leaf_fn(child at L+1, own state there) along the branch.
 
-    ``node_id(node)`` keys the memo of obedient walks: the Markov class when
-    the leaf values are class functions, else the full history.
+    Period T is terminal: at L = T every leaf is past the horizon, where
+    neither the off-switch nor the posted factor pays anything, so the
+    expectation is 0 and no leaf is built.  ``node_id(node)`` keys the memo
+    of obedient walks: the Markov class when the leaf values are class
+    functions, else the full history.
     """
     total = 0.0
     for p, plan in x.plans(i, node):
@@ -365,6 +368,8 @@ def _terminal_map(engine: Engine, memo, kind, node_id, i, node, s, L, x, a_pos, 
 
 
 def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, L, plan, a_pos, leaf_fn):
+    if node.t == engine.game.horizon:
+        return 0.0
     # obedient walks repeat across deviations and pretenses; the one-off
     # deviation walk at the top is not kept
     if a_pos is None:
@@ -378,11 +383,8 @@ def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, L, plan, a_p
     for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
         child = walker.child_after(i, node, s, a_idx, br)
         if node.t == L:
-            if child.t > engine.game.horizon:
-                total += w * leaf_fn(child, None)
-            else:
-                for pp, s2 in walker.own_kernel(i, node, s, child):
-                    total += w * pp * leaf_fn(child, s2)
+            for pp, s2 in walker.own_kernel(i, node, s, child):
+                total += w * pp * leaf_fn(child, s2)
         else:
             for pp, s2 in walker.own_kernel(i, node, s, child):
                 total += w * pp * _terminal_walk(engine, memo, kind, node_id, i, child,
@@ -405,8 +407,6 @@ def _expected_eta(engine: Engine, eta, memo, i, node, s, pos, L, x):
     # inequality is asserted (the factor vanishes identically there).  So
     # eta is no class function, and its walks keep full-history keys.
     def leaf(child, s2):
-        if child.t > engine.game.horizon:
-            return 0.0
         return eta.get((i, child.key), 0.0)
 
     return _terminal_map(engine, memo, "eta", _full_history, i, node, s, L, x, pos, leaf)

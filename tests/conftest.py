@@ -271,6 +271,7 @@ class LoopWalker(TreeWalker):
 
     The reference ``TreeWalker.joint_steps`` and its closure walk are compared
     against with ``==``: same branches, same node sets, same interning order.
+    Past the reachable set, period T is terminal: its nodes are not expanded.
     """
 
     def other_branches(self, i, node, plan):
@@ -334,7 +335,7 @@ class LoopWalker(TreeWalker):
         frontier = [root]
         while frontier:
             node = frontier.pop()
-            if node.t > self.game.horizon:
+            if node.t >= self.game.horizon:   # period T is terminal
                 continue
             pools = [range(self.game.grid(j, node.t).points) for j in node.active]
             for combo in itertools.product(*pools):
@@ -366,7 +367,7 @@ class LoopWalker(TreeWalker):
             visited = {(self.store.root().key, False)}
             while frontier:
                 node, deviated = frontier.pop()
-                if node.t > self.game.horizon or evaluator not in node.active:
+                if node.t >= self.game.horizon or evaluator not in node.active:
                     continue
                 pools = [self.belief(j, node) for j in node.active]
                 for combo in itertools.product(*pools):
@@ -406,8 +407,9 @@ class LoopEngine(Engine):
     """Engine whose first-hit quit distribution is the hand-rolled joint loop."""
 
     def _chi(self, i, node, plan, memo):
-        if node.t > self.game.horizon or i not in node.active:
-            return {self.game.horizon + 1: 1.0}
+        T1 = self.game.horizon + 1
+        if i not in node.active:
+            return {T1: 1.0}
         key = (i, node.key)
         hit = memo.get(key)
         if hit is not None:
@@ -429,6 +431,9 @@ class LoopEngine(Engine):
                     actions_idx[j] = a_idx
             if i in quitters:
                 out[node.t] = out.get(node.t, 0.0) + prob
+                continue
+            if node.t == self.game.horizon:
+                out[T1] = out.get(T1, 0.0) + prob
                 continue
             child = self.store.child(node, states, quitters, actions_idx)
             for k, w in self._chi(i, child, plan, memo).items():

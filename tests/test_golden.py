@@ -85,13 +85,13 @@ PAIR_CHURN_T2 = (
 
 # sha256 of the store's node signatures in key order, one per line, after the run
 INTERNING = {
-    ("g2-appendix",): "8bceb06cc0fc40a3d7aad4f22c77b476c2f21cf5708bad5db216051227d1d0df",
-    ("subscription",): "c1087821b50c91017d24e11a8d721cd8548ca90625e4f88bfb2fd7dd975761fe",
-    ("double-well",): "f090e60428790fa600f38d2b97b05c15fa5be47744c77a0e8be830d4a32738f4",
+    ("g2-appendix",): "10d4a1cf08d4b8bdf2be4e17c810d912690b2e269e9771918cd25c56cb92e1ee",
+    ("subscription",): "44bdab0c0fd3c82b44fdb4412058e385f173030f414d6caa08c48eef742488eb",
+    ("double-well",): "51a0a4fd86a1e8a6470e6826d46c7dc156f12b1a53a9647e1ddfb55445fd4895",
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
-        "9e5d03962db50d7e14af460e92a0ac1a9660bf14c99ceaa483e90ff6193a05a6",
+        "7e6d8e3155e54cdf0905d18353b745f9e93b3e33c179141fa86ed32bb1e0eaa6",
 }
-PAIR_CHURN_T2_INTERNING = "398d7c808bef2de4e9e04fa664907d71cad4b7b07e91c9cba11fcd7582626ba2"
+PAIR_CHURN_T2_INTERNING = "5a726db5f6b4183657a48bd404bb097caab7b72046b2ec1811b3cde4a93ad430"
 
 
 def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, str], str]:

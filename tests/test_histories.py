@@ -15,8 +15,8 @@ import pytest
 from conftest import IDENTITY, LoopEngine, LoopWalker, make_game, random_instance
 from offmenu.equilibrium import Engine
 from offmenu.histories import NEVER_QUIT, FixedPlan, RegionConjecture, TreeWalker
-from offmenu.mechanism import Mechanism, ZeroCoupling, ZeroOffSwitch
-from offmenu.model import GameError, Grid, ShockModel
+from offmenu.mechanism import Mechanism, TaskPolicy, ZeroCoupling, ZeroOffSwitch
+from offmenu.model import DynamicsModel, GameError, Grid, ShockModel
 from offmenu.scenario import bundled_scenarios, load_scenario
 
 CLOSURES = ("reachable_nodes", "full_state_closure", "one_shot_closure")
@@ -137,3 +137,68 @@ def test_one_shot_closure_budget_error():
     with pytest.raises(GameError) as exc:
         walker.one_shot_closure(plan, max_nodes=reachable)
     _assert_budget_advice(exc, "deviation closure", reachable)
+
+
+# -- the transition cache ---------------------------------------------------------
+
+
+def _direct(game, store, i, node, s_prev):
+    """Agent i's state distribution at node.t straight from the game, as TreeWalker lists it."""
+    if s_prev is None:
+        return tuple((w, j) for j, w in enumerate(game.initial_dist(i)) if w > 0.0)
+    s_val = game.grid(i, node.t - 1).value(s_prev)
+    probs, _ = game.kernel(i, node.t, s_val, store.history(node))
+    return tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0)
+
+
+def _transition_case(case):
+    """(game, policy, plan): kernels that read the last record, the whole history, or neither."""
+    if case == "action-feedback":
+        raw = json.loads(bundled_scenarios()["subscription"].read_text())
+        scenario = load_scenario({**raw, "dynamics": {"kind": "action_feedback",
+                                                      "params": {"beta": 0.25, "scale": 0.5}}})
+        return scenario.build_game(), scenario.build_policy(), NEVER_QUIT
+    if case == "full-history":
+        # period-3 states replay the agent's period-1 action
+        dyn = DynamicsModel(lambda i, t, s, h, om: h[0].get(i, 0.0) if t == 3 else s + om,
+                            lambda i, t, s, h, om: 0.0)
+        return make_game(dynamics=dyn), IDENTITY, NEVER_QUIT
+    if case == "quit":
+        # agent 0 quits in its bottom state at period 1, so period 2 opens without
+        # it; closures that read no history lump the nodes into Markov classes
+        dyn = DynamicsModel(lambda i, t, s, h, om: s + om, lambda i, t, s, h, om: 1.0,
+                            history_window=0)
+        sigma = TaskPolicy(lambda i, t, s, h: s, "identity", history_window=0)
+        plan = RegionConjecture({(0, 1): frozenset({0})}).plan()
+        return make_game(n=2, T=3, dynamics=dyn), sigma, plan
+    game, mech, conj = random_instance(np.random.default_rng(case))
+    return game, mech.sigma, conj.plan()
+
+
+@pytest.mark.parametrize("case", [*range(10), "action-feedback", "full-history", "quit"])
+def test_beliefs_and_own_kernels_equal_direct_kernel_calls(case):
+    game, sigma, plan = _transition_case(case)
+    walker = TreeWalker(game, sigma)
+    store = walker.store
+    assert store.window == {"action-feedback": 1, "quit": 0}.get(case)
+    quit_cells = 0
+    for node in walker.full_state_closure(plan):
+        for i in game.agents():
+            if i in node.active:
+                prev = node.prev_state_of(i) if node.t > 1 else None
+                assert walker.belief(i, node) == _direct(game, store, i, node, prev)
+            elif node.t > 1:
+                # own_kernel still serves an agent who has quit; its belief does not exist
+                with pytest.raises(GameError):
+                    walker.belief(i, node)
+                quit_cells += node.t < game.horizon
+            if node.t == game.horizon:
+                continue
+            for s in range(game.grid(i, node.t).points):
+                for slot in range(len(walker.menu(i, node).actions)):
+                    a_own, a_idx = walker.own_action(i, node, s, slot)
+                    for _, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
+                        child = walker.child_after(i, node, s, a_idx, br)
+                        assert walker.own_kernel(i, node, s, child) == _direct(game, store, i,
+                                                                               child, s)
+    assert quit_cells or case != "quit"

@@ -231,7 +231,7 @@ def test_callable_mechanism_keeps_full_history_keys_on_a_lumped_store():
 
 
 def _doic_counts(raw, monkeypatch, full):
-    """(report, interned nodes, prospect entries, reward calls) of a doic-only run."""
+    """(pipeline result, prospect entries, reward calls) of a doic-only run."""
     calls = [0]
     reward = BaseGame.reward
 
@@ -244,27 +244,56 @@ def _doic_counts(raw, monkeypatch, full):
         if full:
             m.setattr(histories, "history_window", lambda game, sigma: None)
         result = run_scenario(load_scenario(raw), None, {"checks": ("doic",)})
-    return result.report, len(result.engine.store), len(result.engine._g), calls[0]
+    return result, len(result.engine._g), calls[0]
 
 
 def test_doic_on_pair_churn_does_less_work_than_full_history(monkeypatch):
     raw = _bundled("pair-churn", horizon=2)
-    report, nodes, entries, rewards = _doic_counts(raw, monkeypatch, False)
-    full_report, full_nodes, full_entries, full_rewards = _doic_counts(raw, monkeypatch, True)
-    assert report == full_report
+    lumped, entries, rewards = _doic_counts(raw, monkeypatch, False)
+    full, full_entries, full_rewards = _doic_counts(raw, monkeypatch, True)
+    assert lumped.report == full.report
     assert entries < full_entries and rewards < full_rewards
-    # at T=2 the leaves past the horizon record no period-1 state, so both
-    # runs intern the same nodes; a third period shows the saving
-    assert nodes <= full_nodes
+    # no walk builds a node past the horizon outside the reachable set, and
+    # up to the horizon both runs open the same histories
+    assert len(lumped.engine.store) <= len(full.engine.store)
 
 
 @pytest.mark.parametrize("name", ["subscription", "double-well"])
-def test_doic_interns_fewer_nodes_than_full_history(name, monkeypatch):
+def test_doic_does_less_work_than_full_history(name, monkeypatch):
     raw = _bundled(name)
-    report, nodes, entries, rewards = _doic_counts(raw, monkeypatch, False)
-    full_report, full_nodes, full_entries, full_rewards = _doic_counts(raw, monkeypatch, True)
-    assert report == full_report
-    assert nodes < full_nodes and entries < full_entries and rewards < full_rewards
+    lumped, entries, rewards = _doic_counts(raw, monkeypatch, False)
+    full, full_entries, full_rewards = _doic_counts(raw, monkeypatch, True)
+    assert lumped.report == full.report
+    assert entries < full_entries and rewards < full_rewards
+    # lumping saves memo entries and closure calls, not nodes: both runs open
+    # the same histories up to T, and past T only the reachable leaves
+    assert len(lumped.engine.store) == len(full.engine.store)
+    _assert_past_horizon_nodes_reachable(lumped)
+    _assert_past_horizon_nodes_reachable(full)
+
+
+# -- period T is terminal past the reachable set -----------------------------------
+
+
+def _assert_past_horizon_nodes_reachable(result):
+    """Every stored node past the horizon is a leaf of the run's reachable set."""
+    store, horizon = result.engine.store, result.engine.game.horizon
+    reachable = {n.key for n in result.nodes}
+    past = [store.node(k) for k in range(len(store)) if store.node(k).t > horizon]
+    assert past and all(n.key in reachable for n in past)
+
+
+@pytest.mark.parametrize("raw", [
+    *(_bundled(name) for name in ("g2-appendix", "subscription", "double-well")),
+    _bundled("pair-churn", horizon=2),
+    {**_bundled("g2-appendix"), "mode": "mc", "verify": ["doic"], "samples": 300},
+    *(_random_raw(seed) for seed in range(8)),
+], ids=lambda raw: f"{raw['name']}-{raw.get('mode', 'exact')}-T{raw['horizon']}")
+def test_walks_intern_no_node_past_the_horizon_outside_the_reachable_set(raw, tmp_path):
+    # with exports, so the export's deviation closure runs too
+    result = run_scenario(load_scenario(raw), tmp_path)
+    assert (tmp_path / "mechanism_tables.json").exists()
+    _assert_past_horizon_nodes_reachable(result)
 
 
 # -- parent edges of flow-c2 and the posted factor --------------------------------

@@ -61,10 +61,10 @@ def ref_prospect_mc(engine, i, node, s_idx, x, n_samples, seed, a_pos=None):
             s_val = engine.game.grid(i, k).value(cur_s)
             acc += (engine.game.reward(i, k, s_val, actions)
                     + engine.mechanism.rho.value(i, cur_node, actions))
-            child = engine.walker.child_after(i, cur_node, cur_s, a_own_idx, br)
-            if k == T:
-                vals[k - node.t] = acc + engine.phi_value(i, child)
+            if k == T:   # quitting after the horizon pays 0
+                vals[k - node.t] = acc
                 break
+            child = engine.walker.child_after(i, cur_node, cur_s, a_own_idx, br)
             kernel = engine.walker.own_kernel(i, cur_node, cur_s, child)
             pv = np.array([p for p, _ in kernel])
             nxt = kernel[rng.choice(len(kernel), p=pv / pv.sum())][1]
@@ -137,12 +137,12 @@ def ref_simulate(engine, n_paths, seed):
                 s_val = game.grid(i, t).value(states[i])
                 payoff[i] += (game.reward(i, t, s_val, actions)
                               + engine.mechanism.rho.value(i, node, actions))
-            child = engine.store.child(node, states, quitters, actions_idx)
             alive -= set(quitters)
             if not alive or t == game.horizon:
                 for i in sorted(alive):
                     never_counts[i] += 1
                 break
+            child = engine.store.child(node, states, quitters, actions_idx)
             for i in sorted(alive):
                 probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),
                                        engine.store.history(child))
