@@ -68,11 +68,7 @@ class Node:
         """Session-independent history id (store keys are insertion-ordered)."""
         sig = self.__dict__.get("_sigstr")
         if sig is None:
-            ev = ";".join(
-                f"{','.join(map(str, r.participants))}:{','.join(map(str, r.action_indices))}"
-                f":{','.join(map(str, r.quitters))}" for r in self.events)
-            prev = ",".join(f"{j}={s}" for j, s in self.prev_states)
-            sig = f"t{self.t}|a{','.join(map(str, self.active))}|p{prev}|e{ev}"
+            sig = _format_signature(self.t, self.active, self.prev_states, self.events)
             self.__dict__["_sigstr"] = sig
         return sig
 
@@ -81,6 +77,14 @@ class Node:
             if j == i:
                 return s
         return None
+
+
+def _format_signature(t: int, active, prev_states, events) -> str:
+    ev = ";".join(
+        f"{','.join(map(str, r.participants))}:{','.join(map(str, r.action_indices))}"
+        f":{','.join(map(str, r.quitters))}" for r in events)
+    prev = ",".join(f"{j}={s}" for j, s in prev_states)
+    return f"t{t}|a{','.join(map(str, active))}|p{prev}|e{ev}"
 
 
 def history_window(game: BaseGame, sigma: TaskPolicy) -> int | None:
@@ -103,10 +107,27 @@ class NodeStore:
         self._by_sig: dict[tuple, Node] = {}
         self._nodes: list[Node] = []
         self._lumps: dict[tuple, int] = {}
+        self._class_sigs: dict[int, str] = {}
         self._histories: dict[int, tuple[dict[int, float], ...]] = {}
 
     def root(self) -> Node:
         return self.intern(1, tuple(self.game.agents()), (), ())
+
+    def class_key(self, t: int, active, prev_states, events) -> tuple:
+        """The Markov class of a history: its events cut to the last ``window`` records."""
+        if self.window is None:
+            return (t, active, prev_states, events)
+        return (t, active, prev_states, events[max(len(events) - self.window, 0):])
+
+    def class_signature(self, node: Node) -> str:
+        """Session-independent id of the node's Markov class, formatted as
+        ``Node.signature`` with the events cut to the window."""
+        sig = self._class_sigs.get(node.lump)
+        if sig is None:
+            sig = _format_signature(*self.class_key(node.t, node.active, node.prev_states,
+                                                    node.events))
+            self._class_sigs[node.lump] = sig
+        return sig
 
     def intern(self, t: int, active, prev_states, events) -> Node:
         sig = (t, tuple(active), tuple(prev_states), tuple(events))
@@ -116,8 +137,7 @@ class NodeStore:
             if self.window is None:
                 lump = key
             else:
-                cls = sig[:3] + (sig[3][len(sig[3]) - self.window:],)
-                lump = self._lumps.setdefault(cls, len(self._lumps))
+                lump = self._lumps.setdefault(self.class_key(*sig), len(self._lumps))
             node = Node(t, sig[1], sig[2], sig[3], key=key, lump=lump)
             self._by_sig[sig] = node
             self._nodes.append(node)
@@ -522,13 +542,14 @@ class TreeWalker:
         For each evaluating agent: the agent stays and acts every period (their
         committed staying plans ignore the quit rule for themselves), deviating
         from the obedient action at most once, while everyone else follows
-        the plan.  This is exactly the set of histories whose coupling and
-        posted values an obedience check over positive-probability cells can
-        query, hence the coverage exported mechanism tables need.  Period T
-        is terminal: quitting after it pays 0, so the walk does not expand
-        its nodes, and the only nodes past the horizon are the obedient
-        tree's leaves.  The walk's tag says whether the evaluator has
-        already deviated.
+        the plan.  This is the set of histories whose coupling and posted
+        values an obedience check over positive-probability cells can
+        query.  The package no longer calls it (the tables export covers
+        every class of ``markov_classes``); it stays because the
+        benchmark's tracer wraps it by name.  Period T is terminal:
+        quitting after it pays 0, so the walk does not expand its nodes,
+        and the only nodes past the horizon are the obedient tree's leaves.
+        The walk's tag says whether the evaluator has already deviated.
         """
         seen = {n.key: n for n in self.reachable_nodes(plan, max_nodes)}
         for evaluator in self.game.agents():
@@ -547,6 +568,45 @@ class TreeWalker:
 
             self._closure(successors, False, "deviation closure", max_nodes, seen)
         return _in_period_order(seen)
+
+    def markov_classes(self, max_nodes: int = 250_000) -> list[Node]:
+        """One representative node per Markov class reachable from the root.
+
+        Each class is expanded over every quit set of its active agents that
+        leaves a stayer (a class with no active agent has no cell) and every
+        grid state of its stayers.  With a window of one record or more the
+        stayers' menu actions are enumerated too; with window 0 they do not
+        enter the class, so each stayer plays its obedient action.  Only a
+        combination that opens a new class interns its successor, which then
+        represents the class.  Period T is terminal and not expanded.  The
+        set depends only on the game and the policy, and a class function
+        reads the same at its representative as at any other member.
+        """
+        store = self.store
+        known: set[tuple] = set()
+
+        def moves(j, node):
+            points = range(self.game.grid(j, node.t).points)
+            if store.window == 0:
+                return [(s, self.own_action(j, node, s)[1]) for s in points]
+            return [(s, a) for s in points for a in self.menu(j, node).grid_indices]
+
+        def successors(node, tag):
+            if node.t == self.game.horizon:
+                return
+            for r in range(len(node.active)):
+                for quitters in itertools.combinations(node.active, r):
+                    stayers = tuple(j for j in node.active if j not in quitters)
+                    for combo in itertools.product(*(moves(j, node) for j in stayers)):
+                        prev = tuple((j, s) for j, (s, _) in zip(stayers, combo))
+                        events = node.events + (
+                            PeriodRecord(stayers, tuple(a for _, a in combo), quitters),)
+                        cls = store.class_key(node.t + 1, stayers, prev, events)
+                        if cls not in known:
+                            known.add(cls)
+                            yield store.intern(node.t + 1, stayers, prev, events), tag
+
+        return _in_period_order(self._closure(successors, None, "Markov class set", max_nodes))
 
 
 def live_cells(nodes: Iterable[Node], horizon: int) -> Iterator[tuple[int, Node]]:

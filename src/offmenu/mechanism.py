@@ -126,15 +126,17 @@ class ZeroCoupling(CouplingPolicy):
 class TableCoupling(CouplingPolicy):
     """Expected-coupling canonical representative: keyed by the agent's own action.
 
-    ``table`` maps (agent, history id, own_action_position) -> value, where
-    the position indexes the agent's menu at that node and the history id is
-    the node's session-independent signature.  Constant in the other agents'
-    realized actions, which is exactly the degree of freedom the expectation
-    constraint pins down.
+    ``table`` maps (agent, class id, own_action_position) -> value, where
+    the position indexes the agent's menu at that node and ``class_of``
+    gives the session-independent id of the node's Markov class.  Constant
+    in the other agents' realized actions, which is exactly the degree of
+    freedom the expectation constraint pins down.
     """
 
     table: Mapping[tuple[int, str, int], float]
     menu_of: Callable[[int, "Node"], Menu]
+    class_of: Callable[["Node"], str]
+    markov = True
 
     def value(self, i, node, actions):
         if i not in actions:
@@ -142,10 +144,10 @@ class TableCoupling(CouplingPolicy):
         menu = self.menu_of(i, node)
         pos = menu.position(actions[i])
         try:
-            return self.table[(i, node.signature(), pos)]
+            return self.table[(i, self.class_of(node), pos)]
         except KeyError:
             raise GameError(
-                f"no coupling entry for agent {i} at history {node.signature()!r}, slot {pos}")
+                f"no coupling entry for agent {i} at class {self.class_of(node)!r}, slot {pos}")
 
 
 @dataclass
@@ -222,23 +224,28 @@ class ZeroOffSwitch(OffSwitch):
 class TableOffSwitch(OffSwitch):
     """History-keyed off-switch values; the common cutoff-switch container.
 
-    Keys are interned node ids by default; ``by_signature`` switches to the
-    session-independent history signature (the export format).  The
-    ``interval_of``/``by_interval`` pair serves the knowledgeable variant,
-    where the value is looked up per partition interval of the queried state.
+    Keys are interned node ids by default; ``class_of`` switches to the
+    session-independent id of the node's Markov class (the export format),
+    which makes the values class functions.  The ``interval_of``/
+    ``by_interval`` pair serves the knowledgeable variant, where the value
+    is looked up per partition interval of the queried state.
     """
 
     horizon: int
     table: Mapping[tuple, float]
     by_interval: Mapping[tuple, float] | None = None
     interval_of: Callable[[int, int, int], int] | None = None  # (agent, period, state idx) -> w
-    by_signature: bool = False
+    class_of: Callable[["Node"], str] | None = None
+
+    @property
+    def markov(self) -> bool:
+        return self.class_of is not None
 
     def state_dependent(self) -> bool:
         return self.by_interval is not None
 
     def _hid(self, node):
-        return node.signature() if self.by_signature else node.key
+        return node.key if self.class_of is None else self.class_of(node)
 
     def value(self, i, node, state_index=None):
         if self._terminal(node):

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .equilibrium import FIXED_POINT_TOL, Engine, TreeSizeError
-from .histories import NodeStore, RegionConjecture, TreeWalker, live_cells
+from .histories import RegionConjecture, TreeWalker, live_cells
 from .mechanism import BoundaryProfile, Mechanism, TableCoupling, TableOffSwitch
 from .model import GameError
 from .regions import detect_monotone, partition_from_boundary
@@ -114,11 +114,9 @@ def run_scenario(source, out_dir: str | Path | None = None,
                                           scenario.seed, mode=mode, partitions=partitions,
                                           tol=tol)
             else:
-                # table-backed mechanisms cover positive-probability cells only
                 try:
                     verdicts += check_doic(engine, conj, nodes, mode=mode,
-                                           partitions=partitions, tol=tol,
-                                           support_only=carriers is None)
+                                           partitions=partitions, tol=tol)
                 except TreeSizeError as exc:
                     raise GameError(f"exact doic enumeration too large: {exc}") from exc
         elif check == "payoff_flow":
@@ -226,7 +224,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
                                     for (i, t, j), c in sim.state_hist.items()]
                                    + [("action", i, t, j, c)
                                       for (i, t, j), c in sim.action_hist.items()]))
-        artifacts.append(export_mechanism_tables(engine, conj, scenario,
+        artifacts.append(export_mechanism_tables(engine, scenario,
                                                  out / "mechanism_tables.json"))
     return PipelineResult(scenario, report, passed, artifacts,
                           engine=engine, carriers=carriers, transforms=transforms,
@@ -270,54 +268,65 @@ def export_report(report_path: str | Path, fmt: str, out_dir: str | Path) -> lis
     ]
 
 
-def export_mechanism_tables(engine: Engine, conj, scenario: Scenario,
-                            path: str | Path) -> Path:
+TABLES_SCHEMA_VERSION = 2
+
+
+def export_mechanism_tables(engine: Engine, scenario: Scenario, path: str | Path) -> Path:
     """Write the synthesized mechanism as session-independent tables.
 
-    Coverage is the one-shot-deviation closure of the obedient tree, which
-    is exactly the node set a positive-probability obedience check visits;
-    the closure treats period T as terminal, so every exported history is
-    a decision node up to the horizon.  A scenario with variant "tables"
-    can verify and simulate against the file without re-running the
-    synthesis.
+    The coupling and the cutoff are functions of the node's Markov class,
+    so there is one row per (agent, class, menu slot or interval), keyed by
+    the class signature, at every class ``TreeWalker.markov_classes``
+    reaches.  That covers every history any check, the fixed point or the
+    simulation can query.  Rows are sorted and written one per line; the
+    file stays one JSON document.  A scenario with variant "tables" can
+    verify and simulate against the file without re-running the synthesis.
     """
     import json
 
     walker = engine.walker
     mech = engine.mechanism
-    nodes = walker.one_shot_closure(conj.plan())
-    coupling = []
-    posted = []
-    posted_intervals = []
-    for i, node in live_cells(nodes, engine.game.horizon):
-        menu = walker.menu(i, node)
-        sig = node.signature()
-        for pos, a in enumerate(menu.actions):
-            coupling.append([i, sig, pos, float(mech.rho.value(i, node, {i: a}))])
+    rows = {"coupling": [], "posted": [], "posted_intervals": []}
+    for i, node in live_cells(walker.markov_classes(), engine.game.horizon):
+        sig = walker.store.class_signature(node)
+        for pos, a in enumerate(walker.menu(i, node).actions):
+            rows["coupling"].append((i, sig, pos, float(mech.rho.value(i, node, {i: a}))))
         if mech.phi.state_dependent():
             for w, v in sorted(mech.phi.per_interval_values(i, node).items()):
-                posted_intervals.append([i, sig, w, float(v)])
+                rows["posted_intervals"].append((i, sig, w, float(v)))
         else:
-            posted.append([i, sig, float(mech.phi.value(i, node))])
-    body = {
+            rows["posted"].append((i, sig, float(mech.phi.value(i, node))))
+    header = {
+        "boundaries": {str(k): v for k, v in scenario.boundaries.items()},
+        "schema_version": TABLES_SCHEMA_VERSION,
         "source": scenario.name,
         "variant": scenario.variant,
-        "boundaries": {str(k): v for k, v in scenario.boundaries.items()},
-        "coupling": sorted(coupling),
-        "posted": sorted(posted),
-        "posted_intervals": sorted(posted_intervals),
+        "window": walker.store.window,
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as f:
+        f.write("{\n")
+        for k, v in header.items():
+            f.write(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)},\n")
+        for name, section in rows.items():
+            f.write(f"{json.dumps(name)}: [")
+            for k, row in enumerate(sorted(section)):
+                f.write(("\n" if k == 0 else ",\n") + json.dumps(row))
+            f.write("\n]" if section else "]")
+            f.write("\n}\n" if name == "posted_intervals" else ",\n")
     return path
 
 
-def _read_tables(path: str) -> dict:
-    """The parts of an exported mechanism-tables file the table-backed run uses."""
+def _read_tables(path: str, window: int | None) -> dict:
+    """The parts of an exported mechanism-tables file the table-backed run uses.
+
+    The file must be of the current schema and keyed by classes of the
+    scenario's own history ``window``.
+    """
     body = read_json(path, "mechanism tables")
     try:
-        return {
+        tables = {
             "source": body.get("source"),
             "variant": body["variant"],
             "boundaries": {int(k): [(float(a), float(b)) for a, b in pairs]
@@ -329,32 +338,37 @@ def _read_tables(path: str) -> dict:
         }
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise GameError(f"mechanism tables {path!r} are malformed: {exc!r}") from exc
+    # version 1 keyed rows by full history and carried no version field
+    version = body.get("schema_version", 1)
+    if version != TABLES_SCHEMA_VERSION:
+        raise GameError(f"mechanism tables {path!r} have schema version {version!r}; only "
+                        f"version {TABLES_SCHEMA_VERSION} is read, so re-export them")
+    if body.get("window") != window:
+        raise GameError(f"mechanism tables {path!r} key classes by history window "
+                        f"{body.get('window')!r}, but the scenario's window is {window!r}")
+    return tables
 
 
 def _load_tables(scenario: Scenario):
     """Rebuild a mechanism from exported tables for the shared pipeline.
 
-    The coverage contract restricts obedience checks to positive-probability
-    cells; synthesis-side checks (conservation, envelope, uniqueness, ...)
-    need the synthesized carriers and are rejected here, as is the fixed
-    point on a multi-agent game.  Returns (game, walker, mechanism,
-    conjecture, partitions, the tables' variant, extras).
+    The tables cover every Markov class, so obedience checks, the fixed
+    point and the simulation run as on a synthesized mechanism;
+    synthesis-side checks (conservation, envelope, uniqueness, ...) need
+    the synthesized carriers and are rejected here.  Returns (game, walker,
+    mechanism, conjecture, partitions, the tables' variant, extras).
     """
     allowed = {"support", "doic", "fixed_point"}
     bad = [c for c in scenario.checks if c not in allowed]
     if bad:
         raise GameError(f"table-backed scenarios support checks {sorted(allowed)}, not {bad}")
-    if "fixed_point" in scenario.checks and scenario.agents > 1:
-        raise GameError("table-backed fixed_point needs one agent: its opponents stay where the "
-                        "region plan quits, outside the exported one-shot-deviation closure")
     tables_path = scenario.raw.get("mechanism", {}).get("path")
     if not tables_path or not isinstance(tables_path, str):
         raise GameError("variant 'tables' needs mechanism.path")
-    tables = _read_tables(tables_path)
     game = scenario.build_game()
     sigma = scenario.build_policy()
-    # the tables key by full history signature, so no Markov classes here
-    walker = TreeWalker(game, sigma, NodeStore(game))
+    walker = TreeWalker(game, sigma)
+    tables = _read_tables(tables_path, walker.store.window)
     if tables["variant"] == "ir" or not tables["boundaries"]:
         partitions = ir_partitions(game)
         regions = {}
@@ -365,16 +379,17 @@ def _load_tables(scenario: Scenario):
             for t in game.periods():
                 partitions[(i, t)] = partition_from_boundary(game.grid(i, t), prof)
         regions = {k: p.off_indices for k, p in partitions.items()}
-    rho = TableCoupling(tables["coupling"], walker.menu)
+    class_of = walker.store.class_signature
+    rho = TableCoupling(tables["coupling"], walker.menu, class_of)
 
     def interval_of(i, t, s_idx):
         return partitions[(i, t)].global_interval_index(s_idx)
 
     if tables["posted_intervals"]:
-        phi = TableOffSwitch(game.horizon, {}, tables["posted_intervals"],
-                             interval_of, by_signature=True)
+        phi = TableOffSwitch(game.horizon, {}, tables["posted_intervals"], interval_of,
+                             class_of=class_of)
     else:
-        phi = TableOffSwitch(game.horizon, tables["posted"], by_signature=True)
-    extras = {"mechanism_source": tables["source"], "coverage": "positive-probability cells"}
+        phi = TableOffSwitch(game.horizon, tables["posted"], class_of=class_of)
+    extras = {"mechanism_source": tables["source"]}
     return (game, walker, Mechanism(sigma, rho, phi), RegionConjecture(regions), partitions,
             tables["variant"], extras)

@@ -76,7 +76,7 @@ def _cells(engine: Engine, nodes: Sequence[Node], support_only: bool = False):
 
 def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
                mode: str = "ir", partitions: PartitionSet | None = None,
-               tol: float = 1e-9, support_only: bool = False) -> list[Verdict]:
+               tol: float = 1e-9) -> list[Verdict]:
     """Exhaustive on-rent checks over every cell and menu deviation.
 
     ir mode: staying must weakly dominate quitting everywhere (nonnegative
@@ -84,8 +84,6 @@ def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     menu deviation.  off-region mode: the on-rent's sign must additionally
     match the partition (nonpositive inside the desired off region,
     nonnegative outside), so the directed quit pattern is a best response.
-    ``support_only`` restricts cells to positive-probability states (the
-    coverage contract of table-backed mechanisms).
     """
     if mode not in ("ir", "off"):
         raise GameError(f"unknown doic mode {mode!r}")
@@ -93,7 +91,7 @@ def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         raise GameError("off-region mode needs the partitions")
     worst_oaic, worst_raic = math.inf, math.inf
     wit_oaic = wit_raic = None
-    for i, node, s in _cells(engine, nodes, support_only):
+    for i, node, s in _cells(engine, nodes):
         z_obed = engine.on_rent(i, node, s, x)
         menu = engine.walker.menu(i, node)
         for pos in range(len(menu.actions)):

@@ -30,7 +30,7 @@ GOLDEN = {
         "2e0f3302ef876754bce4381fe0b743f3b835ee1a28289e8a91aff8887237a761",
         "c8eee447497019a05a8a7925519de9e760fdc188b3c1869a46df37cbe3dee23b",
         "85d285c5af40c568499cb9b49dbc3d3f35a115082c0cf125b332243b1e6c3dae",
-        "c9a0d038d81b52d99b52c01a44d8bcb7072a7e69a3d22da812740023f9c4435e",
+        "3049479123e103e25f5d4147a5249269dcdc16c899a7f1315bc31cdc79c1438f",
         "c0683f4c525607a11de2f2384fe6b9f3646f940996a8291f24e2cee6745e8ed4",
         "144ce664684610bcc461695964476b2abad7c21726117add9d84192b50a4ad59",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
@@ -40,7 +40,7 @@ GOLDEN = {
         "4a7617b3a2e4f4d5313741acc7ce49771e4406a4154027b400c7fc6df28331b4",
         "921717afaad9fe11aadb60fb56a78d56f5b94cabc05cc2244539b6ec0ba73ebe",
         "e7eb24486c833aa58ed05a514ccee454eee5973310fba22b2240026653a9d313",
-        "292be6e5c70143354a5ec948b4bbf9e4a8bb7bd9bc5785da9b9e84eeff30d7a1",
+        "976049316d4625bc116dceb47dd870d973cb32059aedb287959ca3b6c2b44ab7",
         "f1e7d1a53956f76ca8031c6eedd90bbac52d93627073bafa55b05bd6b2b4e278",
         "5381c39cc7fafd6fa88dda4e883d6f4e8313c86288a3ee83750a6f8bae3f9dfa",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
@@ -50,7 +50,7 @@ GOLDEN = {
         "c618d515c261ac2ee0b314a43ef5fc40fa1704b54d029f811bf3f8492b2a750e",
         "cb4f85d65f8fc776f5a7c607606df31382555b7bb2f5d4806c8343c1eef462d8",
         "2019e1654549360392bd33655816efe3e4a779d9fd24ab4a907ab2cf00a31ab0",
-        "1a43def86da2c5368bd730da1d46fe59f0f04bd8e88161d63e73c8c0b296a3cb",
+        "35b9779ab021d9576bc7dbf75e278982659c31c48f018922a9707f69bccc1bad",
         "f88fb7a364ad466907c1c771361e96ea0d4a277316b0dc06cdc493137401886e",
         "ceb23ac1a97b7f986efd5e7e30492d2e079a4a6f6347546255fd646b31db07fc",
         "e70964926052d8182f8c09d7f07b525108257d02ec60c78c927193ad23f4ef3f",
@@ -61,7 +61,7 @@ GOLDEN = {
         "2e0f3302ef876754bce4381fe0b743f3b835ee1a28289e8a91aff8887237a761",
         "59eb9f9057e1729c2448cc43a114c6339566fd47448afaa80c1442431cd88a32",
         "85d285c5af40c568499cb9b49dbc3d3f35a115082c0cf125b332243b1e6c3dae",
-        "c9a0d038d81b52d99b52c01a44d8bcb7072a7e69a3d22da812740023f9c4435e",
+        "3049479123e103e25f5d4147a5249269dcdc16c899a7f1315bc31cdc79c1438f",
         None,
         "144ce664684610bcc461695964476b2abad7c21726117add9d84192b50a4ad59",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
@@ -75,7 +75,7 @@ PAIR_CHURN_T2 = (
     "b40185f190a331743aa871838413141012c54a8e37a595f0c7fa021108e46839",
     "5c5b781768b2d7a01ab0c7211f256f57565ac3f5c5adb62fad58910de34d0ea0",
     "472d18e1466d7192df69db471c9c48461841a3dc5d601a3ed4d9372671eeded7",
-    "fa7023939b58160e5f5e48367517f16d925babc8136e46a6907529cbe9e93faf",
+    "96fad77306421cf0fa969cfaac7b0d26ba45444bba26ff7a458e6a58295d24d3",
     "7c499186d463a92ff17ceebb00cd168f1a7ba45d296756e90a22efb78d97c4a8",
     "d9c6d93b8b7a0e6f9aedf149a95ae0d74a1b17c89046a167e66096d8d7655e42",
     "af465b10ff0c1064ef0639025e68aa139270eb409697f958e8015e43d31a0113",
@@ -87,9 +87,9 @@ PAIR_CHURN_T2 = (
 INTERNING = {
     ("g2-appendix",): "10d4a1cf08d4b8bdf2be4e17c810d912690b2e269e9771918cd25c56cb92e1ee",
     ("subscription",): "44bdab0c0fd3c82b44fdb4412058e385f173030f414d6caa08c48eef742488eb",
-    ("double-well",): "51a0a4fd86a1e8a6470e6826d46c7dc156f12b1a53a9647e1ddfb55445fd4895",
+    ("double-well",): "ceaf1dbf6597454631415eaa990227821718cef04db9ff750ddcb3eddca694a4",
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
-        "7e6d8e3155e54cdf0905d18353b745f9e93b3e33c179141fa86ed32bb1e0eaa6",
+        "c3cd2a682ddb0c9e9155164184a450cae1e1b91029d2ad54f184a6ef050cb86d",
 }
 PAIR_CHURN_T2_INTERNING = "5a726db5f6b4183657a48bd404bb097caab7b72046b2ec1811b3cde4a93ad430"
 

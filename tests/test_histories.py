@@ -14,7 +14,14 @@ import pytest
 
 from conftest import IDENTITY, LoopEngine, LoopWalker, make_game, random_instance
 from offmenu.equilibrium import Engine
-from offmenu.histories import NEVER_QUIT, FixedPlan, RegionConjecture, TreeWalker
+from offmenu.histories import (
+    NEVER_QUIT,
+    FixedPlan,
+    NodeStore,
+    PeriodRecord,
+    RegionConjecture,
+    TreeWalker,
+)
 from offmenu.mechanism import Mechanism, TaskPolicy, ZeroCoupling, ZeroOffSwitch
 from offmenu.model import DynamicsModel, GameError, Grid, ShockModel
 from offmenu.scenario import bundled_scenarios, load_scenario
@@ -137,6 +144,38 @@ def test_one_shot_closure_budget_error():
     with pytest.raises(GameError) as exc:
         walker.one_shot_closure(plan, max_nodes=reachable)
     _assert_budget_advice(exc, "deviation closure", reachable)
+
+
+def test_markov_classes_budget_error():
+    walker, _ = _pair_walker()
+    with pytest.raises(GameError) as exc:
+        walker.markov_classes(max_nodes=3)
+    _assert_budget_advice(exc, "Markov class set", 3)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_markov_classes_cover_every_class_the_closures_reach(case):
+    game, mech, conj = _instance(case)
+    walker = TreeWalker(game, mech.sigma)
+    reps = walker.markov_classes()
+    # one representative per class, each a decision node with a cell
+    assert len({n.lump for n in reps}) == len(reps) == len(walker.store)
+    assert all(n.t <= game.horizon and n.active for n in reps[1:])
+    for closure in CLOSURES:
+        nodes = getattr(walker, closure)(conj.plan())
+        assert {n.lump for n in nodes if n.t <= game.horizon and n.active} <= {
+            n.lump for n in reps}
+
+
+def test_a_class_keeps_every_record_of_a_history_shorter_than_its_window():
+    store = NodeStore(make_game(), window=3)
+    def rec(a):
+        return PeriodRecord((0,), (a,), ())
+    first = store.intern(3, (0,), ((0, 0),), (rec(0), rec(1)))
+    other = store.intern(3, (0,), ((0, 0),), (rec(1), rec(1)))
+    assert first.lump != other.lump
+    assert store.class_signature(first) == first.signature()
+    assert NodeStore(make_game(), window=1).class_signature(first) == "t3|a0|p0=0|e0:1:"
 
 
 # -- the transition cache ---------------------------------------------------------

@@ -77,15 +77,37 @@ def _class_values(result):
     return out
 
 
+def _class_rows(tables: bytes, window: int) -> set:
+    """Every row of a tables file, its history signature cut to the last ``window`` records.
+
+    A full-history file maps onto the class-keyed one only if each history
+    holds its class's value.
+    """
+    body = json.loads(tables)
+    rows = set()
+    for name in ("coupling", "posted", "posted_intervals"):
+        for i, sig, *rest in body[name]:
+            head, events = sig.split("|e", 1)
+            records = events.split(";") if events else []
+            kept = ";".join(records[max(len(records) - window, 0):])
+            rows.add((name, i, f"{head}|e{kept}", *rest))
+    return rows
+
+
 def _assert_lumping_exact(raw, tmp_path, monkeypatch, window=0, coarser=True):
     err, files, lumped = _run(raw, tmp_path, "lumped")
     with monkeypatch.context() as m:
         m.setattr(histories, "history_window", lambda game, sigma: None)
         full_err, full_files, full = _run(raw, tmp_path, "full")
     assert err == full_err
+    # the tables key by class, so the two runs' files differ in their keys only
+    tables, full_tables = files.pop("mechanism_tables.json", None), full_files.pop(
+        "mechanism_tables.json", None)
     assert files == full_files
     if lumped is None:
         return
+    assert json.loads(tables)["window"] == window and json.loads(full_tables)["window"] is None
+    assert _class_rows(tables, window) == _class_rows(full_tables, window)
     store = lumped.engine.store
     assert store.window == window and full.engine.store.window is None
     assert _class_values(lumped) == _class_values(full)

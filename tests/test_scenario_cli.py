@@ -244,11 +244,39 @@ def test_table_backed_run_matches_native(tmp_path, name):
                                            tmp_path / "native" / "mechanism_tables.json",
                                            verify=checks), None)
     assert tables.passed and native.passed
+    _assert_same_run(tables, native)
+    assert tables.report["extras"]["mechanism_source"] == name
+
+
+def _assert_same_run(tables, native):
+    assert tables.report["verdicts"] == native.report["verdicts"]
     assert tables.report["chi"] == native.report["chi"]
     assert tables.report["extras"]["simulation"] == native.report["extras"]["simulation"]
     assert tables.report["extras"]["support"] == native.report["extras"]["support"]
-    assert tables.report["verdicts"][-1] == native.report["verdicts"][-1]  # the fixed point
-    assert tables.report["extras"]["mechanism_source"] == name
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_table_backed_two_agent_run_matches_native(tmp_path, horizon):
+    # the tables cover every class, so the fixed point's opponents find their values too
+    checks = ["support", "doic", "fixed_point"]
+    pair = {**_bundled("pair-churn"), "horizon": horizon, "verify": checks}
+    native = run_scenario(load_scenario(pair), tmp_path / "native")
+    tables = run_scenario(_tables_scenario(pair, tmp_path / "native" / "mechanism_tables.json"),
+                          None)
+    assert tables.passed and native.passed
+    assert [v["name"] for v in tables.report["verdicts"]] == [
+        "off-region-alignment", "raic", "fixed-point"]
+    _assert_same_run(tables, native)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_tables_hold_one_coupling_row_per_class_and_slot(tmp_path, name):
+    # rows == memo entries: no check reads a class the export leaves out
+    result = run_scenario(name, tmp_path)
+    body = json.loads((tmp_path / "mechanism_tables.json").read_text())
+    assert body["schema_version"] == 2 and body["window"] == 0
+    assert len(body["coupling"]) == len(result.engine.mechanism.rho._memo)
+    assert len({(r[0], r[1]) for r in body["coupling"]}) == len(body["posted"])
 
 
 
@@ -312,19 +340,33 @@ def test_cli_tables_missing_interval_entry_exits_two(tmp_path, capsys):
     assert "no off-switch value for agent 0" in err and "interval" in err
 
 
-def test_cli_tables_fixed_point_on_two_agents_exits_two(tmp_path, capsys):
-    pair = {**_bundled("pair-churn"), "horizon": 2}
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(pair))
-    assert main(["synthesize", str(path), "--out", str(tmp_path / "native")]) == 0
+def _exported_tables(tmp_path) -> tuple:
+    """(tables body, tables path, scenario path) of a double-well run against its export."""
+    run_scenario("double-well", tmp_path / "native", overrides={"checks": ()})
     tables = tmp_path / "native" / "mechanism_tables.json"
-    path.write_text(json.dumps({**pair, "verify": ["support", "doic", "fixed_point"],
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_bundled("double-well"), "verify": ["doic"],
                                 "mechanism": {"variant": "tables", "path": str(tables)}}))
+    return json.loads(tables.read_text()), tables, path
+
+
+def test_cli_tables_of_schema_version_one_exit_two(tmp_path, capsys):
+    body, tables, path = _exported_tables(tmp_path)
+    assert main(["verify", str(path)]) == 0
+    del body["schema_version"]   # version 1 carried no version field
+    tables.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "schema version 1" in capsys.readouterr().err
+
+
+def test_cli_tables_of_another_history_window_exit_two(tmp_path, capsys):
+    body, tables, path = _exported_tables(tmp_path)
+    tables.write_text(json.dumps({**body, "window": 1}))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "fixed_point" in err and "one-shot-deviation closure" in err
-    assert main(["verify", str(path), "--checks", "support,doic"]) == 0
+    assert "history window 1" in err and "window is 0" in err
 
 
 def test_cli_checks_flag_overrides_scenario(tmp_path, capsys):
