@@ -225,17 +225,11 @@ class Engine:
             return BestResponse(1, None, node.t, quit_val, rent)
         return BestResponse(0, menu.actions[best_pos], best_L + 1, best_val, rent)
 
-    def pretend_value(self, i: int, node: Node, s_idx: int, pretend_idx: int,
-                      x: Conjecture) -> float:
-        """Best staying plan when acting as if the state were ``pretend_idx``."""
-        menu = self.walker.menu(i, node)
-        v, _ = self.stay_value(i, node, s_idx, x, menu.action_index_of_state[pretend_idx])
-        return v
-
     def value_fn(self, i: int, node: Node, s_idx: int, x: Conjecture) -> float:
-        """Best value over all pretenses (the envelope object)."""
-        grid = self.game.grid(i, node.t)
-        return max(self.pretend_value(i, node, s_idx, j, x) for j in range(grid.points))
+        """Best staying value over every menu slot, i.e. over all pretenses
+        (the envelope object): every slot is the obedient action of some state."""
+        return max(self.stay_value(i, node, s_idx, x, pos)[0]
+                   for pos in range(len(self.walker.menu(i, node).actions)))
 
     # -- quit-time distribution (first hit) -----------------------------------
 

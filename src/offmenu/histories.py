@@ -399,17 +399,14 @@ class TreeWalker:
     # -- enumeration ----------------------------------------------------------
 
     def joint_steps(self, node: Node, plan: OppPlan, agents: Sequence[int],
-                    pools: Sequence[Sequence[tuple[float, int]]] | None = None,
                     stays: int | None = None) -> Iterator[StepBranch]:
         """Every joint resolution of ``agents``' states, quits and obedient actions.
 
-        States range over each agent's belief at the node, or over the
-        caller's (prob, state) ``pools``; each agent quits where the plan
-        says so, except ``stays``, who stays and acts obediently throughout.
+        States range over each agent's belief at the node; each agent quits
+        where the plan says so, except ``stays``, who stays and acts
+        obediently throughout.
         """
-        if pools is None:
-            pools = [self.belief(j, node) for j in agents]
-        for combo in itertools.product(*pools):
+        for combo in itertools.product(*(self.belief(j, node) for j in agents)):
             prob = 1.0
             states: list[tuple[int, int]] = []
             quitters: list[int] = []
@@ -510,31 +507,6 @@ class TreeWalker:
                 yield self.store.child(node, dict(br.states), br.quitters, br.actions_idx), tag
 
         return _in_period_order(self._closure(successors, None, "reachable node set", max_nodes))
-
-    def full_state_closure(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
-        """Nodes reachable when every agent's state ranges over the whole grid.
-
-        Verification quantifies over all grid states at every history, so
-        counterfactual cells can open histories the belief-supported walk
-        never visits; this closure covers them (obedient actions, plan quits).
-        Period T is terminal: its nodes are not expanded, since no value is
-        read past the horizon.
-        """
-        def successors(node, tag):
-            if node.t == self.game.horizon:
-                return
-            pools = [[(1.0, s) for s in range(self.game.grid(j, node.t).points)]
-                     for j in node.active]
-            for br in self.joint_steps(node, plan, node.active, pools):
-                states = dict(br.states)
-                yield self.store.child(node, states, br.quitters, br.actions_idx), tag
-                # an evaluating agent stays even where the plan would quit
-                for keep in br.quitters:
-                    idx = {**br.actions_idx, keep: self.own_action(keep, node, states[keep])[1]}
-                    yield self.store.child(node, states, [j for j in br.quitters if j != keep],
-                                           idx), tag
-
-        return _in_period_order(self._closure(successors, None, "full-state closure", max_nodes))
 
     def one_shot_closure(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
         """Node coverage of one-shot-deviation evaluations from realizable cells.

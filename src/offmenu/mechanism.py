@@ -222,47 +222,43 @@ class ZeroOffSwitch(OffSwitch):
 
 @dataclass
 class TableOffSwitch(OffSwitch):
-    """History-keyed off-switch values; the common cutoff-switch container.
+    """Off-switch values looked up per Markov class; the common cutoff-switch container.
 
-    Keys are interned node ids by default; ``class_of`` switches to the
-    session-independent id of the node's Markov class (the export format),
-    which makes the values class functions.  The ``interval_of``/
-    ``by_interval`` pair serves the knowledgeable variant, where the value
-    is looked up per partition interval of the queried state.
+    ``table`` maps (agent, class id) -> value, where ``class_of`` gives
+    the session-independent id of the node's Markov class (the export
+    format, or ``NodeStore.class_signature``), so the values are class
+    functions.  The ``interval_of``/``by_interval`` pair serves the
+    knowledgeable variant, where the value is looked up per partition
+    interval of the queried state under (agent, class id, interval).
     """
 
     horizon: int
     table: Mapping[tuple, float]
+    class_of: Callable[["Node"], str]
     by_interval: Mapping[tuple, float] | None = None
     interval_of: Callable[[int, int, int], int] | None = None  # (agent, period, state idx) -> w
-    class_of: Callable[["Node"], str] | None = None
-
-    @property
-    def markov(self) -> bool:
-        return self.class_of is not None
+    markov = True
 
     def state_dependent(self) -> bool:
         return self.by_interval is not None
 
-    def _hid(self, node):
-        return node.key if self.class_of is None else self.class_of(node)
-
     def value(self, i, node, state_index=None):
         if self._terminal(node):
             return 0.0
+        cls = self.class_of(node)
         if self.by_interval is not None:
             if state_index is None:
                 raise GameError("knowledgeable off-switch needs the state to locate its interval")
             w = self.interval_of(i, node.t, state_index)
             try:
-                return self.by_interval[(i, self._hid(node), w)]
+                return self.by_interval[(i, cls, w)]
             except KeyError:
-                raise GameError(f"no off-switch value for agent {i} at node {self._hid(node)}, "
+                raise GameError(f"no off-switch value for agent {i} at class {cls!r}, "
                                 f"interval {w}")
         try:
-            return self.table[(i, self._hid(node))]
+            return self.table[(i, cls)]
         except KeyError:
-            raise GameError(f"no off-switch value for agent {i} at node {self._hid(node)}")
+            raise GameError(f"no off-switch value for agent {i} at class {cls!r}")
 
 
 @dataclass

@@ -31,8 +31,7 @@ class PersistenceTransforms:
         self.walker = carriers.walker
         self.game = carriers.game
         self.partitions = dict(partitions)
-        self._dup: dict[tuple, int] = {}
-        self._ddown: dict[tuple, int] = {}
+        self._targets: dict[tuple, int] = {}
         self._delta: dict[tuple, float] = {}
 
     def partition(self, i: int, t: int) -> RegionPartition | None:
@@ -42,38 +41,36 @@ class PersistenceTransforms:
 
     def d_up(self, i: int, node: Node, b: int) -> int:
         """Largest marginal-carrier maximizer inside the b-th sub-off interval."""
-        key = (i, node.lump, b)
-        hit = self._dup.get(key)
-        if hit is None:
-            part = self.partitions[(i, node.t)]
-            lo, hi = part.sub_off[b]
-            best, arg = -np.inf, lo
-            for j in range(lo, hi + 1):
-                z = self.carriers.marginal_carrier(i, node, j)
-                if z > best + 1e-15 or abs(z - best) <= 1e-15:
-                    if z > best + 1e-15:
-                        best = z
-                    arg = j
-            hit = arg
-            self._dup[key] = hit
-        return hit
+        return self._target(i, node, "off", b)
 
     def d_down(self, i: int, node: Node, e: int) -> int:
         """Largest marginal-carrier minimizer inside the e-th sub-on interval."""
-        key = (i, node.lump, e)
-        hit = self._ddown.get(key)
+        return self._target(i, node, "on", e)
+
+    def interval_targets(self, i: int, node: Node) -> list[int]:
+        """Projection target of every partition interval, left to right
+        (``RegionPartition.intervals`` order): ``d_up`` of an off interval,
+        ``d_down`` of an on interval."""
+        return [self._target(i, node, kind, k)
+                for _, _, kind, k in self.partitions[(i, node.t)].intervals()]
+
+    def _target(self, i: int, node: Node, kind: str, k: int) -> int:
+        """Largest maximizer, within 1e-15 ties, of the marginal carrier over
+        the k-th off interval, or of its negation over the k-th on interval."""
+        key = (i, node.lump, kind, k)
+        hit = self._targets.get(key)
         if hit is None:
             part = self.partitions[(i, node.t)]
-            lo, hi = part.sub_on[e]
-            best, arg = np.inf, lo
+            lo, hi = part.sub_off[k] if kind == "off" else part.sub_on[k]
+            sign = 1.0 if kind == "off" else -1.0   # negation is exact: ties are kept
+            best, hit = -np.inf, lo
             for j in range(lo, hi + 1):
-                z = self.carriers.marginal_carrier(i, node, j)
-                if z < best - 1e-15 or abs(z - best) <= 1e-15:
-                    if z < best - 1e-15:
-                        best = z
-                    arg = j
-            hit = arg
-            self._ddown[key] = hit
+                z = sign * self.carriers.marginal_carrier(i, node, j)
+                if z > best + 1e-15:
+                    best, hit = z, j
+                elif abs(z - best) <= 1e-15:
+                    hit = j
+            self._targets[key] = hit
         return hit
 
     def project(self, i: int, node: Node, s_idx: int) -> int:
@@ -83,7 +80,7 @@ class PersistenceTransforms:
             return s_idx
         kind, k = part.interval_of(s_idx)
         if kind == "off":
-            return self.d_up(i, node, k)
+            return self._target(i, node, kind, k)
         return s_idx
 
     # -- accumulated deviation ------------------------------------------------------

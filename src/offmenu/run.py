@@ -133,8 +133,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
             verdicts.append(check_mso(engine, conj, nodes, tol=tol))
         elif check == "phi_uniqueness":
             closed = _closed_form_phi(engine, mech, transforms, nodes)
-            solved = solve_phi_by_indifference(game, mech.sigma, mech.rho, transforms, conj,
-                                               nodes, variant)
+            solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
             verdicts.append(check_phi_uniqueness(closed, solved))
         elif check == "dcm_zero":
             rep = check_dcm_zero(mech, transforms, nodes, tol=tol)
@@ -386,10 +385,10 @@ def _load_tables(scenario: Scenario):
         return partitions[(i, t)].global_interval_index(s_idx)
 
     if tables["posted_intervals"]:
-        phi = TableOffSwitch(game.horizon, {}, tables["posted_intervals"], interval_of,
-                             class_of=class_of)
+        phi = TableOffSwitch(game.horizon, {}, class_of, tables["posted_intervals"],
+                             interval_of)
     else:
-        phi = TableOffSwitch(game.horizon, tables["posted"], class_of=class_of)
+        phi = TableOffSwitch(game.horizon, tables["posted"], class_of)
     extras = {"mechanism_source": tables["source"]}
     return (game, walker, Mechanism(sigma, rho, phi), RegionConjecture(regions), partitions,
             tables["variant"], extras)

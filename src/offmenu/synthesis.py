@@ -128,12 +128,8 @@ class SynthesizedCutoff(OffSwitch):
         part = self.transforms.partition(i, node.t)
         if part is None:
             raise GameError(f"no partition for agent {i}, period {node.t}")
-        out: dict[int, float] = {}
-        for w, (_, _, kind, k) in enumerate(part.intervals()):
-            pt = (self.transforms.d_up(i, node, k) if kind == "off"
-                  else self.transforms.d_down(i, node, k))
-            out[w] = self.transforms.total(i, node, pt)
-        return out
+        return {w: self.transforms.total(i, node, pt)
+                for w, pt in enumerate(self.transforms.interval_targets(i, node))}
 
     def per_suboff_values(self, i: int, node: Node) -> list[float]:
         part = self.transforms.partition(i, node.t)
@@ -360,52 +356,50 @@ def check_dcm_zero(mech: Mechanism, transforms: PersistenceTransforms, nodes,
 # ---------------------------------------------------------------------------
 
 
-def solve_phi_by_indifference(game: BaseGame, sigma: TaskPolicy, rho: CouplingPolicy,
-                              transforms: PersistenceTransforms, conjecture,
+def solve_phi_by_indifference(rho: CouplingPolicy, transforms: PersistenceTransforms,
                               nodes, variant: str = "ir") -> dict[tuple, float]:
     """Backward solve for the posted value making the target state indifferent.
 
-    Processes nodes from the last period backward; at each node the value
-    only has to zero the on-rent of the variant's evaluation point (the
-    bottom state, the sub-off targets, or each interval's jump target).  A
-    period's own posted value never enters its own staying prospects, so the
-    on-rent ``stay - v`` is zero exactly at the engine's staying value, read
-    through a table of the later periods' solved values.
-    Returns {(agent, node key[, interval]): value}.
+    Walks the Markov classes of ``TreeWalker.markov_classes`` from the last
+    period backward; at each class the value only has to zero the on-rent
+    of the variant's evaluation point (the bottom state, the first sub-off
+    target, or each interval's projection target).  A period's own posted
+    value never enters its own staying prospects, so the on-rent
+    ``stay - v`` is zero exactly at the engine's staying value, read
+    through one class-keyed table of the later periods' solved values.
+    The game, task policy and opponent conjecture are the transforms'.
+    The coupling must be a class function (``markov``), since the table
+    is.  Returns {(agent, node key[, interval]): value} for the cells of
+    ``nodes``.
     """
     from .equilibrium import Engine
     from .mechanism import TableOffSwitch
 
-    table: dict[tuple[int, int], float] = {}
-    by_interval: dict[tuple[int, int, int], float] = {}
+    if not rho.markov:
+        raise GameError("the indifference solve keys posted values by Markov class, so it "
+                        "needs a coupling that is a class function (markov)")
+    walker, game = transforms.walker, transforms.game
+    conjecture = transforms.carriers.conjecture
+    class_of = walker.store.class_signature
+    values: dict[tuple, float] = {}
+    if variant == "knowledgeable":
+        def interval_of(i: int, t: int, s_idx: int) -> int:
+            return transforms.partition(i, t).global_interval_index(s_idx)
 
-    def interval_of(i: int, t: int, s_idx: int) -> int:
-        return transforms.partition(i, t).global_interval_index(s_idx)
+        phi = TableOffSwitch(game.horizon, {}, class_of, values, interval_of)
+    else:
+        phi = TableOffSwitch(game.horizon, values, class_of)
+    engine = Engine(game, Mechanism(walker.sigma, rho, phi), walker=walker)
 
-    phi = TableOffSwitch(game.horizon, table,
-                         by_interval if variant == "knowledgeable" else None,
-                         interval_of if variant == "knowledgeable" else None)
-    mech = Mechanism(sigma, rho, phi)
-    engine = Engine(game, mech, walker=transforms.walker)  # share node keys
-    out: dict[tuple, float] = {}
-    # counterfactual cells open histories beyond the emission set; fill them too
-    emit_keys = {n.key for n in nodes}
-    plan = conjecture.plans(0, transforms.walker.store.root())[0][1]
-    fill_nodes = transforms.walker.full_state_closure(plan)
-
-    for i, node in live_cells(sorted(fill_nodes, key=lambda n: -n.t), game.horizon):
+    def targets(i: int, node: Node) -> list[tuple[tuple[int, ...], int]]:
+        """(interval key suffix, evaluation state) of each posted value at the node."""
         if variant == "knowledgeable":
-            for w, (_, _, kind, k) in enumerate(transforms.partition(i, node.t).intervals()):
-                pt = (transforms.d_up(i, node, k) if kind == "off"
-                      else transforms.d_down(i, node, k))
-                v = engine.stay_value(i, node, pt, conjecture)[0]
-                by_interval[(i, node.key, w)] = v
-                if node.key in emit_keys:
-                    out[(i, node.key, w)] = v
-        else:
-            pt = 0 if variant == "ir" else transforms.d_up(i, node, 0)
-            v = engine.stay_value(i, node, pt, conjecture)[0]
-            table[(i, node.key)] = v
-            if node.key in emit_keys:
-                out[(i, node.key)] = v
-    return out
+            return [((w,), pt) for w, pt in enumerate(transforms.interval_targets(i, node))]
+        return [((), 0 if variant == "ir" else transforms.d_up(i, node, 0))]
+
+    for i, node in live_cells(sorted(walker.markov_classes(), key=lambda n: -n.t),
+                              game.horizon):
+        for w, pt in targets(i, node):
+            values[(i, class_of(node), *w)] = engine.stay_value(i, node, pt, conjecture)[0]
+    return {(i, node.key, *w): values[(i, class_of(node), *w)]
+            for i, node in live_cells(nodes, game.horizon) for w, _ in targets(i, node)}

@@ -22,8 +22,8 @@ import pytest
 from offmenu.carrier import CarrierTables
 from offmenu.closures import piecewise_quadratic
 from offmenu.equilibrium import Engine
-from offmenu.histories import RegionConjecture, StepBranch, TreeWalker
-from offmenu.mechanism import BoundaryProfile, TaskPolicy
+from offmenu.histories import RegionConjecture, StepBranch, TreeWalker, live_cells
+from offmenu.mechanism import BoundaryProfile, Mechanism, OffSwitch, TaskPolicy
 from offmenu.model import BaseGame, DynamicsModel, GameError, Grid, RewardModel, ShockModel
 from offmenu.regions import partition_from_boundary
 from offmenu.synthesis import synthesize_mechanism
@@ -440,3 +440,60 @@ class LoopEngine(Engine):
                 out[k] = out.get(k, 0.0) + prob * w
         memo[key] = out
         return out
+
+
+class NodeKeyedOffSwitch(OffSwitch):
+    """Posted values keyed by interned node id: a history function, not a class one."""
+
+    def __init__(self, horizon, table, interval_of=None):
+        self.horizon = horizon
+        self.table = table
+        self.interval_of = interval_of
+
+    def state_dependent(self):
+        return self.interval_of is not None
+
+    def value(self, i, node, state_index=None):
+        if self._terminal(node):
+            return 0.0
+        if self.interval_of is not None:
+            return self.table[(i, node.key, self.interval_of(i, node.t, state_index))]
+        return self.table[(i, node.key)]
+
+
+def history_keyed_solve(rho, transforms, nodes, variant):
+    """The indifference solve keyed by full history, the reference for the class-keyed one.
+
+    Fills a node-keyed table over every history of ``LoopWalker.full_state_closure``
+    (whole-grid states, obedient actions, plan quits and the evaluator's
+    stay), last period first; its engine memoizes by ``node.key``.
+    """
+    walker, game = transforms.walker, transforms.game
+    conj = transforms.carriers.conjecture
+    knowledgeable = variant == "knowledgeable"
+
+    def interval_of(i, t, s_idx):
+        return transforms.partition(i, t).global_interval_index(s_idx)
+
+    table = {}
+    phi = NodeKeyedOffSwitch(game.horizon, table, interval_of if knowledgeable else None)
+    engine = Engine(game, Mechanism(walker.sigma, rho, phi), walker=walker)
+    loop = LoopWalker(game, walker.sigma, store=walker.store)
+    fill_nodes = loop.full_state_closure(conj.plan())
+    out = {}
+    emit_keys = {n.key for n in nodes}
+    for i, node in live_cells(sorted(fill_nodes, key=lambda n: -n.t), game.horizon):
+        if knowledgeable:
+            part = transforms.partition(i, node.t)
+            for w, (_, _, kind, k) in enumerate(part.intervals()):
+                pt = (transforms.d_up(i, node, k) if kind == "off"
+                      else transforms.d_down(i, node, k))
+                table[(i, node.key, w)] = engine.stay_value(i, node, pt, conj)[0]
+                if node.key in emit_keys:
+                    out[(i, node.key, w)] = table[(i, node.key, w)]
+        else:
+            pt = 0 if variant == "ir" else transforms.d_up(i, node, 0)
+            table[(i, node.key)] = engine.stay_value(i, node, pt, conj)[0]
+            if node.key in emit_keys:
+                out[(i, node.key)] = table[(i, node.key)]
+    return out

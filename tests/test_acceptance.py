@@ -235,8 +235,7 @@ def test_criterion_10_phi_uniqueness(monotone_ir, doublewell, shelf_knowledgeabl
     for bundle, variant in ((monotone_ir, "ir"), (doublewell, "horizontal"),
                             (shelf_knowledgeable, "knowledgeable")):
         mech, carriers, transforms, conj, engine, nodes, parts, diags = bundle
-        solved = solve_phi_by_indifference(engine.game, IDENTITY, mech.rho, transforms,
-                                           conj, nodes, variant)
+        solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
         for node in nodes:
             if node.t > engine.game.horizon or 0 not in node.active:
                 continue

@@ -87,7 +87,7 @@ PAIR_CHURN_T2 = (
 INTERNING = {
     ("g2-appendix",): "10d4a1cf08d4b8bdf2be4e17c810d912690b2e269e9771918cd25c56cb92e1ee",
     ("subscription",): "44bdab0c0fd3c82b44fdb4412058e385f173030f414d6caa08c48eef742488eb",
-    ("double-well",): "ceaf1dbf6597454631415eaa990227821718cef04db9ff750ddcb3eddca694a4",
+    ("double-well",): "bdea704a07a68f574cfd8390718adaa26d44bb71705d9df19f5e7126656c7ee8",
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
         "c3cd2a682ddb0c9e9155164184a450cae1e1b91029d2ad54f184a6ef050cb86d",
 }

@@ -26,7 +26,7 @@ from offmenu.mechanism import Mechanism, TaskPolicy, ZeroCoupling, ZeroOffSwitch
 from offmenu.model import DynamicsModel, GameError, Grid, ShockModel
 from offmenu.scenario import bundled_scenarios, load_scenario
 
-CLOSURES = ("reachable_nodes", "full_state_closure", "one_shot_closure")
+CLOSURES = ("reachable_nodes", "one_shot_closure")
 CASES = [*range(10), "pair-churn-t2", "three-agents"]
 
 
@@ -129,13 +129,6 @@ def test_reachable_nodes_budget_error():
     _assert_budget_advice(exc, "reachable node set", 3)
 
 
-def test_full_state_closure_budget_error():
-    walker, plan = _pair_walker()
-    with pytest.raises(GameError) as exc:
-        walker.full_state_closure(plan, max_nodes=3)
-    _assert_budget_advice(exc, "full-state closure", 3)
-
-
 def test_one_shot_closure_budget_error():
     walker, plan = _pair_walker()
     reachable = len(walker.reachable_nodes(plan))
@@ -161,8 +154,10 @@ def test_markov_classes_cover_every_class_the_closures_reach(case):
     # one representative per class, each a decision node with a cell
     assert len({n.lump for n in reps}) == len(reps) == len(walker.store)
     assert all(n.t <= game.horizon and n.active for n in reps[1:])
-    for closure in CLOSURES:
-        nodes = getattr(walker, closure)(conj.plan())
+    # the whole-grid closure of the old indifference solve, kept as a reference
+    loop = LoopWalker(game, mech.sigma, store=walker.store)
+    for nodes in [getattr(walker, c)(conj.plan()) for c in CLOSURES] + [
+            loop.full_state_closure(conj.plan())]:
         assert {n.lump for n in nodes if n.t <= game.horizon and n.active} <= {
             n.lump for n in reps}
 
@@ -221,7 +216,7 @@ def test_beliefs_and_own_kernels_equal_direct_kernel_calls(case):
     store = walker.store
     assert store.window == {"action-feedback": 1, "quit": 0}.get(case)
     quit_cells = 0
-    for node in walker.full_state_closure(plan):
+    for node in LoopWalker(game, sigma, store=store).full_state_closure(plan):
         for i in game.agents():
             if i in node.active:
                 prev = node.prev_state_of(i) if node.t > 1 else None

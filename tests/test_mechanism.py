@@ -16,7 +16,7 @@ from offmenu.mechanism import (
 from offmenu.model import GameError, Grid
 from offmenu.scenario import bundled_scenarios, load_scenario
 
-from conftest import GRID5, IDENTITY, random_instance
+from conftest import GRID5, IDENTITY, LoopWalker, random_instance
 
 
 def test_identity_menu_equals_state_grid(g1):
@@ -144,7 +144,7 @@ def _menu_grid_mismatches(walker, nodes):
 @pytest.mark.parametrize("seed", range(10))
 def test_menu_grid_indices_equal_grid_lookup_on_random_instances(seed):
     game, _, conj = random_instance(np.random.default_rng(seed))
-    walker = TreeWalker(game, IDENTITY)
+    walker = LoopWalker(game, IDENTITY)
     assert _menu_grid_mismatches(walker, walker.full_state_closure(conj.plan())) == []
 
 

@@ -2,9 +2,11 @@
 
 Every exact walk resolves the others' branches through
 ``TreeWalker.own_branches`` and reads its own action and grid index from
-``TreeWalker.own_action`` (``Menu.grid_indices``).  This scan of the
+``TreeWalker.own_action`` (``Menu.grid_indices``), and the node closures
+are the three that share ``TreeWalker._closure``.  This scan of the
 package source (``oracle.py`` excepted: it is the independent reference)
-fails when a hand-rolled copy of either loop comes back.
+fails when a hand-rolled copy of either loop, or a fourth closure, comes
+back.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def test_other_branches_is_called_only_by_own_branches_and_the_path_sampler():
     callers = {(f, scope) for f, scope, _ in _calls("other_branches")}
     assert callers == {("histories.py", "TreeWalker.own_branches"),
                        ("sampling.py", "PathSampler._cell")}
+
+
+def test_the_closure_walk_serves_only_the_reachable_set_the_classes_and_the_deviations():
+    # a value that is a class function is solved over ``markov_classes``, not a closure of its own
+    callers = {(f, scope) for f, scope, _ in _calls("_closure")}
+    assert callers == {("histories.py", "TreeWalker.reachable_nodes"),
+                       ("histories.py", "TreeWalker.markov_classes"),
+                       ("histories.py", "TreeWalker.one_shot_closure")}
 
 
 def test_menu_actions_are_located_on_the_grid_only_by_the_menu_and_custom_actions():

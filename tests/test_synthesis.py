@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import Engine
-from offmenu.histories import RegionConjecture, TreeWalker
-from offmenu.model import RewardModel
+from offmenu.histories import RegionConjecture, TreeWalker, live_cells
+from offmenu.mechanism import CallableCoupling
+from offmenu.model import GameError, RewardModel
+from offmenu.scenario import bundled_scenarios, load_scenario
 from offmenu.synthesis import (
     SynthesizedCoupling,
     check_dcm_zero,
@@ -16,7 +20,7 @@ from offmenu.synthesis import (
     synthesize_mechanism,
 )
 
-from conftest import GRID5, IDENTITY, exo_game, make_game, synth
+from conftest import GRID5, IDENTITY, exo_game, history_keyed_solve, make_game, synth
 
 NOQUIT = RegionConjecture({})
 
@@ -98,8 +102,7 @@ def test_non_horizontal_profile_flagged_but_emits():
 
 def test_indifference_solver_agrees_with_closed_form(doublewell):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    solved = solve_phi_by_indifference(engine.game, IDENTITY, mech.rho, transforms,
-                                       conj, nodes, "horizontal")
+    solved = solve_phi_by_indifference(mech.rho, transforms, nodes, "horizontal")
     for node in nodes:
         if node.t > 3 or 0 not in node.active:
             continue
@@ -108,8 +111,7 @@ def test_indifference_solver_agrees_with_closed_form(doublewell):
 
 def test_indifference_solver_knowledgeable(shelf_knowledgeable):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = shelf_knowledgeable
-    solved = solve_phi_by_indifference(engine.game, IDENTITY, mech.rho, transforms,
-                                       conj, nodes, "knowledgeable")
+    solved = solve_phi_by_indifference(mech.rho, transforms, nodes, "knowledgeable")
     part = parts[(0, 1)]
     root = engine.root()
     for w in range(len(part.intervals())):
@@ -118,6 +120,73 @@ def test_indifference_solver_knowledgeable(shelf_knowledgeable):
                 assert solved[(0, root.key, w)] == pytest.approx(
                     mech.phi.value(0, root, s), abs=1e-6)
                 break
+
+
+# -- the class-keyed solve against the history-keyed reference --------------------
+
+
+@pytest.mark.parametrize("fixture, variant", [
+    ("monotone_ir", "ir"), ("doublewell", "horizontal"),
+    ("shelf_knowledgeable", "knowledgeable"), ("pair_doublewell", "horizontal")])
+def test_class_keyed_solve_equals_history_keyed_solve(fixture, variant, request):
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = request.getfixturevalue(fixture)
+    solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
+    # one value per reachable cell, or per interval of it for the knowledgeable cutoff
+    assert len(solved) == sum(len(parts[(i, node.t)].intervals()) if variant == "knowledgeable"
+                              else 1 for i, node in live_cells(nodes, engine.game.horizon))
+    assert solved == history_keyed_solve(mech.rho, transforms, nodes, variant)
+
+
+def _scenario(base, **changes):
+    return {**json.loads(bundled_scenarios()[base].read_text()), **changes}
+
+
+FEEDBACK = {"kind": "action_feedback", "params": {"beta": 0.25, "scale": 0.5}}
+WELL_RIDGE = {"kind": "pw_slopes", "params": {"grid": {"lo": 0.0, "hi": 1.0, "points": 5},
+                                              "slopes": [-4.0, -4.0, 20.0, -24.0, 36.0]}}
+KNOWLEDGEABLE = {"variant": "knowledgeable", "boundaries": {"0": [[0.25, 0.25]]}}
+SOLVE_SCENARIOS = {
+    "subscription": _scenario("subscription"),
+    "double-well": _scenario("double-well"),
+    "pair-churn-t2": _scenario("pair-churn", horizon=2),
+    "well-ridge": _scenario("double-well", rewards=WELL_RIDGE, mechanism=KNOWLEDGEABLE),
+    "subscription-feedback": _scenario("subscription", dynamics=FEEDBACK),
+    "pair-churn-t2-feedback": _scenario("pair-churn", horizon=2, dynamics=FEEDBACK),
+    "well-ridge-feedback": _scenario("double-well", rewards=WELL_RIDGE,
+                                     mechanism=KNOWLEDGEABLE, dynamics=FEEDBACK),
+}
+
+
+def _solve_by_signature(raw, solve):
+    """(history window, solved values keyed by (agent, Node.signature()[, interval])).
+
+    Every call synthesizes afresh, so each solve interns into a store of its own.
+    """
+    scenario = load_scenario(raw)
+    game = scenario.build_game()
+    partitions = None if scenario.variant == "ir" else scenario.build_partitions(game)
+    mech, carriers, transforms, conj, _ = synthesize_mechanism(
+        game, scenario.build_policy(), scenario.variant, partitions=partitions)
+    store = carriers.walker.store
+    nodes = carriers.walker.reachable_nodes(conj.plan())
+    solved = solve(mech.rho, transforms, nodes, scenario.variant)
+    return store.window, {(i, store.node(k).signature(), *w): v
+                          for (i, k, *w), v in solved.items()}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_SCENARIOS))
+def test_class_keyed_solve_equals_history_keyed_solve_on_registered_closures(name):
+    raw = SOLVE_SCENARIOS[name]
+    window, solved = _solve_by_signature(raw, solve_phi_by_indifference)
+    assert window == (1 if name.endswith("feedback") else 0)
+    assert solved and solved == _solve_by_signature(raw, history_keyed_solve)[1]
+
+
+def test_indifference_solve_rejects_a_coupling_that_is_not_a_class_function(monotone_ir):
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    by_history = CallableCoupling(lambda i, node, actions: 0.01 * node.key)
+    with pytest.raises(GameError, match="Markov class"):
+        solve_phi_by_indifference(by_history, transforms, nodes, "ir")
 
 
 def test_eta_consistent_on_synthesized_instance(monotone_ir):

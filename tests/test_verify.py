@@ -219,8 +219,7 @@ def test_mso_fails_with_sign_alternating_response():
 
 def test_phi_uniqueness_pass_and_terminal_value(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    solved = solve_phi_by_indifference(engine.game, IDENTITY, mech.rho, transforms,
-                                       conj, nodes, "ir")
+    solved = solve_phi_by_indifference(mech.rho, transforms, nodes, "ir")
     closed = {}
     for node in nodes:
         if node.t > 3 or 0 not in node.active:
@@ -263,10 +262,8 @@ def test_phi_uniqueness_scope_is_per_coupling(doublewell):
     from offmenu.synthesis import solve_phi_by_indifference
 
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
-    with_c1 = solve_phi_by_indifference(engine.game, IDENTITY, mech.rho, transforms,
-                                        conj, nodes, "horizontal")
-    with_zero = solve_phi_by_indifference(engine.game, IDENTITY, ZeroCoupling(),
-                                          transforms, conj, nodes, "horizontal")
+    with_c1 = solve_phi_by_indifference(mech.rho, transforms, nodes, "horizontal")
+    with_zero = solve_phi_by_indifference(ZeroCoupling(), transforms, nodes, "horizontal")
     root = engine.root()
     assert with_c1[(0, root.key)] != pytest.approx(with_zero[(0, root.key)], abs=1e-9)
 
