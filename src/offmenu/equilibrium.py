@@ -316,7 +316,6 @@ class Engine:
         n = game.horizon - node.t + 1
         sums = [0.0] * n
         sq = [0.0] * n
-        by_state = phi.state_dependent()
         paths = PathSampler(self.walker, i, x.plans(i, node), np.random.default_rng(seed),
                             n_samples * 2 * n, a_pos, functools.partial(self.flow, i))
         for _ in range(n_samples):
@@ -334,8 +333,7 @@ class Engine:
                     nxt = step.outcomes[j][1]
                     cont = step.after[j]
                     if cont is None:
-                        cont = step.after[j] = (phi.value(i, child, nxt) if by_state
-                                                else self.phi_value(i, child))
+                        cont = step.after[j] = phi.value(i, child, nxt)
                     v = acc + cont
                     cur, s = child, nxt
                 # per path, one add per plan index: the elementwise order of

@@ -189,7 +189,8 @@ class OffSwitch:
     """Posted quit value phi(i, node); independent of the current state and action.
 
     ``value`` accepts an optional state index for the knowledgeable variant,
-    where the principal observes which partition interval the state lies in.
+    where the principal observes which partition interval the state lies in
+    (``state_dependent``); every other off-switch ignores it.
     Querying past the horizon returns 0 (terminal convention), and every
     subclass must keep it: the walks after the reachable set treat period T
     as terminal and add 0 for quitting after it without building the
@@ -227,38 +228,34 @@ class TableOffSwitch(OffSwitch):
     ``table`` maps (agent, class id) -> value, where ``class_of`` gives
     the session-independent id of the node's Markov class (the export
     format, or ``NodeStore.class_signature``), so the values are class
-    functions.  The ``interval_of``/``by_interval`` pair serves the
-    knowledgeable variant, where the value is looked up per partition
-    interval of the queried state under (agent, class id, interval).
+    functions.  With ``interval_of`` set (the knowledgeable variant) the
+    value is looked up per partition interval of the queried state, under
+    (agent, class id, interval).
     """
 
     horizon: int
     table: Mapping[tuple, float]
     class_of: Callable[["Node"], str]
-    by_interval: Mapping[tuple, float] | None = None
     interval_of: Callable[[int, int, int], int] | None = None  # (agent, period, state idx) -> w
     markov = True
 
     def state_dependent(self) -> bool:
-        return self.by_interval is not None
+        return self.interval_of is not None
 
     def value(self, i, node, state_index=None):
         if self._terminal(node):
             return 0.0
         cls = self.class_of(node)
-        if self.by_interval is not None:
+        key, where = (i, cls), ""
+        if self.interval_of is not None:
             if state_index is None:
                 raise GameError("knowledgeable off-switch needs the state to locate its interval")
             w = self.interval_of(i, node.t, state_index)
-            try:
-                return self.by_interval[(i, cls, w)]
-            except KeyError:
-                raise GameError(f"no off-switch value for agent {i} at class {cls!r}, "
-                                f"interval {w}")
+            key, where = (i, cls, w), f", interval {w}"
         try:
-            return self.table[(i, cls)]
+            return self.table[key]
         except KeyError:
-            raise GameError(f"no off-switch value for agent {i} at class {cls!r}")
+            raise GameError(f"no off-switch value for agent {i} at class {cls!r}{where}")
 
 
 @dataclass

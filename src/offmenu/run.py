@@ -40,6 +40,7 @@ from .synthesis import (
     check_dcm_zero,
     ir_partitions,
     posted_factor_eta,
+    posted_values,
     solve_phi_by_indifference,
     synthesize_mechanism,
 )
@@ -132,7 +133,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
         elif check == "mso":
             verdicts.append(check_mso(engine, conj, nodes, tol=tol))
         elif check == "phi_uniqueness":
-            closed = _closed_form_phi(engine, mech, transforms, nodes)
+            closed = posted_values(mech.phi, transforms, nodes)
             solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
             verdicts.append(check_phi_uniqueness(closed, solved))
         elif check == "dcm_zero":
@@ -228,18 +229,6 @@ def run_scenario(source, out_dir: str | Path | None = None,
     return PipelineResult(scenario, report, passed, artifacts,
                           engine=engine, carriers=carriers, transforms=transforms,
                           conjecture=conj, nodes=nodes)
-
-
-def _closed_form_phi(engine: Engine, mech, transforms, nodes) -> dict:
-    out = {}
-    for i, node in live_cells(nodes, engine.game.horizon):
-        if mech.phi.state_dependent():
-            # each interval is represented by its lowest state
-            for w, (lo, _, _, _) in enumerate(transforms.partition(i, node.t).intervals()):
-                out[(i, node.key, w)] = mech.phi.value(i, node, lo)
-        else:
-            out[(i, node.key)] = mech.phi.value(i, node)
-    return out
 
 
 def export_report(report_path: str | Path, fmt: str, out_dir: str | Path) -> list[Path]:
@@ -385,8 +374,7 @@ def _load_tables(scenario: Scenario):
         return partitions[(i, t)].global_interval_index(s_idx)
 
     if tables["posted_intervals"]:
-        phi = TableOffSwitch(game.horizon, {}, class_of, tables["posted_intervals"],
-                             interval_of)
+        phi = TableOffSwitch(game.horizon, tables["posted_intervals"], class_of, interval_of)
     else:
         phi = TableOffSwitch(game.horizon, tables["posted"], class_of)
     extras = {"mechanism_source": tables["source"]}

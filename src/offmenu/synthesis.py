@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .carrier import CarrierTables
+from .equilibrium import Engine
 from .histories import Node, RegionConjecture, TreeWalker, live_cells
 from .mechanism import BoundaryProfile, CouplingPolicy, Mechanism, OffSwitch, TaskPolicy
 from .model import BaseGame, GameError
@@ -36,6 +37,8 @@ __all__ = [
     "synthesize_mechanism",
     "posted_factor_eta",
     "check_dcm_zero",
+    "IndifferenceCutoff",
+    "posted_values",
     "solve_phi_by_indifference",
     "SynthesisDiagnostics",
 ]
@@ -268,15 +271,15 @@ def posted_factor_eta(carriers: CarrierTables, mech: Mechanism, nodes,
     across-cutoff spread is reported separately (see the decisions notes).
     """
     game, walker = carriers.game, carriers.walker
-    s_phi = 0 if mech.phi.state_dependent() else None   # per-interval cutoffs: bottom interval
     values: dict[tuple[int, int], float] = {}
     spread = 0.0
     spread_all = 0.0
     witness = None
+    # phi is read at state 0: a per-interval cutoff posts its bottom interval's value
     for n in nodes:
         if n.t == 1:
             for i in n.active:
-                values[(i, n.key)] = mech.phi.value(i, n, s_phi)
+                values[(i, n.key)] = mech.phi.value(i, n, 0)
     for n in nodes:
         if not 1 < n.t <= game.horizon:
             continue
@@ -293,7 +296,7 @@ def posted_factor_eta(carriers: CarrierTables, mech: Mechanism, nodes,
             cands = []
             cands_all = []
             for s in menu.generating_states[pos]:
-                base = mech.phi.value(i, n, s_phi) + carriers.marginal_carrier(i, parent, s)
+                base = mech.phi.value(i, n, 0) + carriers.marginal_carrier(i, parent, s)
                 cands.append(base - carriers.carrier(i, parent, s, parent.t))
                 for L in range(parent.t, game.horizon + 1):
                     cands_all.append(base - carriers.carrier(i, parent, s, L))
@@ -356,50 +359,62 @@ def check_dcm_zero(mech: Mechanism, transforms: PersistenceTransforms, nodes,
 # ---------------------------------------------------------------------------
 
 
+class IndifferenceCutoff(OffSwitch):
+    """Posted values that leave the variant's evaluation state indifferent
+    between staying and quitting, each solved the first time it is read.
+
+    The evaluation state is the bottom state (ir), the first sub-off
+    target (horizontal) or the queried state's interval target
+    (knowledgeable); the value is the engine's staying value there.  The
+    engine is built over this off-switch, so staying values read the later
+    periods' posted values through it, which is exact because a period's
+    own posted value never enters its own staying prospects.  Memoized by
+    ``Engine.memo_key``: per class under a ``markov`` coupling, else per history.
+    """
+
+    def __init__(self, variant: str, rho: CouplingPolicy, transforms: PersistenceTransforms):
+        self.variant, self.transforms = variant, transforms
+        self.horizon = transforms.game.horizon
+        self.markov = rho.markov
+        self.engine = Engine(transforms.game, Mechanism(transforms.walker.sigma, rho, self),
+                             walker=transforms.walker)
+        self._memo: dict[tuple, float] = {}
+
+    def state_dependent(self) -> bool:
+        return self.variant == "knowledgeable"
+
+    def value(self, i, node, state_index=None):
+        if self._terminal(node):
+            return 0.0
+        tr = self.transforms
+        key = (i, self.engine.memo_key(node))
+        if self.variant == "knowledgeable":
+            if state_index is None:
+                raise GameError("knowledgeable cutoff needs the state's interval")
+            key += (tr.partition(i, node.t).global_interval_index(state_index),)
+        hit = self._memo.get(key)
+        if hit is None:
+            pt = (tr.interval_targets(i, node)[key[2]] if self.variant == "knowledgeable"
+                  else 0 if self.variant == "ir" else tr.d_up(i, node, 0))
+            hit = self._memo[key] = self.engine.stay_value(i, node, pt, tr.carriers.conjecture)[0]
+        return hit
+
+
+def posted_values(phi: OffSwitch, transforms: PersistenceTransforms, nodes) -> dict[tuple, float]:
+    """{(agent, node key[, interval]): posted value} at the cells of ``nodes``;
+    a per-interval off-switch is read at each interval's lowest state."""
+    out = {}
+    for i, node in live_cells(nodes, transforms.game.horizon):
+        if phi.state_dependent():
+            for w, (lo, _, _, _) in enumerate(transforms.partition(i, node.t).intervals()):
+                out[(i, node.key, w)] = phi.value(i, node, lo)
+        else:
+            out[(i, node.key)] = phi.value(i, node)
+    return out
+
+
 def solve_phi_by_indifference(rho: CouplingPolicy, transforms: PersistenceTransforms,
                               nodes, variant: str = "ir") -> dict[tuple, float]:
-    """Backward solve for the posted value making the target state indifferent.
-
-    Walks the Markov classes of ``TreeWalker.markov_classes`` from the last
-    period backward; at each class the value only has to zero the on-rent
-    of the variant's evaluation point (the bottom state, the first sub-off
-    target, or each interval's projection target).  A period's own posted
-    value never enters its own staying prospects, so the on-rent
-    ``stay - v`` is zero exactly at the engine's staying value, read
-    through one class-keyed table of the later periods' solved values.
-    The game, task policy and opponent conjecture are the transforms'.
-    The coupling must be a class function (``markov``), since the table
-    is.  Returns {(agent, node key[, interval]): value} for the cells of
-    ``nodes``.
-    """
-    from .equilibrium import Engine
-    from .mechanism import TableOffSwitch
-
-    if not rho.markov:
-        raise GameError("the indifference solve keys posted values by Markov class, so it "
-                        "needs a coupling that is a class function (markov)")
-    walker, game = transforms.walker, transforms.game
-    conjecture = transforms.carriers.conjecture
-    class_of = walker.store.class_signature
-    values: dict[tuple, float] = {}
-    if variant == "knowledgeable":
-        def interval_of(i: int, t: int, s_idx: int) -> int:
-            return transforms.partition(i, t).global_interval_index(s_idx)
-
-        phi = TableOffSwitch(game.horizon, {}, class_of, values, interval_of)
-    else:
-        phi = TableOffSwitch(game.horizon, values, class_of)
-    engine = Engine(game, Mechanism(walker.sigma, rho, phi), walker=walker)
-
-    def targets(i: int, node: Node) -> list[tuple[tuple[int, ...], int]]:
-        """(interval key suffix, evaluation state) of each posted value at the node."""
-        if variant == "knowledgeable":
-            return [((w,), pt) for w, pt in enumerate(transforms.interval_targets(i, node))]
-        return [((), 0 if variant == "ir" else transforms.d_up(i, node, 0))]
-
-    for i, node in live_cells(sorted(walker.markov_classes(), key=lambda n: -n.t),
-                              game.horizon):
-        for w, pt in targets(i, node):
-            values[(i, class_of(node), *w)] = engine.stay_value(i, node, pt, conjecture)[0]
-    return {(i, node.key, *w): values[(i, class_of(node), *w)]
-            for i, node in live_cells(nodes, game.horizon) for w, _ in targets(i, node)}
+    """``posted_values`` of the ``IndifferenceCutoff`` under coupling ``rho``; the
+    game, task policy and opponent conjecture are the transforms'."""
+    return posted_values(IndifferenceCutoff(variant, rho, transforms), transforms, nodes)

@@ -288,7 +288,7 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
                 a_val = game.action_grids[(i, parent.t)].value(a_idx)
                 menu = engine.walker.menu(i, parent)
                 pos = menu.position(a_val, tol=1e-6)
-                phi_v = mech.phi.value(i, n, 0 if mech.phi.state_dependent() else None)
+                phi_v = mech.phi.value(i, n, 0)   # per-interval cutoffs: bottom interval
                 for s in menu.generating_states[pos]:
                     lhs = phi_v + carriers.marginal_carrier(i, parent, s)
                     rhs = eta[(i, n.key)] + carriers.carrier(i, parent, s, parent.t)

@@ -462,11 +462,12 @@ class NodeKeyedOffSwitch(OffSwitch):
 
 
 def history_keyed_solve(rho, transforms, nodes, variant):
-    """The indifference solve keyed by full history, the reference for the class-keyed one.
+    """The indifference solve keyed by full history and filled last period first,
+    the reference for ``solve_phi_by_indifference``.
 
     Fills a node-keyed table over every history of ``LoopWalker.full_state_closure``
     (whole-grid states, obedient actions, plan quits and the evaluator's
-    stay), last period first; its engine memoizes by ``node.key``.
+    stay); its engine memoizes by ``node.key``.
     """
     walker, game = transforms.walker, transforms.game
     conj = transforms.carriers.conjecture

@@ -51,11 +51,16 @@ def test_other_branches_is_called_only_by_own_branches_and_the_path_sampler():
 
 
 def test_the_closure_walk_serves_only_the_reachable_set_the_classes_and_the_deviations():
-    # a value that is a class function is solved over ``markov_classes``, not a closure of its own
     callers = {(f, scope) for f, scope, _ in _calls("_closure")}
     assert callers == {("histories.py", "TreeWalker.reachable_nodes"),
                        ("histories.py", "TreeWalker.markov_classes"),
                        ("histories.py", "TreeWalker.one_shot_closure")}
+
+
+def test_the_markov_classes_are_walked_only_by_the_export():
+    # the indifference solve reads posted values on demand, not over every class
+    callers = {(f, scope) for f, scope, _ in _calls("markov_classes")}
+    assert callers == {("run.py", "export_mechanism_tables")}
 
 
 def test_menu_actions_are_located_on_the_grid_only_by_the_menu_and_custom_actions():

@@ -10,7 +10,7 @@ from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import Engine
 from offmenu.histories import RegionConjecture, TreeWalker, live_cells
 from offmenu.mechanism import CallableCoupling
-from offmenu.model import GameError, RewardModel
+from offmenu.model import RewardModel
 from offmenu.scenario import bundled_scenarios, load_scenario
 from offmenu.synthesis import (
     SynthesizedCoupling,
@@ -182,11 +182,12 @@ def test_class_keyed_solve_equals_history_keyed_solve_on_registered_closures(nam
     assert solved and solved == _solve_by_signature(raw, history_keyed_solve)[1]
 
 
-def test_indifference_solve_rejects_a_coupling_that_is_not_a_class_function(monotone_ir):
+def test_solve_under_a_history_keyed_coupling_equals_history_keyed_solve(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
     by_history = CallableCoupling(lambda i, node, actions: 0.01 * node.key)
-    with pytest.raises(GameError, match="Markov class"):
-        solve_phi_by_indifference(by_history, transforms, nodes, "ir")
+    solved = solve_phi_by_indifference(by_history, transforms, nodes, "ir")
+    assert solved == history_keyed_solve(by_history, transforms, nodes, "ir")
+    assert len(solved) == sum(1 for _ in live_cells(nodes, engine.game.horizon))
 
 
 def test_eta_consistent_on_synthesized_instance(monotone_ir):
