@@ -33,8 +33,8 @@ class CarrierTables:
 
     Carriers are anchored at the bottom grid state, so they read as
     information rents relative to the lowest state.  They are read from
-    running trapezoid sums, one column per (agent, node class, cutoff,
-    frozen action), extended lazily up to the largest state asked for.  A
+    running trapezoid sums, one column per (agent, node class, cutoff),
+    extended lazily up to the largest state asked for.  A
     column adds the same terms in the same order as a fresh integral would,
     so a read equals a recomputation bit for bit, and impulse responses are
     still computed in increasing state order.
@@ -97,20 +97,12 @@ class CarrierTables:
 
     # -- carriers -----------------------------------------------------------------
 
-    def carrier(self, i: int, node: Node, s_idx: int, L: int,
-                a_pos: int | None = None) -> float:
+    def carrier(self, i: int, node: Node, s_idx: int, L: int) -> float:
         """Trapezoid integral of the impulse response from the bottom state to ``s_idx``.
 
-        Obedient branch integrates q at the policy's own action of each grid
-        state; a fixed ``a_pos`` freezes the first action along the whole
-        integration range (the disobedience branch).  When the frozen action
-        is the obedient one at ``s_idx`` the obedient branch applies, exactly.
+        The integrand is q at the policy's own action of each grid state.
         """
-        if a_pos is not None:
-            menu = self.walker.menu(i, node)
-            if menu.action_index_of_state[s_idx] == a_pos:
-                a_pos = None
-        key = (i, node.lump, L, a_pos)
+        key = (i, node.lump, L)
         run = self._col.get(key)
         if run is None:
             run = self._col[key] = [0.0]
@@ -118,26 +110,25 @@ class CarrierTables:
         if len(run) <= s_idx:
             step = self.game.grid(i, node.t).step
             j = len(run) - 1
-            q_prev = self.impulse_response(i, node, j, L, a_pos)
+            q_prev = self.impulse_response(i, node, j, L)
             total = run[-1]
             while j < s_idx:
                 j += 1
-                q = self.impulse_response(i, node, j, L, a_pos)
+                q = self.impulse_response(i, node, j, L)
                 total += 0.5 * (q_prev + q) * step
                 run.append(total)
                 q_prev = q
         return run[s_idx]
 
-    def max_carrier(self, i: int, node: Node, s_idx: int,
-                    a_pos: int | None = None) -> tuple[float, int]:
+    def max_carrier(self, i: int, node: Node, s_idx: int) -> tuple[float, int]:
         """(max over cutoffs of the carrier, argmax cutoff); ties take the largest cutoff."""
-        key = (i, node.lump, s_idx, a_pos)
+        key = (i, node.lump, s_idx)
         hit = self._mg.get(key)
         if hit is not None:
             return hit
         best, best_L = None, node.t
         for L in range(node.t, self.game.horizon + 1):
-            v = self.carrier(i, node, s_idx, L, a_pos)
+            v = self.carrier(i, node, s_idx, L)
             if best is None or v > best + 1e-15 or abs(v - best) <= 1e-15:
                 if best is None or v > best + 1e-15:
                     best = v
@@ -146,8 +137,8 @@ class CarrierTables:
         self._mg[key] = out
         return out
 
-    def mg(self, i: int, node: Node, s_idx: int, a_pos: int | None = None) -> float:
-        return self.max_carrier(i, node, s_idx, a_pos)[0]
+    def mg(self, i: int, node: Node, s_idx: int) -> float:
+        return self.max_carrier(i, node, s_idx)[0]
 
     def expected_next_mg(self, i: int, node: Node, s_idx: int) -> float:
         """E[Mg at t+1] from (s, node) under obedient play; 0 past the horizon.

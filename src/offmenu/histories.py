@@ -396,6 +396,15 @@ class TreeWalker:
         pos = menu.action_index_of_state[s_idx] if a_pos is None else a_pos
         return menu.actions[pos], menu.grid_indices[pos]
 
+    def recorded_slot(self, i: int, parent: Node, node: Node) -> int | None:
+        """Menu slot at ``parent`` of agent i's action recorded on the edge to
+        ``node``; None when i did not act there."""
+        rec = node.events[-1]
+        if i not in rec.participants:
+            return None
+        a_idx = rec.action_indices[rec.participants.index(i)]
+        return self.menu(i, parent).grid_indices.index(a_idx)
+
     # -- enumeration ----------------------------------------------------------
 
     def joint_steps(self, node: Node, plan: OppPlan, agents: Sequence[int],

@@ -63,9 +63,9 @@ class Menu:
     action_index_of_state: tuple[int, ...]          # menu position per state index
     grid_indices: tuple[int, ...]                   # action-grid index per menu position
 
-    def position(self, action: float, tol: float = 1e-9) -> int:
-        k = bisect.bisect_left(self.actions, action - tol)
-        if k < len(self.actions) and abs(self.actions[k] - action) <= tol:
+    def position(self, action: float) -> int:
+        k = bisect.bisect_left(self.actions, action - 1e-9)
+        if k < len(self.actions) and abs(self.actions[k] - action) <= 1e-9:
             return k
         raise GameError(f"action {action} not on the menu")
 

@@ -285,17 +285,13 @@ def posted_factor_eta(carriers: CarrierTables, mech: Mechanism, nodes,
             continue
         # the lowest key: the reachable parent, since reachable nodes are interned first
         parent = walker.store.parents(n)[0]
-        rec = n.events[-1]
         for i in n.active:
-            if i not in rec.participants:
+            pos = walker.recorded_slot(i, parent, n)
+            if pos is None:
                 continue
-            a_idx = rec.action_indices[rec.participants.index(i)]
-            a_val = game.action_grids[(i, parent.t)].value(a_idx)
-            menu = walker.menu(i, parent)
-            pos = menu.position(a_val, tol=1e-6)
             cands = []
             cands_all = []
-            for s in menu.generating_states[pos]:
+            for s in walker.menu(i, parent).generating_states[pos]:
                 base = mech.phi.value(i, n, 0) + carriers.marginal_carrier(i, parent, s)
                 cands.append(base - carriers.carrier(i, parent, s, parent.t))
                 for L in range(parent.t, game.horizon + 1):

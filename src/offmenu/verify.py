@@ -141,7 +141,11 @@ def check_doic_mc(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         z_se = float(se[int(mean.argmax())])
         menu = engine.walker.menu(i, node)
         for pos in range(len(menu.actions)):
-            m2, se2 = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k, pos)
+            # the obedient slot's draws are the cell's own: same seed, same paths
+            if pos == menu.action_index_of_state[s]:
+                m2, se2 = mean, se
+            else:
+                m2, se2 = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k, pos)
             margin = z - (float(m2.max()) - engine.phi_value(i, node, s))
             stud = margin + Z_GATE * (z_se + float(se2[int(m2.argmax())]))
             if stud < worst_raic:
@@ -280,16 +284,14 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
         if not 1 < n.t <= game.horizon:
             continue
         for parent in engine.store.parents(n):
-            rec = n.events[-1]
             for i in n.active:
-                if i not in rec.participants or (i, n.key) not in eta:
+                if (i, n.key) not in eta:
                     continue
-                a_idx = rec.action_indices[rec.participants.index(i)]
-                a_val = game.action_grids[(i, parent.t)].value(a_idx)
-                menu = engine.walker.menu(i, parent)
-                pos = menu.position(a_val, tol=1e-6)
+                pos = walker.recorded_slot(i, parent, n)
+                if pos is None:
+                    continue
                 phi_v = mech.phi.value(i, n, 0)   # per-interval cutoffs: bottom interval
-                for s in menu.generating_states[pos]:
+                for s in walker.menu(i, parent).generating_states[pos]:
                     lhs = phi_v + carriers.marginal_carrier(i, parent, s)
                     rhs = eta[(i, n.key)] + carriers.carrier(i, parent, s, parent.t)
                     r = abs(lhs - rhs)
@@ -303,19 +305,40 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     # must not exceed the stripped-prospect gap net of the posted factor
     # at the same cutoff.  (Under additive separation both sides coincide
     # cutoff by cutoff, which is the collapse the theory predicts; see
-    # the project decision notes on the quantifier.)
+    # the project decision notes on the quantifier.)  The pretended state
+    # is the last generating state of the deviation's slot, so both
+    # prospects play that slot first and their expected couplings cancel.
+    x = carriers.conjecture
+    phi = mech.phi
+
+    # histories only openable by a deviation carry no emitted posted factor;
+    # they default to zero, which is exact on the separable family where the
+    # inequality is asserted (the factor vanishes identically there).  So
+    # eta is no class function, and the deviation's walks keep full-history
+    # keys.
+    def end_leaf(i, child, s2):
+        return phi.value(i, child, s2) - eta.get((i, child.key), 0.0)
+
     worst_c3 = math.inf
     wit_c3 = None
-    # obedient terminal walks and stripped prospects, valid for this eta
-    memo: dict[tuple, float] = {}
+    memo: dict[tuple, list[float]] = {}   # obedient terminal walks, valid for this eta
+    hats: dict[tuple, list[float]] = {}   # stripped prospects of the pretended states
     for i, node, s in _cells(engine, nodes):
-        menu = engine.walker.menu(i, node)
+        menu = walker.menu(i, node)
+        cutoffs = range(node.t, game.horizon + 1)
         for pos in range(len(menu.actions)):
             s_hat = menu.generating_states[pos][-1]
-            for L in range(node.t, game.horizon + 1):
-                lhs = (carriers.carrier(i, node, s_hat, L, None)
-                       - carriers.carrier(i, node, s, L, None))
-                rhs = _lambda_gap(engine, carriers, eta, memo, i, node, s, s_hat, pos, L)
+            hat = hats.get((i, node.key, s_hat))
+            if hat is None:
+                phis = _terminal_walks(engine, memo, "phi", engine.memo_key, i, node, s_hat,
+                                       x, None, phi.value)
+                hat = hats[(i, node.key, s_hat)] = [engine.prospect(i, node, s_hat, L, x) - e
+                                                    for L, e in zip(cutoffs, phis)]
+            ends = _terminal_walks(engine, memo, "end", _full_history, i, node, s, x, pos,
+                                   end_leaf)
+            for L, h, e in zip(cutoffs, hat, ends):
+                lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
+                rhs = h - (engine.prospect(i, node, s, L, x, pos) - e)
                 margin = rhs - lhs
                 if margin < worst_c3:
                     worst_c3 = margin
@@ -326,31 +349,8 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     return verdicts
 
 
-def _lambda_gap(engine: Engine, carriers: CarrierTables, eta, memo, i, node, s, s_hat, pos, L):
-    """lambda(obedient at pretended state) - lambda(deviation at true state) - E[eta]."""
-    x = carriers.conjecture
-    key = ("lambda", i, node.key, s_hat, L)
-    lam_hat = memo.get(key)
-    if lam_hat is None:
-        lam_hat = memo[key] = _lambda(engine, memo, i, node, s_hat, L, x, None)
-    lam_dev = _lambda(engine, memo, i, node, s, L, x, pos)
-    e_eta = _expected_eta(engine, eta, memo, i, node, s, pos, L, x)
-    return lam_hat - lam_dev - e_eta
-
-
-def _lambda(engine: Engine, memo, i, node, s, L, x, a_pos):
-    """Prospect stripped of the current coupling and the terminal off-switch."""
-    g = engine.prospect(i, node, s, L, x, a_pos)
-    phi_term = _expected_phi(engine, memo, i, node, s, L, x, a_pos)
-    a_own, _ = engine.walker.own_action(i, node, s, a_pos)
-    erho = 0.0
-    for w, actions, _ in engine.walker.own_branches(i, node, x.plans(i, node), a_own):
-        erho += w * engine.mechanism.rho.value(i, node, actions)
-    return g - phi_term - erho
-
-
-def _terminal_map(engine: Engine, memo, kind, node_id, i, node, s, L, x, a_pos, leaf_fn):
-    """Expectation of leaf_fn(child at L+1, own state there) along the branch.
+def _terminal_walks(engine: Engine, memo, kind, node_id, i, node, s, x, a_pos, leaf):
+    """Expectations of leaf(i, child at L+1, own state there), one per cutoff L = t..T.
 
     Period T is terminal: at L = T every leaf is past the horizon, where
     neither the off-switch nor the posted factor pays anything, so the
@@ -358,56 +358,39 @@ def _terminal_map(engine: Engine, memo, kind, node_id, i, node, s, L, x, a_pos, 
     of obedient walks: the Markov class when the leaf values are class
     functions, else the full history.
     """
-    total = 0.0
+    total = [0.0] * (engine.game.horizon - node.t + 1)
     for p, plan in x.plans(i, node):
-        total += p * _terminal_walk(engine, memo, kind, node_id, i, node, s, L, plan, a_pos,
-                                    leaf_fn)
+        for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, node, s, plan,
+                                             a_pos, leaf)):
+            total[k] += p * v
     return total
 
 
-def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, L, plan, a_pos, leaf_fn):
-    if node.t == engine.game.horizon:
-        return 0.0
+def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, plan, a_pos, leaf):
+    """Entry 0 sums the leaves at the children; entry k sums child entry k - 1."""
+    horizon = engine.game.horizon
+    if node.t == horizon:
+        return [0.0]
     # obedient walks repeat across deviations and pretenses; the one-off
     # deviation walk at the top is not kept
     if a_pos is None:
-        key = (kind, i, node_id(node), s, L, engine.walker.plan_id(plan))
+        key = (kind, i, node_id(node), s, engine.walker.plan_id(plan))
         hit = memo.get(key)
         if hit is not None:
             return hit
     walker = engine.walker
     a_own, a_idx = walker.own_action(i, node, s, a_pos)
-    total = 0.0
+    total = [0.0] * (horizon - node.t + 1)
     for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
         child = walker.child_after(i, node, s, a_idx, br)
-        if node.t == L:
-            for pp, s2 in walker.own_kernel(i, node, s, child):
-                total += w * pp * leaf_fn(child, s2)
-        else:
-            for pp, s2 in walker.own_kernel(i, node, s, child):
-                total += w * pp * _terminal_walk(engine, memo, kind, node_id, i, child,
-                                                 s2, L, plan, None, leaf_fn)
+        for pp, s2 in walker.own_kernel(i, node, s, child):
+            total[0] += w * pp * leaf(i, child, s2)
+            for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, child, s2,
+                                                 plan, None, leaf), 1):
+                total[k] += w * pp * v
     if a_pos is None:
         memo[key] = total
     return total
-
-
-def _expected_phi(engine: Engine, memo, i, node, s, L, x, a_pos):
-    def leaf(child, s2):
-        return engine.mechanism.phi.value(i, child, s2)
-
-    return _terminal_map(engine, memo, "phi", engine.memo_key, i, node, s, L, x, a_pos, leaf)
-
-
-def _expected_eta(engine: Engine, eta, memo, i, node, s, pos, L, x):
-    # histories only openable by a deviation carry no emitted posted factor;
-    # they default to zero, which is exact on the separable family where the
-    # inequality is asserted (the factor vanishes identically there).  So
-    # eta is no class function, and its walks keep full-history keys.
-    def leaf(child, s2):
-        return eta.get((i, child.key), 0.0)
-
-    return _terminal_map(engine, memo, "eta", _full_history, i, node, s, L, x, pos, leaf)
 
 
 def _full_history(node: Node) -> int:

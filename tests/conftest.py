@@ -253,13 +253,11 @@ class TrapezoidCarriers(CarrierTables):
     compared against with ``==``: same impulse responses, same add order.
     """
 
-    def carrier(self, i, node, s_idx, L, a_pos=None):
-        if a_pos is not None and self.walker.menu(i, node).action_index_of_state[s_idx] == a_pos:
-            a_pos = None
+    def carrier(self, i, node, s_idx, L):
         if s_idx == 0:
             return 0.0
         step = self.game.grid(i, node.t).step
-        qs = [self.impulse_response(i, node, j, L, a_pos) for j in range(s_idx + 1)]
+        qs = [self.impulse_response(i, node, j, L) for j in range(s_idx + 1)]
         total = 0.0
         for a, b in zip(qs, qs[1:]):
             total += 0.5 * (a + b) * step

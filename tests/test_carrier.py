@@ -77,13 +77,15 @@ def test_carrier_unit_constants_closed_form(g2):
 
 
 def test_carrier_branches_agree_at_obedient_action(g1):
+    # the frozen-action branch of the impulse response, at the obedient slot
     car, walker = tables(g1)
     root = walker.store.root()
     menu = walker.menu(0, root)
     for s in range(5):
         pos = menu.action_index_of_state[s]
         for L in (1, 2, 3):
-            assert car.carrier(0, root, s, L, pos) == car.carrier(0, root, s, L, None)
+            assert (car.impulse_response(0, root, s, L, pos)
+                    == car.impulse_response(0, root, s, L))
 
 
 def test_anchor_vanishing_for_all_cutoffs(g1):
@@ -91,7 +93,6 @@ def test_anchor_vanishing_for_all_cutoffs(g1):
     root = walker.store.root()
     for L in (1, 2, 3):
         assert car.carrier(0, root, 0, L) == 0.0
-        assert car.carrier(0, root, 0, L, 3) == 0.0
 
 
 def test_max_carrier_nonnegative_response_prefers_latest(g2):
@@ -190,9 +191,8 @@ def test_response_bound_requires_declared_constants(g1):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
-    """Column reads equal a fresh integral bit for bit, in any query order,
-    obedient and frozen; the impulse responses and nodes they compute appear
-    in the same order."""
+    """Column reads equal a fresh integral bit for bit, in any query order; the
+    impulse responses and nodes they compute appear in the same order."""
     rng = np.random.default_rng(seed)
     game, mech, conj = random_instance(rng)
     car = CarrierTables(TreeWalker(game, IDENTITY), conj)
@@ -204,15 +204,13 @@ def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
         if node.t > game.horizon:
             continue
         for i in node.active:
-            slots = [None] + list(range(len(car.walker.menu(i, node).actions)))
             for s in range(game.grid(i, node.t).points):
-                for L in range(node.t, game.horizon + 1):
-                    queries += [(k, i, s, L, a_pos) for a_pos in slots]
+                queries += [(k, i, s, L) for L in range(node.t, game.horizon + 1)]
     for n in rng.permutation(len(queries)):
-        k, i, s, L, a_pos = queries[n]
-        got = car.carrier(i, nodes[k], s, L, a_pos)
-        assert got == ref.carrier(i, ref_nodes[k], s, L, a_pos)
-        assert got == car.carrier(i, nodes[k], s, L, a_pos)
+        k, i, s, L = queries[n]
+        got = car.carrier(i, nodes[k], s, L)
+        assert got == ref.carrier(i, ref_nodes[k], s, L)
+        assert got == car.carrier(i, nodes[k], s, L)
     assert list(car._q) == list(ref._q)
     store, ref_store = car.walker.store, ref.walker.store
     assert ([store.node(k).signature() for k in range(len(store))]

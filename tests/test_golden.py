@@ -34,7 +34,9 @@ GOLDEN = {
         "c0683f4c525607a11de2f2384fe6b9f3646f940996a8291f24e2cee6745e8ed4",
         "144ce664684610bcc461695964476b2abad7c21726117add9d84192b50a4ad59",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
-        "fdaf8884320ffd37dc17d3ff2cc23f82432c7a31539a41356a0d1c91cfcda68a",
+        # flow-c3 leaves out the two expected couplings that cancel: its worst
+        # margin reads 0.0 instead of the rounding residue -2.2e-16
+        "5a5d813f7d3371f5b67238ab8f4716d9f0d9e3909d99dcb164cf1b27bfeb9698",
     ),
     ("subscription",): (
         "4a7617b3a2e4f4d5313741acc7ce49771e4406a4154027b400c7fc6df28331b4",

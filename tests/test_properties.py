@@ -75,8 +75,8 @@ def test_carrier_anchor_and_branch_agreement_random():
         for s in range(game.grid(0, 1).points):
             pos = menu.action_index_of_state[s]
             for L in range(1, game.horizon + 1):
-                assert (carriers.carrier(0, root, s, L, pos)
-                        == carriers.carrier(0, root, s, L, None))
+                assert (carriers.impulse_response(0, root, s, L, pos)
+                        == carriers.impulse_response(0, root, s, L))
 
 
 def test_payoff_to_go_decomposition_random():

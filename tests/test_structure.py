@@ -3,10 +3,11 @@
 Every exact walk resolves the others' branches through
 ``TreeWalker.own_branches`` and reads its own action and grid index from
 ``TreeWalker.own_action`` (``Menu.grid_indices``), and the node closures
-are the three that share ``TreeWalker._closure``.  This scan of the
-package source (``oracle.py`` excepted: it is the independent reference)
-fails when a hand-rolled copy of either loop, or a fourth closure, comes
-back.
+are the three that share ``TreeWalker._closure``.  Recorded actions are
+located on the menu by grid index, and only the flow and the table exports
+read the coupling.  This scan of the package source (``oracle.py``
+excepted: it is the independent reference) fails when a hand-rolled copy
+of either loop, a fourth closure or another reader comes back.
 """
 
 from __future__ import annotations
@@ -68,6 +69,23 @@ def test_menu_actions_are_located_on_the_grid_only_by_the_menu_and_custom_action
     assert where == [("mechanism.py", "action_menu")]
 
 
+def test_recorded_actions_are_located_on_the_menu_by_grid_index():
+    # ``TreeWalker.recorded_slot`` reads ``Menu.grid_indices``; no float round trip
+    assert [(f, scope) for f, scope, call in _calls("position") if 1e-6 in _tol(call)] == []
+
+
+def _coupling_readers():
+    return {(f, scope) for f, scope, call in _calls("value")
+            if isinstance(call.func.value, ast.Attribute) and call.func.value.attr == "rho"}
+
+
+def test_the_coupling_is_read_only_by_the_flow_and_the_table_exports():
+    # flow-c3's two expected couplings cancel, so no check sums the coupling itself
+    assert _coupling_readers() == {("equilibrium.py", "Engine.flow"),
+                                   ("run.py", "export_mechanism_tables"),
+                                   ("reports.py", "mechanism_table_rows")}
+
+
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     """The scan reads the package source, so a copy planted there is caught."""
     planted = tmp_path / "offmenu"
@@ -75,10 +93,15 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     for path in SRC.glob("*.py"):
         (planted / path.name).write_text(path.read_text())
     (planted / "extra.py").write_text(
-        "def walk(walker, i, node, plan, grid, a):\n"
+        "def walk(walker, i, node, plan, grid, a, mech):\n"
         "    idx = grid.index_of(a, tol=1e-6)\n"
-        "    return [br for br in walker.other_branches(i, node, plan)], idx\n")
+        "    pos = walker.menu(i, node).position(a, tol=1e-6)\n"
+        "    rho = mech.rho.value(i, node, {i: a})\n"
+        "    return [br for br in walker.other_branches(i, node, plan)], idx, pos, rho\n")
     monkeypatch.setattr(f"{__name__}.SRC", planted)
     assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("other_branches")}
     assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("index_of")
                                     if 1e-6 in _tol(c)}
+    assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("position")
+                                    if 1e-6 in _tol(c)}
+    assert ("extra.py", "walk") in _coupling_readers()

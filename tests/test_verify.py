@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import Engine
-from offmenu.histories import RegionConjecture, TreeWalker
+from offmenu.histories import RegionConjecture, TreeWalker, live_cells
 from offmenu.mechanism import CallableCoupling, CallableOffSwitch, Mechanism, TaskPolicy
 from offmenu.model import DynamicsModel, RewardModel, ShockModel
 from offmenu.run import run_scenario
@@ -85,6 +86,25 @@ def test_doic_mc_gates_at_the_tolerance_and_still_flags_planted_violations(monot
     oaic = {v.name: v for v in check_doic_mc(_raised_off_switch(engine), conj, nodes,
                                              200, 3, tol=1e-9)}["oaic"]
     assert not oaic.passed and oaic.witness is not None
+
+
+def test_doic_mc_samples_each_menu_slot_once_per_cell(monotone_ir, monkeypatch):
+    """The obedient slot's draws are the cell's own (same seed, same paths),
+    so a cell makes one sampler call per menu slot, not one more."""
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    calls = Counter()
+    sample = engine.prospect_mc
+
+    def counted(i, node, s, *args):
+        calls[(i, node.key, s)] += 1
+        return sample(i, node, s, *args)
+
+    monkeypatch.setattr(engine, "prospect_mc", counted)
+    check_doic_mc(engine, conj, nodes, 20, 3)
+    want = {(i, node.key, s): len(engine.walker.menu(i, node).actions)
+            for i, node in live_cells(nodes, engine.game.horizon)
+            for _, s in engine.walker.belief(i, node)}
+    assert calls == want
 
 
 def test_doic_off_mode_sign_pattern(doublewell):
@@ -358,6 +378,8 @@ def test_doublewell_frozen_hand_computed_values(doublewell):
 
 
 def _walk_unmemoized(engine, i, node, s, L, plan, a_pos, leaf_fn):
+    if node.t == engine.game.horizon:   # every leaf past the horizon pays 0
+        return 0.0
     menu = engine.walker.menu(i, node)
     pos = a_pos if a_pos is not None else menu.action_index_of_state[s]
     a_own = menu.actions[pos]
@@ -365,14 +387,10 @@ def _walk_unmemoized(engine, i, node, s, L, plan, a_pos, leaf_fn):
     total = 0.0
     for br in engine.walker.other_branches(i, node, plan):
         child = engine.walker.child_after(i, node, s, a_idx, br)
-        if node.t == L:
-            if child.t > engine.game.horizon:
-                total += br.prob * leaf_fn(child, None)
+        for pp, s2 in engine.walker.own_kernel(i, node, s, child):
+            if node.t == L:
+                total += br.prob * pp * leaf_fn(child, s2)
             else:
-                for pp, s2 in engine.walker.own_kernel(i, node, s, child):
-                    total += br.prob * pp * leaf_fn(child, s2)
-        else:
-            for pp, s2 in engine.walker.own_kernel(i, node, s, child):
                 total += br.prob * pp * _walk_unmemoized(engine, i, child, s2, L, plan, None,
                                                          leaf_fn)
     return total
@@ -385,7 +403,52 @@ def _terminal_unmemoized(engine, x, i, node, s, L, a_pos, leaf_fn):
     return total
 
 
+def _flow_c3_cells(engine, nodes):
+    """(agent, node, state, deviation slot, pretended state, cutoff) in check order."""
+    game = engine.game
+    for node in nodes:
+        if node.t > game.horizon:
+            continue
+        for i in node.active:
+            menu = engine.walker.menu(i, node)
+            for s in range(game.grid(i, node.t).points):
+                for pos in range(len(menu.actions)):
+                    for L in range(node.t, game.horizon + 1):
+                        yield i, node, s, pos, menu.generating_states[pos][-1], L
+
+
+def _worst_c3(carriers, cells, rhs_of):
+    """(worst margin, witness) of carrier gains against ``rhs_of(cell)``."""
+    worst, witness = math.inf, None
+    for i, node, s, pos, s_hat, L in cells:
+        lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
+        margin = rhs_of(i, node, s, pos, s_hat, L) - lhs
+        if margin < worst:
+            worst = margin
+            if worst < -1e-9:
+                witness = {"agent": i, "period": node.t, "node": node.key,
+                           "state": s, "pretense": s_hat, "cutoff": L}
+    return worst, witness
+
+
+def _flow_c3_unmemoized(engine, carriers, eta, nodes):
+    """(worst margin, witness) of flow-c3 with nothing kept between cells: one
+    walk per cutoff, the deviation's off-switch and posted factor in one leaf."""
+    x, phi = carriers.conjecture, engine.mechanism.phi
+
+    def rhs(i, node, s, pos, s_hat, L):
+        hat = engine.prospect(i, node, s_hat, L, x) - _terminal_unmemoized(
+            engine, x, i, node, s_hat, L, None, lambda child, s2: phi.value(i, child, s2))
+        end = _terminal_unmemoized(
+            engine, x, i, node, s, L, pos,
+            lambda child, s2: phi.value(i, child, s2) - eta.get((i, child.key), 0.0))
+        return hat - (engine.prospect(i, node, s, L, x, pos) - end)
+
+    return _worst_c3(carriers, _flow_c3_cells(engine, nodes), rhs)
+
+
 def _lambda_unmemoized(engine, x, i, node, s, L, a_pos):
+    """Prospect stripped of the current expected coupling and the terminal off-switch."""
     g = engine.prospect(i, node, s, L, x, a_pos)
     phi_term = _terminal_unmemoized(engine, x, i, node, s, L, a_pos,
                                     lambda child, s2: engine.mechanism.phi.value(i, child, s2))
@@ -400,36 +463,18 @@ def _lambda_unmemoized(engine, x, i, node, s, L, a_pos):
     return g - phi_term - erho
 
 
-def _flow_c3_unmemoized(engine, carriers, eta, nodes):
-    """(worst margin, witness) of flow-c3 with nothing kept between cells."""
-    game, x = engine.game, carriers.conjecture
+def _flow_c3_stripped_prospects(engine, carriers, eta, nodes):
+    """(worst margin, witness) of flow-c3 as the gap of the two stripped
+    prospects, each with its own expected coupling, net of E[eta]."""
+    x = carriers.conjecture
 
-    def eta_leaf(i):
-        return lambda child, s2: (0.0 if child.t > game.horizon
-                                  else eta.get((i, child.key), 0.0))
+    def rhs(i, node, s, pos, s_hat, L):
+        return (_lambda_unmemoized(engine, x, i, node, s_hat, L, None)
+                - _lambda_unmemoized(engine, x, i, node, s, L, pos)
+                - _terminal_unmemoized(engine, x, i, node, s, L, pos,
+                                       lambda child, s2: eta.get((i, child.key), 0.0)))
 
-    worst, witness = math.inf, None
-    for node in nodes:
-        if node.t > game.horizon:
-            continue
-        for i in node.active:
-            menu = engine.walker.menu(i, node)
-            for s in range(game.grid(i, node.t).points):
-                for pos in range(len(menu.actions)):
-                    s_hat = menu.generating_states[pos][-1]
-                    for L in range(node.t, game.horizon + 1):
-                        lhs = (carriers.carrier(i, node, s_hat, L, None)
-                               - carriers.carrier(i, node, s, L, None))
-                        rhs = (_lambda_unmemoized(engine, x, i, node, s_hat, L, None)
-                               - _lambda_unmemoized(engine, x, i, node, s, L, pos)
-                               - _terminal_unmemoized(engine, x, i, node, s, L, pos,
-                                                      eta_leaf(i)))
-                        if rhs - lhs < worst:
-                            worst = rhs - lhs
-                            if worst < -1e-9:
-                                witness = {"agent": i, "period": node.t, "node": node.key,
-                                           "state": s, "pretense": s_hat, "cutoff": L}
-    return worst, witness
+    return _worst_c3(carriers, _flow_c3_cells(engine, nodes), rhs)
 
 
 def _flow_setup(game, mech, conj, carrier_cls):
@@ -471,6 +516,48 @@ def test_payoff_flow_memo_not_shared_across_eta(monotone_ir):
     assert (again.worst, again.witness) == (first.worst, first.witness)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_flow_c3_keeps_the_stripped_prospect_verdict_on_random_instances(seed):
+    """The expected couplings cancel: leaving them out moves flow-c3 by rounding
+    only.  Witnesses are not compared: rounding-level ties may pick another cell."""
+    game, mech, conj = random_instance(np.random.default_rng(seed))
+    engine, carriers, nodes, eta = _flow_setup(game, mech, conj, CarrierTables)
+    got = check_payoff_flow(engine, carriers, nodes, eta)[2]
+    worst, _ = _flow_c3_stripped_prospects(engine, carriers, eta, nodes)
+    assert got.passed == (worst >= -1e-9)
+    assert abs(got.worst - worst) <= 1e-12
+
+
+def _bundled_flow(name):
+    result = run_scenario(name, None, {"checks": ("payoff_flow",)})
+    engine, carriers, nodes = result.engine, result.carriers, result.nodes
+    eta = posted_factor_eta(carriers, engine.mechanism, nodes).values
+    return result, engine, carriers, nodes, eta
+
+
+@pytest.mark.parametrize("name", ["g2-appendix", "subscription", "double-well"])
+def test_flow_c3_keeps_the_stripped_prospect_verdict_on_bundled_scenarios(name):
+    result, engine, carriers, nodes, eta = _bundled_flow(name)
+    got = {v["name"]: v for v in result.report["verdicts"]}["flow-c3"]
+    worst, _ = _flow_c3_stripped_prospects(engine, carriers, eta, nodes)
+    assert got["passed"] == (worst >= -1e-9)
+    assert abs(got["worst"] - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["g2-appendix", "subscription"])
+def test_flow_c3_pins_the_sign_of_the_posted_factor(name):
+    """The posted factor enters the deviation's leaf with a minus sign: raising
+    every emitted eta by 1e-3 breaks the inequality by 1e-3, lowering it does not."""
+    _, engine, carriers, nodes, eta = _bundled_flow(name)
+    raised = check_payoff_flow(engine, carriers, nodes,
+                               {k: v + 1e-3 for k, v in eta.items()})[2]
+    lowered = check_payoff_flow(engine, carriers, nodes,
+                                {k: v - 1e-3 for k, v in eta.items()})[2]
+    assert not raised.passed
+    assert raised.worst == pytest.approx(-1e-3, abs=1e-9)
+    assert lowered.passed
+
+
 def test_flow_c2_checks_every_parent_of_a_node():
     """A constant policy reveals nothing, so a node's record does not say which
     previous state it came from: flow-c2 must hold along every parent edge."""
@@ -495,8 +582,8 @@ def test_flow_c2_checks_every_parent_of_a_node():
     second = max(multi[0], key=lambda p: p.key)  # never the first parent
     carrier = carriers.carrier
 
-    def shifted(i, node, s_idx, L, a_pos=None):
-        return carrier(i, node, s_idx, L, a_pos) + (1.0 if node is second else 0.0)
+    def shifted(i, node, s_idx, L):
+        return carrier(i, node, s_idx, L) + (1.0 if node is second else 0.0)
 
     carriers.carrier = shifted  # marginal carriers stay as the run memoized them
     c2 = check_payoff_flow(engine, carriers, nodes, eta.values)[1]
