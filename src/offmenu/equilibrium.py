@@ -6,6 +6,13 @@ payoff-to-go (the better of quitting now and the best staying plan), the
 induced quit-time distributions, the off-menu fixed point, and seeded
 outcome simulations.
 
+The prospect table holds one entry per cell: (agent, history class, state,
+first action, opponent plan).  The entry is the tuple of the cell's
+prospects for every plan index L = t..T, built in one backward recursion,
+so a staying value reads its max over plans from one entry.  Each L is
+summed with the same float operations in the same order as a recursion
+for that L alone.
+
 Semantics pinned here and shared with the carrier/persistence machinery:
 
 * A prospect with plan index L collects single-period utilities from the
@@ -24,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,7 +92,11 @@ class EmpiricalOutcome:
 
 
 class Engine:
-    """Memoized recursive evaluator for one (game, mechanism) pair."""
+    """Memoized recursive evaluator for one (game, mechanism) pair.
+
+    ``memo_budget`` caps the prospect table in cells; one entry holds every
+    plan index of its cell.
+    """
 
     def __init__(self, game: BaseGame, mechanism: Mechanism, *,
                  walker: TreeWalker | None = None,
@@ -116,10 +127,12 @@ class Engine:
     def _guard(self) -> None:
         if len(self._g) > self.memo_budget:
             raise TreeSizeError(
-                f"exact prospect table exceeds its budget of {self.memo_budget} entries; the "
-                "checks doic (exact mode), payoff_flow, transform, fixed_point, envelope, mso "
-                "and phi_uniqueness and the on_rent.csv export fill it, so only leaving those "
-                "out, a shorter horizon or fewer grid points avoid it")
+                f"exact prospect table exceeds its budget of {self.memo_budget} entries; an "
+                "entry is one cell (agent, history class, state, first action, opponent plan) "
+                "and holds the prospects of every plan index; the checks doic (exact mode), "
+                "payoff_flow, transform, fixed_point, envelope, mso and phi_uniqueness and the "
+                "on_rent.csv export fill it, so only leaving those out, a shorter horizon or "
+                "fewer grid points avoid it")
 
     def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float]) -> float:
         """Agent i's one-period payoff flow: intrinsic reward plus coupling."""
@@ -141,38 +154,66 @@ class Engine:
         """
         if not node.t <= L <= self.game.horizon:
             raise GameError(f"plan index {L} outside {node.t}..{self.game.horizon}")
-        total = 0.0
-        for p, plan in x.plans(i, node):
-            total += p * self._g_plan(i, node, s_idx, L, a_pos, plan)
+        return self.prospects(i, node, s_idx, x, a_pos)[L - node.t]
+
+    def prospects(self, i: int, node: Node, s_idx: int, x: Conjecture,
+                  a_pos: int | None = None) -> Sequence[float]:
+        """The prospects of every plan index L = node.t..T, entry L - node.t."""
+        plans = x.plans(i, node)
+        if len(plans) == 1 and plans[0][0] == 1.0:
+            # a sure plan's entry is the sum: entries start at +0.0, so none is
+            # -0.0 and 0.0 + 1.0 * v is v, bit for bit
+            plan = plans[0][1]
+            return self._g_plan(i, node, s_idx, a_pos, plan, self.walker.plan_id(plan))
+        total = [0.0] * (self.game.horizon - node.t + 1)
+        for p, plan in plans:
+            vec = self._g_plan(i, node, s_idx, a_pos, plan, self.walker.plan_id(plan))
+            total = [acc + p * v for acc, v in zip(total, vec)]
         return total
 
-    def _g_plan(self, i: int, node: Node, s_idx: int, L: int,
-                a_pos: int | None, plan: OppPlan) -> float:
-        key = (i, self.memo_key(node), s_idx, L, a_pos, self.walker.plan_id(plan))
+    def _g_plan(self, i: int, node: Node, s_idx: int, a_pos: int | None, plan: OppPlan,
+                plan_id: int) -> tuple[float, ...]:
+        """One plan's prospects for L = node.t..T, built in one backward recursion.
+
+        Entry 0 ends with the off-switch at the children; entry k >= 1 ends
+        with entry k - 1 of the children's prospects.  Each entry takes the
+        same float operations, in the same order, as a recursion for its L alone.
+        """
+        # memo_key inlined: most reads are hits, so the hit path is the key and one get
+        key = (i, node.lump if self._markov else node.key, s_idx, a_pos, plan_id)
         hit = self._g.get(key)
         if hit is not None:
             return hit
         self._guard()
+        if a_pos is not None and a_pos == self.walker.menu(i, node).action_index_of_state[s_idx]:
+            # deviating to the obedient slot is obedient play: share its entry
+            out = self._g[key] = self._g_plan(i, node, s_idx, None, plan, plan_id)
+            return out
         a_own, a_own_idx = self.walker.own_action(i, node, s_idx, a_pos)
         phi = self.mechanism.phi
         interval_keyed = phi.state_dependent()
-        total = 0.0
+        n = self.game.horizon - node.t + 1
+        total = [0.0] * n
         for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
             z = self.flow(i, node, s_idx, actions)
-            cont = 0.0   # quitting after the horizon pays 0
-            if node.t < self.game.horizon:
-                child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-                if L > node.t:
-                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
-                        cont += pp * self._g_plan(i, child, s2, L, None, plan)
-                elif interval_keyed:
-                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
-                        cont += pp * phi.value(i, child, s2)
-                else:
-                    cont = phi.value(i, child)
-            total += w * (z + cont)
-        self._g[key] = total
-        return total
+            if n == 1:   # period T: quitting after the horizon pays 0
+                total[0] += w * (z + 0.0)
+                continue
+            child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
+            kernel = self.walker.own_kernel(i, node, s_idx, child)
+            if interval_keyed:
+                c0 = 0.0
+                for pp, s2 in kernel:
+                    c0 += pp * phi.value(i, child, s2)
+            else:
+                c0 = phi.value(i, child)
+            cont = [c0] + [0.0] * (n - 1)
+            for pp, s2 in kernel:
+                for k, v in enumerate(self._g_plan(i, child, s2, None, plan, plan_id), 1):
+                    cont[k] += pp * v
+            total = [acc + w * (z + c) for acc, c in zip(total, cont)]
+        out = self._g[key] = tuple(total)
+        return out
 
     # -- payoff-to-go, on-rent, best response ---------------------------------
 
@@ -180,8 +221,7 @@ class Engine:
                    a_pos: int | None = None) -> tuple[float, int]:
         """max over plan indices of the prospect; ties resolve to the largest L."""
         best, best_L = -math.inf, node.t
-        for L in range(node.t, self.game.horizon + 1):
-            v = self.prospect(i, node, s_idx, L, x, a_pos)
+        for L, v in enumerate(self.prospects(i, node, s_idx, x, a_pos), node.t):
             if v >= best - TIE_TOL:
                 if v > best + TIE_TOL or L > best_L:
                     best_L = L

@@ -349,8 +349,18 @@ class TreeWalker:
     # -- caches --------------------------------------------------------------
 
     def plan_id(self, plan: OppPlan) -> int:
-        """Stable small integer for memo keys; plans with one signature share one id."""
-        return self._plan_ids.setdefault(plan.signature(), len(self._plan_ids))
+        """Stable small integer for memo keys; plans with one signature share one id.
+
+        The plan keeps its id next to this walker's table, so a repeat lookup
+        does not hash the signature again, and a plan that outlives its
+        walker is looked up afresh by the next one.
+        """
+        cached = plan.__dict__.get("_plan_id")
+        if cached is not None and cached[0] is self._plan_ids:
+            return cached[1]
+        pid = self._plan_ids.setdefault(plan.signature(), len(self._plan_ids))
+        plan.__dict__["_plan_id"] = (self._plan_ids, pid)
+        return pid
 
     def menu(self, i: int, node: Node) -> Menu:
         key = (i, node.lump)

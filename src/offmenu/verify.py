@@ -92,10 +92,15 @@ def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     worst_oaic, worst_raic = math.inf, math.inf
     wit_oaic = wit_raic = None
     for i, node, s in _cells(engine, nodes):
-        z_obed = engine.on_rent(i, node, s, x)
+        # on-rents are staying values net of the same quit value, read once;
+        # staying first, as on_rent does: a synthesized off-switch interns
+        # nodes when read, and the goldens pin the interning order
+        stay = engine.stay_value(i, node, s, x)[0]
+        quit_val = engine.phi_value(i, node, s)
+        z_obed = stay - quit_val
         menu = engine.walker.menu(i, node)
         for pos in range(len(menu.actions)):
-            margin = z_obed - engine.on_rent(i, node, s, x, pos)
+            margin = z_obed - (engine.stay_value(i, node, s, x, pos)[0] - quit_val)
             if margin < worst_raic:
                 worst_raic = margin
                 if margin < -tol:
@@ -332,13 +337,14 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
             if hat is None:
                 phis = _terminal_walks(engine, memo, "phi", engine.memo_key, i, node, s_hat,
                                        x, None, phi.value)
-                hat = hats[(i, node.key, s_hat)] = [engine.prospect(i, node, s_hat, L, x) - e
-                                                    for L, e in zip(cutoffs, phis)]
+                hat = hats[(i, node.key, s_hat)] = [
+                    g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)]
             ends = _terminal_walks(engine, memo, "end", _full_history, i, node, s, x, pos,
                                    end_leaf)
-            for L, h, e in zip(cutoffs, hat, ends):
+            dev = engine.prospects(i, node, s, x, pos)
+            for L, h, g, e in zip(cutoffs, hat, dev, ends):
                 lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
-                rhs = h - (engine.prospect(i, node, s, L, x, pos) - e)
+                rhs = h - (g - e)
                 margin = rhs - lhs
                 if margin < worst_c3:
                     worst_c3 = margin
@@ -524,11 +530,11 @@ def check_mso(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         grid = game.grid(i, node.t)
         if grid.points < 3:
             continue
-        G = {L: [engine.prospect(i, node, j, L, x) for j in range(grid.points)]
-             for L in range(node.t, T + 1)}
+        # G[j][k]: the prospect at state j of plan index node.t + k
+        G = [engine.prospects(i, node, j, x) for j in range(grid.points)]
         for j in range(1, grid.points - 1):
-            lhs = (max(G[L][j + 1] for L in G) - max(G[L][j - 1] for L in G)) / (2 * grid.step)
-            rhs = max((G[L][j + 1] - G[L][j - 1]) / (2 * grid.step) for L in G)
+            lhs = (max(G[j + 1]) - max(G[j - 1])) / (2 * grid.step)
+            rhs = max((hi - lo) / (2 * grid.step) for hi, lo in zip(G[j + 1], G[j - 1]))
             dev = abs(lhs - rhs)
             if dev > worst:
                 worst = dev

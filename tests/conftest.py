@@ -440,6 +440,55 @@ class LoopEngine(Engine):
         return out
 
 
+class PerPlanIndexEngine(Engine):
+    """Engine whose prospects run one recursion per plan index L.
+
+    The memo of ``Engine._g_plan`` holds every plan index of a cell in one
+    entry; this is the recursion it replaced, one entry per (cell, L), kept
+    as the reference the vector is compared against with ``==``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._per_L: dict[tuple, float] = {}
+
+    def prospect(self, i, node, s_idx, L, x, a_pos=None):
+        total = 0.0
+        for p, plan in x.plans(i, node):
+            total += p * self._g_at(i, node, s_idx, L, a_pos, plan)
+        return total
+
+    def prospects(self, i, node, s_idx, x, a_pos=None):
+        return [self.prospect(i, node, s_idx, L, x, a_pos)
+                for L in range(node.t, self.game.horizon + 1)]
+
+    def _g_at(self, i, node, s_idx, L, a_pos, plan):
+        key = (i, self.memo_key(node), s_idx, L, a_pos, self.walker.plan_id(plan))
+        hit = self._per_L.get(key)
+        if hit is not None:
+            return hit
+        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, a_pos)
+        phi = self.mechanism.phi
+        interval_keyed = phi.state_dependent()
+        total = 0.0
+        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
+            z = self.flow(i, node, s_idx, actions)
+            cont = 0.0   # quitting after the horizon pays 0
+            if node.t < self.game.horizon:
+                child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
+                if L > node.t:
+                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
+                        cont += pp * self._g_at(i, child, s2, L, None, plan)
+                elif interval_keyed:
+                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
+                        cont += pp * phi.value(i, child, s2)
+                else:
+                    cont = phi.value(i, child)
+            total += w * (z + cont)
+        self._per_L[key] = total
+        return total
+
+
 class NodeKeyedOffSwitch(OffSwitch):
     """Posted values keyed by interned node id: a history function, not a class one."""
 

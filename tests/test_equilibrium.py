@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from offmenu.equilibrium import Engine
-from offmenu.histories import ProfileConjecture, RegionConjecture
+from offmenu.histories import FixedPlan, ProfileConjecture, RegionConjecture, live_cells
 from offmenu.mechanism import CallableOffSwitch, Mechanism, ZeroCoupling, ZeroOffSwitch
 from offmenu.model import ShockModel, DynamicsModel, RewardModel
 from offmenu.oracle import TreeOracle
+from offmenu.run import run_scenario
+from offmenu.scenario import bundled_scenarios, load_scenario
 
-from conftest import IDENTITY, make_game
+from conftest import IDENTITY, PerPlanIndexEngine, make_game, random_instance
 
 NOQUIT = RegionConjecture({})
 
@@ -53,6 +57,76 @@ def test_prospect_matches_oracle_with_deviation(g1):
                 want = oracle.prospect(0, root, s, L, plans,
                                        engine.walker.menu(0, root).actions[pos])
                 assert got == pytest.approx(want, abs=1e-10)
+
+
+def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
+    """Every plan index of every cell and first action, bit for bit; the cell count.
+
+    The reference shares the engine's walker, so both read one interning
+    order (a posted value may depend on the node key).
+    """
+    ref = PerPlanIndexEngine(engine.game, engine.mechanism, walker=engine.walker)
+    cells = 0
+    for i, node in live_cells(nodes, engine.game.horizon):
+        slots = range(len(engine.walker.menu(i, node).actions))
+        for s in range(engine.game.grid(i, node.t).points):
+            for a_pos in (None, *slots):
+                vec = engine.prospects(i, node, s, x, a_pos)
+                want = ref.prospects(i, node, s, x, a_pos)
+                assert [v.hex() for v in vec] == [v.hex() for v in want], (i, node.key, s, a_pos)
+                assert [engine.prospect(i, node, s, L, x, a_pos)
+                        for L in range(node.t, engine.game.horizon + 1)] == list(vec)
+                cells += 1
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_prospect_vectors_equal_per_plan_index_recursion_on_random_instances(seed):
+    rng = np.random.default_rng(seed)
+    game, mech, conj = random_instance(rng)
+    engine = Engine(game, mech)
+    nodes = engine.walker.reachable_nodes(conj.plan())
+    marginals = {}
+    for j in game.agents():
+        w = rng.uniform(0.1, 1.0, size=game.horizon + 1)
+        marginals[j] = {k: float(v) for k, v in zip(range(1, game.horizon + 2), w / w.sum())}
+    for x in (conj, ProfileConjecture.from_marginals(marginals)):
+        assert _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) > 0
+
+
+def _feedback(base: str, **changes) -> dict:
+    raw = json.loads(bundled_scenarios()[base].read_text())
+    return {**raw, **changes, "samples": 300,
+            "dynamics": {"kind": "action_feedback", "params": {"beta": 0.25, "scale": 0.5}}}
+
+
+@pytest.mark.parametrize("raw", [_feedback("subscription"), _feedback("pair-churn", horizon=2)],
+                         ids=["one-agent", "two-agents"])
+def test_prospect_vectors_equal_per_plan_index_recursion_on_a_window_one_game(raw):
+    result = run_scenario(load_scenario(raw), None, {"checks": ("doic",)})
+    engine = result.engine
+    assert engine.store.window == 1
+    assert _assert_prospect_vectors_equal_per_plan_index(engine, result.conjecture,
+                                                         result.nodes) > 0
+
+
+@pytest.mark.parametrize("obedient_first", [True, False])
+def test_a_deviation_to_the_obedient_slot_shares_the_obedient_entry(g1, obedient_first):
+    mech = Mechanism(IDENTITY, ZeroCoupling(), CallableOffSwitch(3, lambda i, node: 0.1 * node.t))
+    engine = Engine(g1, mech)
+    flows = []
+    flow = engine.flow
+    engine.flow = lambda *args: flows.append(args) or flow(*args)
+    root, s = engine.root(), 2
+    pos = engine.walker.menu(0, root).action_index_of_state[s]
+    first, second = (None, pos) if obedient_first else (pos, None)
+    vec = engine.prospects(0, root, s, NOQUIT, first)
+    computed = len(flows)
+    assert engine.prospects(0, root, s, NOQUIT, second) == vec
+    assert len(flows) == computed   # one computation serves both first actions
+    pid = engine.walker.plan_id(NOQUIT.plan())
+    key = (0, engine.memo_key(root), s)
+    assert engine._g[key + (pos, pid)] is engine._g[key + (None, pid)]
 
 
 def test_on_rent_zero_at_bottom_state(monotone_ir):
@@ -194,6 +268,21 @@ def test_plan_ids_follow_signatures_across_conjecture_rebuilds():
                 sig = plan.signature()
                 assert walker.plan_id(plan) == expected.setdefault(sig, len(expected)), (k, sig)
         del conj  # the next conjecture's plans may reuse these addresses
+
+
+def test_plan_id_reads_a_signature_once_per_plan_and_walker(monkeypatch):
+    calls = []
+    signature = FixedPlan.signature
+    monkeypatch.setattr(FixedPlan, "signature", lambda self: calls.append(self) or signature(self))
+    game = make_game(n=2, T=2)
+    mech = Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(2))
+    w1, w2 = Engine(game, mech).walker, Engine(game, mech).walker
+    a, b = FixedPlan({1: 2}), FixedPlan({1: 2})
+    assert [w1.plan_id(a), w1.plan_id(a), w1.plan_id(b), w1.plan_id(b)] == [0, 0, 0, 0]
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b   # one read per plan
+    # another walker numbers plans from its own table, and the first keeps its ids
+    assert w2.plan_id(FixedPlan({0: 1})) == 0 and w2.plan_id(a) == 1
+    assert w1.plan_id(a) == 0 and w1.plan_id(FixedPlan({0: 1})) == 1
 
 
 def test_simulate_deterministic_single_trajectory(g2):

@@ -296,6 +296,8 @@ def test_tree_size_error_names_the_table_and_its_budget(g1_unused=None):
     # sampled mode replaces only doic, so the message must not send users there
     assert "mode=mc" not in msg
     assert "on_rent.csv" in msg and "horizon" in msg and "grid points" in msg
+    # the budget counts cells, each holding every plan index
+    assert "an entry is one cell" in msg and "every plan index" in msg
 
 
 WELL_RIDGE = {

@@ -4,10 +4,11 @@ Every exact walk resolves the others' branches through
 ``TreeWalker.own_branches`` and reads its own action and grid index from
 ``TreeWalker.own_action`` (``Menu.grid_indices``), and the node closures
 are the three that share ``TreeWalker._closure``.  Recorded actions are
-located on the menu by grid index, and only the flow and the table exports
-read the coupling.  This scan of the package source (``oracle.py``
-excepted: it is the independent reference) fails when a hand-rolled copy
-of either loop, a fourth closure or another reader comes back.
+located on the menu by grid index, only the flow and the table exports
+read the coupling, and the engine's prospects are read as one vector of
+plan indices.  This scan of the package source (``oracle.py`` excepted:
+it is the independent reference) fails when a hand-rolled copy of either
+loop, a fourth closure, another reader or a per-L prospect loop comes back.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ def test_the_coupling_is_read_only_by_the_flow_and_the_table_exports():
                                    ("reports.py", "mechanism_table_rows")}
 
 
+def test_only_the_oracle_reads_one_plan_index_at_a_time():
+    # the engine's prospects come as one vector per cell and first action;
+    # a loop over plan indices that calls ``Engine.prospect`` per L must not
+    # come back
+    assert {(f, scope) for f, scope, _ in _calls("prospect")} == set()
+
+
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     """The scan reads the package source, so a copy planted there is caught."""
     planted = tmp_path / "offmenu"
@@ -93,11 +101,12 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     for path in SRC.glob("*.py"):
         (planted / path.name).write_text(path.read_text())
     (planted / "extra.py").write_text(
-        "def walk(walker, i, node, plan, grid, a, mech):\n"
+        "def walk(walker, i, node, plan, grid, a, mech, engine, x):\n"
+        "    g = [engine.prospect(i, node, 0, L, x) for L in (1, 2)]\n"
         "    idx = grid.index_of(a, tol=1e-6)\n"
         "    pos = walker.menu(i, node).position(a, tol=1e-6)\n"
         "    rho = mech.rho.value(i, node, {i: a})\n"
-        "    return [br for br in walker.other_branches(i, node, plan)], idx, pos, rho\n")
+        "    return [br for br in walker.other_branches(i, node, plan)], idx, pos, rho, g\n")
     monkeypatch.setattr(f"{__name__}.SRC", planted)
     assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("other_branches")}
     assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("index_of")
@@ -105,3 +114,4 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("position")
                                     if 1e-6 in _tol(c)}
     assert ("extra.py", "walk") in _coupling_readers()
+    assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("prospect")}
