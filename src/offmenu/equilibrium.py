@@ -134,11 +134,13 @@ class Engine:
                 "on_rent.csv export fill it, so only leaving those out, a shorter horizon or "
                 "fewer grid points avoid it")
 
-    def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float]) -> float:
-        """Agent i's one-period payoff flow: intrinsic reward plus coupling."""
+    def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float],
+             pos: int) -> float:
+        """Agent i's one-period payoff flow, playing menu slot ``pos`` of the
+        profile ``actions``: intrinsic reward plus coupling."""
         s_val = self.game.grid(i, node.t).value(s_idx)
         return (self.game.reward(i, node.t, s_val, actions)
-                + self.mechanism.rho.value(i, node, actions))
+                + self.mechanism.rho.value_at_slot(i, node, pos, actions))
 
     def phi_value(self, i: int, node: Node, s_idx: int | None = None) -> float:
         return self.mechanism.phi.value(i, node, s_idx)
@@ -185,17 +187,19 @@ class Engine:
         if hit is not None:
             return hit
         self._guard()
-        if a_pos is not None and a_pos == self.walker.menu(i, node).action_index_of_state[s_idx]:
+        obedient = self.walker.own_slot(i, node, s_idx)
+        if a_pos == obedient:
             # deviating to the obedient slot is obedient play: share its entry
             out = self._g[key] = self._g_plan(i, node, s_idx, None, plan, plan_id)
             return out
-        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, a_pos)
+        pos = obedient if a_pos is None else a_pos
+        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, pos)
         phi = self.mechanism.phi
         interval_keyed = phi.state_dependent()
         n = self.game.horizon - node.t + 1
         total = [0.0] * n
         for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
-            z = self.flow(i, node, s_idx, actions)
+            z = self.flow(i, node, s_idx, actions, pos)
             if n == 1:   # period T: quitting after the horizon pays 0
                 total[0] += w * (z + 0.0)
                 continue
@@ -352,36 +356,20 @@ class Engine:
         so the max over plans is taken over a common sample set.  Returns
         (means, standard errors), one entry per plan index.
         """
-        game, phi = self.game, self.mechanism.phi
-        n = game.horizon - node.t + 1
-        sums = [0.0] * n
-        sq = [0.0] * n
-        paths = PathSampler(self.walker, i, x.plans(i, node), np.random.default_rng(seed),
-                            n_samples * 2 * n, a_pos, functools.partial(self.flow, i))
-        for _ in range(n_samples):
-            slot = paths.plan()
-            acc = 0.0
-            cur, s = node, s_idx
-            for k in range(n):
-                step = paths.step(slot, cur, s, k == 0)
-                acc += step.value
-                if k == n - 1:
-                    v = acc   # quitting after the horizon pays 0
-                else:
-                    child = paths.child(cur, s, step)
-                    j = paths.transition(cur, s, step)
-                    nxt = step.outcomes[j][1]
-                    cont = step.after[j]
-                    if cont is None:
-                        cont = step.after[j] = phi.value(i, child, nxt)
-                    v = acc + cont
-                    cur, s = child, nxt
-                # per path, one add per plan index: the elementwise order of
-                # ``sums += vals; sq += vals * vals``
-                sums[k] += v
-                sq[k] += v * v
-        mean = np.array(sums) / n_samples
-        var = np.maximum(np.array(sq) / n_samples - mean * mean, 0.0)
+        phi = self.mechanism.phi
+        n = self.game.horizon - node.t + 1
+        paths = PathSampler(self.walker, i, node, s_idx, x.plans(i, node), n,
+                            lambda child, s2: (s2, phi.value(i, child, s2)),
+                            functools.partial(self.flow, i), a_pos)
+        sums = sq = np.zeros(n)
+        for flows, posted in paths.walk(np.random.default_rng(seed), n_samples):
+            vals = np.cumsum(flows, axis=1)   # each path's flows summed period by period
+            vals[:, :-1] += posted            # quitting after the horizon pays 0
+            # path by path, one add per plan index: the order of ``sums += v; sq += v * v``
+            sums = np.add.accumulate(np.vstack((sums, vals)))[-1]
+            sq = np.add.accumulate(np.vstack((sq, vals * vals)))[-1]
+        mean = sums / n_samples
+        var = np.maximum(sq / n_samples - mean * mean, 0.0)
         return mean, np.sqrt(var / max(1, n_samples - 1))
 
     # -- simulation ---------------------------------------------------------------
@@ -439,7 +427,8 @@ class Engine:
                     key = (i, self.memo_key(node), states[i], played)
                     z = flows.get(key)
                     if z is None:
-                        z = flows[key] = self.flow(i, node, states[i], actions)
+                        z = flows[key] = self.flow(i, node, states[i], actions,
+                                                   self.walker.own_slot(i, node, states[i]))
                     payoff[i] += z
                 alive -= set(quitters)
                 if not alive or t == game.horizon:

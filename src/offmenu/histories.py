@@ -399,6 +399,10 @@ class TreeWalker:
             self._transitions[key] = b
         return b
 
+    def own_slot(self, i: int, node: Node, s_idx: int, a_pos: int | None = None) -> int:
+        """Menu slot ``a_pos``; the obedient slot at s_idx when absent."""
+        return self.menu(i, node).action_index_of_state[s_idx] if a_pos is None else a_pos
+
     def own_action(self, i: int, node: Node, s_idx: int,
                    a_pos: int | None = None) -> tuple[float, int]:
         """(action, action-grid index) of menu slot ``a_pos``; obedient at s_idx when absent."""

@@ -114,6 +114,12 @@ class CouplingPolicy:
     def value(self, i: int, node: "Node", actions: Actions) -> float:
         raise NotImplementedError
 
+    def value_at_slot(self, i: int, node: "Node", pos: int, actions: Actions) -> float:
+        """The value when agent i plays slot ``pos`` of its menu at ``node``
+        within ``actions``; couplings keyed by the slot skip locating the
+        action on the menu."""
+        return self.value(i, node, actions)
+
 
 class ZeroCoupling(CouplingPolicy):
     markov = True
@@ -141,8 +147,9 @@ class TableCoupling(CouplingPolicy):
     def value(self, i, node, actions):
         if i not in actions:
             raise GameError(f"agent {i} has no action in the profile")
-        menu = self.menu_of(i, node)
-        pos = menu.position(actions[i])
+        return self.value_at_slot(i, node, self.menu_of(i, node).position(actions[i]), actions)
+
+    def value_at_slot(self, i, node, pos, actions):
         try:
             return self.table[(i, self.class_of(node), pos)]
         except KeyError:

@@ -157,20 +157,13 @@ class PersistenceTransforms:
     def barrier_violations_mc(self, i: int, node: Node, s_idx: int,
                               n_paths: int, seed: int) -> int:
         """Sampled-path version of the barrier check; returns the violation count."""
-        horizon = self.game.horizon
-        paths = PathSampler(self.walker, i, self.carriers.conjecture.plans(i, node),
-                            np.random.default_rng(seed), n_paths * (1 + 2 * (horizon - node.t)))
+        def after(child: Node, s2: int) -> tuple[int, float]:
+            us = self.project(i, child, s2)
+            return us, float(self._violates(i, child, us))
+
+        paths = PathSampler(self.walker, i, node, s_idx, self.carriers.conjecture.plans(i, node),
+                            max(0, self.game.horizon - node.t), after)
         count = 0
-        for _ in range(n_paths):
-            slot = paths.plan()
-            cur, s = node, s_idx
-            while cur.t < horizon:
-                step = paths.step(slot, cur, s)
-                j = paths.transition(cur, s, step)
-                child = step.child
-                us = step.after[j]
-                if us is None:
-                    us = step.after[j] = self.project(i, child, step.outcomes[j][1])
-                count += self._violates(i, child, us)
-                cur, s = child, us
+        for _, flags in paths.walk(np.random.default_rng(seed), n_paths):
+            count += int(np.count_nonzero(flags))
         return count

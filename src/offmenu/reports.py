@@ -118,5 +118,5 @@ def mechanism_table_rows(engine, nodes: Sequence[Node]):
         else:
             phi_repr = repr(float(mech.phi.value(i, node)))
         for pos, a in enumerate(menu.actions):
-            rho = float(mech.rho.value(i, node, {i: a}))
+            rho = float(mech.rho.value_at_slot(i, node, pos, {i: a}))
             yield (i, node.t, node.key, pos, repr(float(a)), repr(rho), phi_repr)

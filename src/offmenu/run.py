@@ -278,7 +278,8 @@ def export_mechanism_tables(engine: Engine, scenario: Scenario, path: str | Path
     for i, node in live_cells(walker.markov_classes(), engine.game.horizon):
         sig = walker.store.class_signature(node)
         for pos, a in enumerate(walker.menu(i, node).actions):
-            rows["coupling"].append((i, sig, pos, float(mech.rho.value(i, node, {i: a}))))
+            rho = mech.rho.value_at_slot(i, node, pos, {i: a})
+            rows["coupling"].append((i, sig, pos, float(rho)))
         if mech.phi.state_dependent():
             for w, v in sorted(mech.phi.per_interval_values(i, node).items()):
                 rows["posted_intervals"].append((i, sig, w, float(v)))

@@ -84,7 +84,7 @@ class SynthesizedCoupling(CouplingPolicy):
             total += w * game.reward(i, node.t, s_val, actions)
         return total
 
-    def value_at_slot(self, i: int, node: Node, pos: int) -> float:
+    def value_at_slot(self, i, node, pos, actions):
         key = (i, node.lump, pos)
         hit = self._memo.get(key)
         if hit is not None:
@@ -105,7 +105,7 @@ class SynthesizedCoupling(CouplingPolicy):
         if i not in actions:
             raise GameError(f"agent {i} missing from the action profile")
         menu = self.walker.menu(i, node)
-        return self.value_at_slot(i, node, menu.position(actions[i]))
+        return self.value_at_slot(i, node, menu.position(actions[i]), actions)
 
 
 class SynthesizedCutoff(OffSwitch):

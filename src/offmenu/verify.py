@@ -142,7 +142,8 @@ def check_doic_mc(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     for i, node, s in _cells(engine, nodes, support_only=True):
         k += 1
         mean, se = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k)
-        z = float(mean.max()) - engine.phi_value(i, node, s)
+        quit_val = engine.phi_value(i, node, s)
+        z = float(mean.max()) - quit_val
         z_se = float(se[int(mean.argmax())])
         menu = engine.walker.menu(i, node)
         for pos in range(len(menu.actions)):
@@ -151,7 +152,7 @@ def check_doic_mc(engine: Engine, x: Conjecture, nodes: Sequence[Node],
                 m2, se2 = mean, se
             else:
                 m2, se2 = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k, pos)
-            margin = z - (float(m2.max()) - engine.phi_value(i, node, s))
+            margin = z - (float(m2.max()) - quit_val)
             stud = margin + Z_GATE * (z_se + float(se2[int(m2.argmax())]))
             if stud < worst_raic:
                 worst_raic = stud
@@ -197,10 +198,11 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
 
     def stay(i: int, node: Node, s: int, plan, a_pos: int | None, then) -> float:
         """Stay this period playing menu slot ``a_pos`` (obedient when None), then ``then``."""
-        a_own, a_idx = walker.own_action(i, node, s, a_pos)
+        pos = walker.own_slot(i, node, s, a_pos)
+        a_own, a_idx = walker.own_action(i, node, s, pos)
         total = 0.0
         for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
-            z = engine.flow(i, node, s, actions)
+            z = engine.flow(i, node, s, actions, pos)
             cont = 0.0
             if node.t < game.horizon:
                 child = walker.child_after(i, node, s, a_idx, br)
@@ -271,11 +273,12 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c1 = 0.0
     wit_c1 = None
     for i, node, s in _cells(engine, nodes):
-        a_own, _ = walker.own_action(i, node, s)
+        pos = walker.own_slot(i, node, s)
+        a_own, _ = walker.own_action(i, node, s, pos)
         ez = 0.0
         for w, actions, _ in walker.own_branches(i, node, carriers.conjecture.plans(i, node),
                                                  a_own):
-            ez += w * engine.flow(i, node, s, actions)
+            ez += w * engine.flow(i, node, s, actions, pos)
         r = abs(ez - carriers.marginal_carrier(i, node, s))
         if r > worst_c1:
             worst_c1 = r

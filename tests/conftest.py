@@ -467,12 +467,13 @@ class PerPlanIndexEngine(Engine):
         hit = self._per_L.get(key)
         if hit is not None:
             return hit
-        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, a_pos)
+        pos = self.walker.own_slot(i, node, s_idx, a_pos)
+        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, pos)
         phi = self.mechanism.phi
         interval_keyed = phi.state_dependent()
         total = 0.0
         for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
-            z = self.flow(i, node, s_idx, actions)
+            z = self.flow(i, node, s_idx, actions, pos)
             cont = 0.0   # quitting after the horizon pays 0
             if node.t < self.game.horizon:
                 child = self.walker.child_after(i, node, s_idx, a_own_idx, br)

@@ -9,11 +9,13 @@ from offmenu.histories import RegionConjecture, TreeWalker
 from offmenu.mechanism import (
     BoundaryProfile,
     CallableCoupling,
+    Menu,
     TaskPolicy,
     ZeroCoupling,
     action_menu,
 )
 from offmenu.model import GameError, Grid
+from offmenu.run import run_scenario
 from offmenu.scenario import bundled_scenarios, load_scenario
 
 from conftest import GRID5, IDENTITY, LoopWalker, random_instance
@@ -163,3 +165,21 @@ def test_grid_lookup_of_a_node_value_is_its_index(points):
         grid = Grid(lo, hi, points)
         found = [grid.index_of(grid.value(k), tol=1e-6) for k in range(points)]
         assert found == list(range(points))
+
+
+def test_the_flow_reads_the_coupling_by_menu_slot(monkeypatch):
+    """Every flow and export passes the slot it played, so a full run never
+    locates an action on its menu (``CouplingPolicy.value_at_slot``)."""
+    def position(self, action):
+        raise AssertionError(f"menu lookup of action {action}")
+
+    monkeypatch.setattr(Menu, "position", position)
+    result = run_scenario("subscription", None, {})
+    assert all(v["passed"] for v in result.report["verdicts"])
+
+
+def test_a_custom_coupling_is_read_by_slot_through_its_value(g1):
+    rho = CallableCoupling(lambda i, node, actions: 10.0 * actions[i])
+    walker = TreeWalker(g1, IDENTITY)
+    assert rho.value_at_slot(0, walker.store.root(), 3, {0: 0.75}) == 7.5
+

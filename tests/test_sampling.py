@@ -6,24 +6,36 @@ step rebuilt on every visit.  Each comparison builds two independent copies
 of an instance, runs the same calls on both, one copy through the reference
 loops and one through the engine, and asserts exact equality of every
 result and of the interning order of the node stores (node keys feed the
-random instances' posted values and the report's witnesses).
+random instances' posted values and the report's witnesses).  An instance
+with late first visits checks the block walk where builds fall between
+blocks; a work count and a subprocess guard pin how many paths are walked
+one at a time and how many doubles are drawn at once.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import offmenu
+from offmenu import equilibrium, persistence, sampling
 from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import EmpiricalOutcome, Engine
 from offmenu.histories import ProfileConjecture
 from offmenu.mechanism import BoundaryProfile
+from offmenu.model import DynamicsModel, ShockModel
 from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import partition_from_boundary
 from offmenu.run import run_scenario
-from offmenu.sampling import CHUNK, choice_cdf, inverse_cdf_draws
+from offmenu.sampling import CHUNK, QUIET, PathSampler, choice_cdf, inverse_cdf_draws
 
-from conftest import DOUBLEWELL_SLOPES, exo_game, random_instance, synth
+from conftest import DOUBLEWELL_SLOPES, exo_game, make_game, pw_reward, random_instance, synth
 
 SAMPLES = 120
 
@@ -242,6 +254,147 @@ def test_samplers_match_per_draw_choice_loops(name, make):
     assert len(ref) == len(new)
     for a, b in zip(ref, new):
         assert a == b, (name, a[0])
+
+
+# ---------------------------------------------------------------------------
+# Late first visits: builds between blocks, more than one chunk of doubles
+# ---------------------------------------------------------------------------
+
+
+class RecordingSampler(PathSampler):
+    """A ``PathSampler`` that keeps itself and counts its blocks cut short by a build."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cuts = 0
+        RecordingSampler.made.append(self)
+
+    def _block(self, tables, u):
+        got = super()._block(tables, u)
+        self.cuts += len(got[0]) < len(u)
+        return got
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    monkeypatch.setattr(RecordingSampler, "made", [])
+    monkeypatch.setattr(equilibrium, "PathSampler", RecordingSampler)
+    monkeypatch.setattr(persistence, "PathSampler", RecordingSampler)
+    return RecordingSampler.made
+
+
+def rare_bundle():
+    """Two agents whose top state is reached with probability 0.002 per
+    transition, so its cells are first visited hundreds of paths in."""
+    rare = ShockModel((0.0, 0.25, 0.5, 0.75, 1.0), (0.4, 0.3, 0.2, 0.098, 0.002))
+    dyn = DynamicsModel(lambda i, t, s, h, om: om, lambda i, t, s, h, om: 0.0)
+    game = make_game(n=2, T=2, shocks=rare, dynamics=dyn, rewards=pw_reward(DOUBLEWELL_SLOPES))
+    _, carriers, transforms, conj, engine, *_ = synth(game, "horizontal",
+                                                      [0.25, 0.25, 0.75, 0.75])
+    return engine, conj, transforms
+
+
+def _rare_calls(samples: int, ref: bool = False) -> list:
+    """Obedient, deviating and two-plan prospects and the barrier count of
+    agent 0 at the root, with the reference loops or the engine."""
+    engine, conj, tr = rare_bundle()
+    root = engine.root()
+    # a quit-profile conjecture whose second plan is drawn once in 250 paths
+    profile = ProfileConjecture.from_marginals({j: {1: 0.004, 3: 0.996} for j in (0, 1)})
+    out = []
+    for x, a_pos in ((conj, None), (conj, 0), (profile, None)):
+        if ref:
+            m, se = ref_prospect_mc(engine, 0, root, 2, x, samples, 7, a_pos)
+        else:
+            m, se = engine.prospect_mc(0, root, 2, x, samples, 7, a_pos)
+        out.append(("prospect", m.tolist(), se.tolist()))
+    if ref:
+        out.append(("barrier", ref_barrier_violations_mc(tr, 0, root, 2, samples, 7)))
+    else:
+        out.append(("barrier", tr.barrier_violations_mc(0, root, 2, samples, 7)))
+    out.append(("nodes", [n.signature() for n in engine.store._nodes]))
+    return out
+
+
+def _assert_late_builds(made: list, samples: int) -> None:
+    """Every walk went to blocks, and a build between blocks sent a path back."""
+    assert len(made) == 4
+    for paths in made:
+        assert QUIET <= paths.scalar_paths < samples
+        assert paths.cuts >= 1
+
+
+def test_blocks_match_per_draw_loops_when_first_visits_come_late(recording, monkeypatch):
+    # a small chunk keeps the per-draw loops short: 3,000 paths of w = 4
+    # (prospects) and w = 3 (barrier) doubles cross it several times
+    monkeypatch.setattr(sampling, "CHUNK", 4_096)
+    samples = 3_000
+    ref = _rare_calls(samples, ref=True)
+    assert recording == []
+    new = _rare_calls(samples)
+    assert len(ref) == len(new) == 5
+    for a, b in zip(ref, new):
+        assert a == b, a[0]
+    _assert_late_builds(recording, samples)
+
+
+def test_blocks_match_the_scalar_walk_past_a_chunk(recording, monkeypatch):
+    samples = 22_000   # above CHUNK / w for both walks at T=2 (w = 4 and 3)
+    assert samples * 3 > CHUNK
+    new = _rare_calls(samples)
+    _assert_late_builds(recording, samples)
+    monkeypatch.setattr(sampling, "QUIET", samples + 1)   # every path walked alone
+    assert _rare_calls(samples) == new
+
+
+# the mc-obedience benchmark configuration: g2-appendix, sampled doic, 2000 samples
+MC_OBEDIENCE = {"mode": "mc", "checks": ("doic",), "samples": 2000}
+MC_OBEDIENCE_SCALAR_PATHS = 975   # of 15 walks x 2000 paths
+
+
+def test_sampled_obedience_walks_few_paths_one_at_a_time(recording):
+    """A deterministic work count: falling back to per-path walking fails here."""
+    run_scenario("g2-appendix", None, MC_OBEDIENCE)
+    assert len(recording) == 15
+    assert sum(paths.scalar_paths for paths in recording) <= MC_OBEDIENCE_SCALAR_PATHS
+
+
+GUARD = """
+import json, sys
+import numpy as np
+from numpy.random import Generator, PCG64
+
+requests = []
+
+class Spy(Generator):
+    def random(self, size=None, *args, **kwargs):
+        requests.append(size)
+        return super().random(size, *args, **kwargs)
+
+np.random.default_rng = lambda seed=None: Spy(PCG64(seed))
+
+from offmenu.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules,
+                  "requests": [r for r in requests if r is not None]}))
+"""
+
+
+def test_sampled_verify_draws_in_bounded_chunks_without_numpy_ma(tmp_path):
+    runs = [["verify", "g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "12000",
+             "--out", str(tmp_path / "mc")],
+            ["verify", "pair-churn", "--checks", "barrier", "--out", str(tmp_path / "barrier")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(offmenu.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert not got["ma"]
+    assert max(got["requests"]) == CHUNK   # 12,000 paths of 6 doubles take two chunks
+    assert all(0 < r <= CHUNK for r in got["requests"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ Every exact walk resolves the others' branches through
 ``TreeWalker.own_action`` (``Menu.grid_indices``), and the node closures
 are the three that share ``TreeWalker._closure``.  Recorded actions are
 located on the menu by grid index, only the flow and the table exports
-read the coupling, and the engine's prospects are read as one vector of
-plan indices.  This scan of the package source (``oracle.py`` excepted:
-it is the independent reference) fails when a hand-rolled copy of either
-loop, a fourth closure, another reader or a per-L prospect loop comes back.
+read the coupling, the engine's prospects are read as one vector of plan
+indices, and sampled paths are walked only by ``PathSampler``.  This scan
+of the package source (``oracle.py`` excepted: it is the independent
+reference) fails when a hand-rolled copy of either loop, a fourth closure,
+another reader, a per-L prospect loop or a per-path sampling loop comes
+back.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import offmenu
 SRC = Path(offmenu.__file__).resolve().parent
 
 
-def _calls(attr: str):
-    """(module file, enclosing qualname, call) for every ``.attr(...)`` call."""
+def _scan(match):
+    """(module file, enclosing qualname, node) for every AST node ``match`` accepts."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "oracle.py":
@@ -31,14 +33,37 @@ def _calls(attr: str):
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 scope = scope + (node.name,)
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == attr):
+            if match(node):
                 found.append((path.name, ".".join(scope), node))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
 
         visit(ast.parse(path.read_text(), str(path)), ())
     return found
+
+
+def _calls(attr: str):
+    """(module file, enclosing qualname, call) for every ``.attr(...)`` call."""
+    return _scan(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == attr)
+
+
+def _named_calls(name: str):
+    """(module file, enclosing qualname, call) for every ``name(...)`` call."""
+    return {(f, scope) for f, scope, _ in _scan(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name)}
+
+
+def _path_loops():
+    """Where a ``for`` loop or comprehension runs over ``range`` of a sample or path count."""
+    def counts_paths(node):
+        it = getattr(node, "iter", None)
+        return (isinstance(node, (ast.For, ast.comprehension)) and isinstance(it, ast.Call)
+                and isinstance(it.func, ast.Name) and it.func.id == "range"
+                and any(isinstance(a, ast.Name) and ("sample" in a.id or "path" in a.id)
+                        for a in it.args))
+    return {(f, scope) for f, scope, _ in _scan(counts_paths)}
 
 
 def _tol(call: ast.Call):
@@ -76,7 +101,7 @@ def test_recorded_actions_are_located_on_the_menu_by_grid_index():
 
 
 def _coupling_readers():
-    return {(f, scope) for f, scope, call in _calls("value")
+    return {(f, scope) for attr in ("value", "value_at_slot") for f, scope, call in _calls(attr)
             if isinstance(call.func.value, ast.Attribute) and call.func.value.attr == "rho"}
 
 
@@ -94,6 +119,21 @@ def test_only_the_oracle_reads_one_plan_index_at_a_time():
     assert {(f, scope) for f, scope, _ in _calls("prospect")} == set()
 
 
+def test_sampled_paths_are_walked_only_by_the_path_sampler():
+    # a draw is a bisection of a CDF table: only the sampler's scalar walk
+    # and the per-draw stream make one
+    assert _named_calls("bisect_right") == {("sampling.py", "inverse_cdf_draws"),
+                                            ("sampling.py", "PathSampler._scalar")}
+    # the two sampled expectations reduce the sampler's per-path arrays;
+    # ``simulate`` draws a varying number of doubles per path, so it keeps
+    # its own loop over paths on the per-draw stream
+    assert {(f, s) for f, s, _ in _calls("walk")} == {("equilibrium.py", "Engine.prospect_mc"),
+                                                      ("persistence.py",
+                                                       "PersistenceTransforms.barrier_violations_mc")}
+    assert _named_calls("inverse_cdf_draws") == {("equilibrium.py", "Engine.simulate")}
+    assert _path_loops() == {("equilibrium.py", "Engine.simulate")}
+
+
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     """The scan reads the package source, so a copy planted there is caught."""
     planted = tmp_path / "offmenu"
@@ -106,7 +146,9 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
         "    idx = grid.index_of(a, tol=1e-6)\n"
         "    pos = walker.menu(i, node).position(a, tol=1e-6)\n"
         "    rho = mech.rho.value(i, node, {i: a})\n"
-        "    return [br for br in walker.other_branches(i, node, plan)], idx, pos, rho, g\n")
+        "    return [br for br in walker.other_branches(i, node, plan)], idx, pos, rho, g\n"
+        "def sample(cdf, draw, n_samples):\n"
+        "    return [bisect_right(cdf, draw()) for _ in range(n_samples)]\n")
     monkeypatch.setattr(f"{__name__}.SRC", planted)
     assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("other_branches")}
     assert ("extra.py", "walk") in {(f, s) for f, s, c in _calls("index_of")
@@ -115,3 +157,5 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
                                     if 1e-6 in _tol(c)}
     assert ("extra.py", "walk") in _coupling_readers()
     assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("prospect")}
+    assert ("extra.py", "sample") in _named_calls("bisect_right")
+    assert ("extra.py", "sample") in _path_loops()
