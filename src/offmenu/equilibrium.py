@@ -45,7 +45,7 @@ from .histories import (
     TreeWalker,
 )
 from .mechanism import Mechanism
-from .model import BaseGame, GameError
+from .model import BaseGame, GameError, check_samples
 from .sampling import PathSampler, choice_cdf, inverse_cdf_draws
 
 __all__ = ["Engine", "BestResponse", "FixedPointResult", "EmpiricalOutcome", "TreeSizeError"]
@@ -380,75 +380,61 @@ class Engine:
         Agents quit per the engine's directive (the principal's desired off
         regions) and act obediently.  Identical seeds reproduce identical
         outputs bit for bit.
+
+        A cell is one period at one history node with the active agents'
+        states.  ``_period_cell`` builds it at its first visit, so nodes are
+        interned in the order a per-period loop interns them.  A path is then
+        its draws plus one table lookup per period; each visit counts the cell
+        and adds its payoff terms in path order.  The histograms are read off
+        the cells' visit counts after the walk.
         """
+        check_samples(n_paths)
         game = self.game
         draw = inverse_cdf_draws(np.random.default_rng(seed),
                                  n_paths * game.n_agents * game.horizon)
-        initial = {}
+        initial = []
         for i in game.agents():
             dist = game.initial_dist(i)
-            initial[i] = choice_cdf(np.asarray(dist) / sum(dist))
-        # per-call memos of the deterministic parts of a period; only the
-        # successor needs the full history, the rest are class functions
+            initial.append(choice_cdf(np.asarray(dist) / sum(dist)))
+        root = self.root().key
+        # per-call memos of the parts of a cell that are class functions
         flows: dict[tuple, float] = {}          # quit or stay payoff flow
-        children: dict[tuple, Node] = {}
-        kernels: dict[tuple, list[float]] = {}
+        kernels: dict[tuple, list[float]] = {}  # next-state CDF
+        cell_of: dict[tuple[int, ...], int] = {}   # (node key, *states) -> cell
+        cells: list[tuple] = []
+        visits: list[int] = []
+        payoff = [0.0] * game.n_agents
+        for _ in range(n_paths):
+            key = (root, *map(draw, initial))
+            while True:
+                c = cell_of.get(key)
+                if c is None:
+                    c = cell_of[key] = len(cells)
+                    cells.append(self._period_cell(self.store.node(key[0]), key[1:],
+                                                    flows, kernels))
+                    visits.append(0)
+                terms, cdfs, child, _ = cells[c]
+                visits[c] += 1
+                for i, v in terms:
+                    payoff[i] += v
+                if cdfs is None:
+                    break
+                key = (child, *map(draw, cdfs))
         quit_counts: dict[tuple[int, int], int] = {}
-        never_counts: dict[int, int] = {i: 0 for i in game.agents()}
+        never_counts = [0] * game.n_agents
         state_hist: dict[tuple[int, int, int], int] = {}
         action_hist: dict[tuple[int, int, int], int] = {}
-        payoff = {i: 0.0 for i in game.agents()}
-        for _ in range(n_paths):
-            node = self.root()
-            states = {i: draw(initial[i]) for i in game.agents()}
-            alive = set(game.agents())
-            for t in game.periods():
-                live = sorted(alive)
-                for i in live:
-                    state_hist[(i, t, states[i])] = state_hist.get((i, t, states[i]), 0) + 1
-                quitters = [i for i in live if self.directive_quit(i, t, states[i])]
-                actions_idx: dict[int, int] = {}
-                actions: dict[int, float] = {}
-                for i in live:
-                    if i in quitters:
-                        key = (i, self.memo_key(node), states[i])
-                        v = flows.get(key)
-                        if v is None:
-                            v = flows[key] = self.phi_value(i, node, states[i])
-                        payoff[i] += v
-                        quit_counts[(i, t)] = quit_counts.get((i, t), 0) + 1
-                        continue
-                    a, a_idx = self.walker.own_action(i, node, states[i])
-                    actions[i] = a
-                    actions_idx[i] = a_idx
-                    action_hist[(i, t, a_idx)] = action_hist.get((i, t, a_idx), 0) + 1
-                played = tuple(actions.items())
-                for i in list(actions):
-                    key = (i, self.memo_key(node), states[i], played)
-                    z = flows.get(key)
-                    if z is None:
-                        z = flows[key] = self.flow(i, node, states[i], actions,
-                                                   self.walker.own_slot(i, node, states[i]))
-                    payoff[i] += z
-                alive -= set(quitters)
-                if not alive or t == game.horizon:
-                    for i in sorted(alive):
-                        never_counts[i] += 1
-                    break
-                key = (node.key, tuple(states[i] for i in live), tuple(quitters),
-                       tuple(actions_idx.items()))
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = self.store.child(node, states, quitters, actions_idx)
-                for i in sorted(alive):
-                    key = (child.lump, i, states[i])
-                    cdf = kernels.get(key)
-                    if cdf is None:
-                        probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),
-                                               self.store.history(child))
-                        cdf = kernels[key] = choice_cdf(probs / probs.sum())
-                    states[i] = draw(cdf)
-                node = child
+        for (node_key, *states), c in cell_of.items():
+            node, n = self.store.node(node_key), visits[c]
+            _, cdfs, _, played = cells[c]
+            for i, s, a_idx in zip(node.active, states, played):
+                state_hist[(i, node.t, s)] = state_hist.get((i, node.t, s), 0) + n
+                if a_idx is None:
+                    quit_counts[(i, node.t)] = quit_counts.get((i, node.t), 0) + n
+                    continue
+                action_hist[(i, node.t, a_idx)] = action_hist.get((i, node.t, a_idx), 0) + n
+                if cdfs is None:
+                    never_counts[i] += n
         return EmpiricalOutcome(
             n_paths=n_paths,
             seed=seed,
@@ -458,3 +444,51 @@ class Engine:
             action_hist=dict(sorted(action_hist.items())),
             mean_payoff={i: payoff[i] / n_paths for i in game.agents()},
         )
+
+    def _period_cell(self, node: Node, states: tuple[int, ...], flows: dict,
+                     kernels: dict) -> tuple:
+        """One period of ``simulate`` at ``node``, ``states`` being the active
+        agents' states: (payoff terms, next-state CDFs, child key, played).
+
+        The terms are (agent, quit or stay payoff) per active agent; the CDFs
+        are the stayers' next-state tables, None when the path ends here;
+        ``played`` is each active agent's action grid index, None if it quits.
+        """
+        game, t = self.game, node.t
+        memo_id = self.memo_key(node)
+        s = dict(zip(node.active, states))
+        quitters = [i for i in node.active if self.directive_quit(i, t, s[i])]
+        actions_idx: dict[int, int] = {}
+        actions: dict[int, float] = {}
+        terms = []
+        for i in node.active:
+            if i in quitters:
+                key = (i, memo_id, s[i])
+                v = flows.get(key)
+                if v is None:
+                    v = flows[key] = self.phi_value(i, node, s[i])
+                terms.append((i, v))
+                continue
+            actions[i], actions_idx[i] = self.walker.own_action(i, node, s[i])
+        profile = tuple(actions.items())
+        for i in actions:
+            key = (i, memo_id, s[i], profile)
+            z = flows.get(key)
+            if z is None:
+                z = flows[key] = self.flow(i, node, s[i], actions,
+                                           self.walker.own_slot(i, node, s[i]))
+            terms.append((i, z))
+        played = tuple(actions_idx.get(i) for i in node.active)
+        if not actions or t == game.horizon:
+            return tuple(terms), None, -1, played
+        child = self.store.child(node, s, quitters, actions_idx)
+        cdfs = []
+        for i in child.active:
+            key = (child.lump, i, s[i])
+            cdf = kernels.get(key)
+            if cdf is None:
+                probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(s[i]),
+                                       self.store.history(child))
+                cdf = kernels[key] = choice_cdf(probs / probs.sum())
+            cdfs.append(cdf)
+        return tuple(terms), tuple(cdfs), child.key, played

@@ -27,11 +27,19 @@ __all__ = [
     "BaseGame",
     "SupportReport",
     "GameError",
+    "check_samples",
 ]
 
 
 class GameError(ValueError):
     """Raised for malformed game instances or out-of-contract queries."""
+
+
+def check_samples(samples: int) -> int:
+    """A sample count must be at least 1: every sampler divides by it."""
+    if samples < 1:
+        raise GameError(f"samples must be at least 1, got {samples}")
+    return samples
 
 
 # Joint actions are passed to closures as {agent_id: action_value} over the

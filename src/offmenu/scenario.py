@@ -21,7 +21,7 @@ from importlib import resources
 
 from .closures import build_dynamics, build_policy, build_rewards
 from .mechanism import BoundaryProfile, TaskPolicy
-from .model import BaseGame, GameError, Grid, ShockModel
+from .model import BaseGame, GameError, Grid, ShockModel, check_samples
 from .regions import RegionPartition, partition_from_boundary
 
 __all__ = ["Scenario", "load_scenario", "check_checks", "check_samples", "check_seed",
@@ -326,13 +326,6 @@ def check_checks(checks) -> tuple[str, ...]:
         if c not in KNOWN_CHECKS:
             raise GameError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
     return tuple(checks)
-
-
-def check_samples(samples: int) -> int:
-    """A sample count must be at least 1: every sampler divides by it."""
-    if samples < 1:
-        raise GameError(f"samples must be at least 1, got {samples}")
-    return samples
 
 
 def check_seed(seed: int) -> int:

@@ -476,9 +476,13 @@ def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
     across the stencil are kinks: excluded and reported.  The bound is
     ``ENVELOPE_BOUND_FACTOR * grid_step * C``, where C is the declared
     impulse-response bound, or else the largest impulse response at the node.
+    Every cell is held to its own node's bound; ``worst`` is the largest
+    deviation, the tolerance the largest bound, and the witness the cell
+    furthest over its own bound.
     """
     game = engine.game
     worst = 0.0
+    excess = 0.0   # the largest excess of a deviation over its cell's bound
     witness = None
     kinks: list[dict] = []
     bound_used = None
@@ -508,12 +512,12 @@ def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
             fd = (V[j + 1] - V[j - 1]) / (2.0 * grid.step)
             q = carriers.impulse_response(i, node, j, cut(j))
             dev = abs(fd - q)
-            if dev > worst:
-                worst = dev
-                if dev > bound:
-                    witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
+            worst = max(worst, dev)
+            if dev - bound > excess:
+                excess = dev - bound
+                witness = {"agent": i, "period": node.t, "node": node.key, "state": j}
     tol = bound_used if bound_used is not None else 0.0
-    return Verdict("envelope", worst <= tol, worst, tol, witness=witness,
+    return Verdict("envelope", witness is None, worst, tol, witness=witness,
                    details={"kink_cells": kinks})
 
 

@@ -10,7 +10,7 @@ import pytest
 from offmenu.equilibrium import Engine
 from offmenu.histories import FixedPlan, ProfileConjecture, RegionConjecture, live_cells
 from offmenu.mechanism import CallableOffSwitch, Mechanism, ZeroCoupling, ZeroOffSwitch
-from offmenu.model import ShockModel, DynamicsModel, RewardModel
+from offmenu.model import DynamicsModel, GameError, RewardModel, ShockModel
 from offmenu.oracle import TreeOracle
 from offmenu.run import run_scenario
 from offmenu.scenario import bundled_scenarios, load_scenario
@@ -311,6 +311,13 @@ def test_simulate_same_seed_identical(doublewell):
     assert a == b
     c = engine.simulate(500, seed=124)
     assert a != c
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_simulate_rejects_fewer_than_one_path(doublewell, n_paths):
+    engine = doublewell[4]
+    with pytest.raises(GameError, match=f"samples must be at least 1, got {n_paths}"):
+        engine.simulate(n_paths, seed=1)
 
 
 def test_simulate_quit_frequencies_within_3_sigma(pair_doublewell):

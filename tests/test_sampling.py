@@ -9,7 +9,8 @@ result and of the interning order of the node stores (node keys feed the
 random instances' posted values and the report's witnesses).  An instance
 with late first visits checks the block walk where builds fall between
 blocks; a work count and a subprocess guard pin how many paths are walked
-one at a time and how many doubles are drawn at once.
+one at a time and how many doubles are drawn at once, and another work
+count pins the calls ``simulate`` makes, once per period cell.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +29,16 @@ import offmenu
 from offmenu import equilibrium, persistence, sampling
 from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import EmpiricalOutcome, Engine
-from offmenu.histories import ProfileConjecture
-from offmenu.mechanism import BoundaryProfile
-from offmenu.model import DynamicsModel, ShockModel
+from offmenu.histories import NodeStore, ProfileConjecture
+from offmenu.mechanism import BoundaryProfile, CallableCoupling, CallableOffSwitch, Mechanism
+from offmenu.model import BaseGame, DynamicsModel, ShockModel
 from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import partition_from_boundary
 from offmenu.run import run_scenario
 from offmenu.sampling import CHUNK, QUIET, PathSampler, choice_cdf, inverse_cdf_draws
 
-from conftest import DOUBLEWELL_SLOPES, exo_game, make_game, pw_reward, random_instance, synth
+from conftest import (DOUBLEWELL_SLOPES, IDENTITY, exo_game, make_game, pw_reward, random_instance,
+                      synth)
 
 SAMPLES = 120
 
@@ -359,6 +362,96 @@ def test_sampled_obedience_walks_few_paths_one_at_a_time(recording):
     run_scenario("g2-appendix", None, MC_OBEDIENCE)
     assert len(recording) == 15
     assert sum(paths.scalar_paths for paths in recording) <= MC_OBEDIENCE_SCALAR_PATHS
+
+
+# ---------------------------------------------------------------------------
+# simulate: period cells built once
+# ---------------------------------------------------------------------------
+
+
+def rare_rollout_engine():
+    """A fresh engine, nothing interned: two agents at T=3 whose rare state
+    (the top one for agent 0, the bottom one for agent 1) has probability
+    0.002 at the start and per transition, and who quit at states 1 and 3
+    (agent 0) or 3 (agent 1) before T, so a period cell draws 0, 1 or 2
+    doubles and cells with a rare state are first visited hundreds of paths
+    in.  The agents' state laws differ, so the draws' order matters; the
+    posted value reads the node key, so the interning order does too."""
+    probs = (0.4, 0.3, 0.2, 0.098, 0.002)
+    values = (0.0, 0.25, 0.5, 0.75, 1.0)
+    shocks = {0: ShockModel(values, probs), 1: ShockModel(values, probs[::-1])}
+    dyn = DynamicsModel(lambda i, t, s, h, om: om, lambda i, t, s, h, om: 0.0)
+    game = make_game(n=2, T=3, shocks=shocks, dynamics=dyn,
+                     initial={0: probs, 1: probs[::-1]},
+                     rewards=pw_reward(DOUBLEWELL_SLOPES, act=0.3))
+    mech = Mechanism(IDENTITY,
+                     CallableCoupling(lambda i, node, a: 0.1 * a[i] - 0.05 * len(a)),
+                     CallableOffSwitch(3, lambda i, node: 0.2 * node.t + 0.01 * (node.key % 7)))
+    off = {0: (1, 3), 1: (3,)}
+    return Engine(game, mech, directive_quit=lambda i, t, s: t < 3 and s in off[i])
+
+
+def test_simulate_matches_the_per_draw_loop_across_chunks(monkeypatch):
+    monkeypatch.setattr(sampling, "CHUNK", 4_096)   # 3,000 paths read up to 18,000 doubles
+    engine, ref_engine = rare_rollout_engine(), rare_rollout_engine()
+    got = engine.simulate(3_000, 21)
+    ref = ref_simulate(ref_engine, 3_000, 21)
+    assert got == ref
+    assert [n.signature() for n in engine.store._nodes] == \
+        [n.signature() for n in ref_engine.store._nodes]
+    # the rare states are visited a few dozen times, and the quit region splits cells
+    rare = {0: 4, 1: 0}
+    assert 0 < sum(v for (i, t, s), v in got.state_hist.items() if s == rare[i]) < 60
+    assert all(got.quit_freq[(i, t)] > 0 for i in (0, 1) for t in (1, 2))
+    assert all(0 < got.never_quit_freq[i] < 1 for i in (0, 1))
+
+
+# the calls ``simulate`` makes on bundled pair-churn (10,000 paths, 2,732
+# agent-cells): a fallback to per-visit work asks the directive about 39,000 times
+PAIR_CHURN_SIMULATE_CALLS = {"kernel": 48, "reward": 492, "phi_value": 100, "child": 228,
+                             "directive_quit": 2_732}
+
+
+def test_simulate_builds_each_period_cell_once(monkeypatch):
+    """A deterministic work count: the period body runs once per cell."""
+    counts = Counter()
+    inside = []
+
+    def count(cls, name):
+        fn = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += bool(inside)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((BaseGame, "kernel"), (BaseGame, "reward"), (Engine, "phi_value"),
+                      (NodeStore, "child")):
+        count(cls, name)
+    simulate = Engine.simulate
+
+    def traced(engine, n_paths, seed):
+        directive = engine.directive_quit
+
+        def counted_directive(*args):
+            counts["directive_quit"] += 1
+            return directive(*args)
+
+        engine.directive_quit = counted_directive
+        inside.append(True)
+        try:
+            return simulate(engine, n_paths, seed)
+        finally:
+            inside.pop()
+            engine.directive_quit = directive
+
+    monkeypatch.setattr(Engine, "simulate", traced)
+    result = run_scenario("pair-churn")
+    assert result.report["extras"]["simulation"]["paths"] == 10_000
+    assert set(counts) == set(PAIR_CHURN_SIMULATE_CALLS)
+    for name, bound in PAIR_CHURN_SIMULATE_CALLS.items():
+        assert counts[name] <= bound, (name, counts[name])
 
 
 GUARD = """

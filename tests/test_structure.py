@@ -126,7 +126,7 @@ def test_sampled_paths_are_walked_only_by_the_path_sampler():
                                             ("sampling.py", "PathSampler._scalar")}
     # the two sampled expectations reduce the sampler's per-path arrays;
     # ``simulate`` draws a varying number of doubles per path, so it keeps
-    # its own loop over paths on the per-draw stream
+    # its own walk over its period cells on the per-draw stream
     assert {(f, s) for f, s, _ in _calls("walk")} == {("equilibrium.py", "Engine.prospect_mc"),
                                                       ("persistence.py",
                                                        "PersistenceTransforms.barrier_violations_mc")}

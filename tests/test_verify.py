@@ -16,6 +16,7 @@ from offmenu.model import DynamicsModel, RewardModel, ShockModel
 from offmenu.run import run_scenario
 from offmenu.synthesis import posted_factor_eta, solve_phi_by_indifference
 from offmenu.verify import (
+    ENVELOPE_BOUND_FACTOR,
     check_constrained_monotone,
     check_doic,
     check_doic_mc,
@@ -172,6 +173,31 @@ def test_envelope_within_bound_on_separable_instance(g2_ir):
     v = check_envelope(engine, carriers, conj, nodes)
     assert v.passed
     assert v.worst <= 1e-9  # linear value function: grid differences are exact
+
+
+def test_envelope_holds_each_node_to_its_own_bound(monkeypatch):
+    """A finite-difference shift of 2.0 at a node whose bound is 1.25 fails,
+    although another node's bound (3.75) is larger."""
+    r = run_scenario("g2-appendix", None, {"checks": ()})
+    engine, carriers, conj, nodes = r.engine, r.carriers, r.conjecture, r.nodes
+    clean = check_envelope(engine, carriers, conj, nodes)
+    assert clean.passed and clean.worst == 0.0 and clean.tolerance == 3.75
+    last = next(n for n in nodes if n.t == engine.game.horizon)
+    grid = engine.game.grid(0, last.t)
+    largest = max(abs(carriers.impulse_response(0, last, j, last.t)) for j in range(grid.points))
+    assert ENVELOPE_BOUND_FACTOR * grid.step * largest == 1.25   # the node's own bound
+    value_fn = engine.value_fn
+
+    def tilted(i, node, j, x):
+        return value_fn(i, node, j, x) + (2.0 * j * grid.step if node.key == last.key else 0.0)
+
+    monkeypatch.setattr(engine, "value_fn", tilted)
+    v = check_envelope(engine, carriers, conj, nodes)
+    assert not v.passed
+    assert v.worst == pytest.approx(2.0)
+    assert v.tolerance == 3.75
+    assert v.witness["node"] == last.key
+    assert v.details == {"kink_cells": []}
 
 
 def test_envelope_zero_for_state_independent_reward():
