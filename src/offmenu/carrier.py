@@ -73,7 +73,7 @@ class CarrierTables:
             term = self.game.du_ds(i, node.t, s_val, actions)
             if L > node.t:
                 child = walker.child_after(i, node, s_idx, a_idx, br)
-                for ws, _omega, j2, dk in walker.own_shock_branches(i, node, s_idx, child):
+                for ws, j2, dk in walker.own_shock_branches(i, node, s_idx, child):
                     term += ws * dk * self._q_plan(i, child, j2, L, None, plan)
             total += w * term
         self._q[key] = total

@@ -480,17 +480,12 @@ class TreeWalker:
         return self._transition(i, child, s_own)
 
     def own_shock_branches(self, i: int, node: Node, s_own: int, child: Node):
-        """Shock-level transitions (weight, omega, next index, d_kappa/d_s); for impulse responses."""
+        """Shock-level transitions (weight, next index, d_kappa/d_s); for impulse responses."""
         s_val = self.game.grid(i, node.t).value(s_own)
         hist = self.store.history(child)
-        sh = self.game.shocks[i]
-        out = []
-        for omega, w in zip(sh.values, sh.weights):
-            nxt = self.game.transition(i, node.t + 1, s_val, hist, omega)
-            j = self.game.grid(i, node.t + 1).index_of(nxt)
-            dk = self.game.dkappa_ds(i, node.t + 1, s_val, hist, omega)
-            out.append((w, omega, j, dk))
-        return out
+        _, branches = self.game.kernel(i, node.t + 1, s_val, hist)
+        return [(w, j, self.game.dkappa_ds(i, node.t + 1, s_val, hist, omega))
+                for w, omega, j in branches]
 
     # -- reachable sets ---------------------------------------------------------
 
@@ -500,6 +495,9 @@ class TreeWalker:
 
         ``successors(node, tag)`` yields (child, tag) pairs; every child enters
         ``seen`` (node key -> node, returned) within the ``max_nodes`` budget.
+        Period T is terminal: quitting after it pays 0 and no decision is
+        taken past it, so its nodes are recorded but never expanded, and
+        every walk ends at T.
         """
         root = self.store.root()
         if seen is None:
@@ -508,7 +506,7 @@ class TreeWalker:
         visited = {(root.key, start_tag)}
         while frontier:
             node, tag = frontier.pop()
-            if node.t > self.game.horizon:
+            if node.t == self.game.horizon:
                 continue
             for child, child_tag in successors(node, tag):
                 if child.key not in seen:
@@ -524,7 +522,7 @@ class TreeWalker:
         return seen
 
     def reachable_nodes(self, plan: OppPlan, max_nodes: int = 250_000) -> list[Node]:
-        """All nodes reachable when every agent follows the plan obediently."""
+        """All nodes up to period T reachable when every agent follows the plan obediently."""
         def successors(node, tag):
             for br in self.joint_steps(node, plan, node.active):
                 yield self.store.child(node, dict(br.states), br.quitters, br.actions_idx), tag
@@ -541,15 +539,13 @@ class TreeWalker:
         values an obedience check over positive-probability cells can
         query.  The package no longer calls it (the tables export covers
         every class of ``markov_classes``); it stays because the
-        benchmark's tracer wraps it by name.  Period T is terminal:
-        quitting after it pays 0, so the walk does not expand its nodes,
-        and the only nodes past the horizon are the obedient tree's leaves.
-        The walk's tag says whether the evaluator has already deviated.
+        benchmark's tracer wraps it by name.  The walk's tag says whether
+        the evaluator has already deviated.
         """
         seen = {n.key: n for n in self.reachable_nodes(plan, max_nodes)}
         for evaluator in self.game.agents():
             def successors(node, deviated, evaluator=evaluator):
-                if node.t == self.game.horizon or evaluator not in node.active:
+                if evaluator not in node.active:
                     return
                 menu_idx = () if deviated else self.menu(evaluator, node).grid_indices
                 for br in self.joint_steps(node, plan, node.active, stays=evaluator):
@@ -573,9 +569,9 @@ class TreeWalker:
         stayers' menu actions are enumerated too; with window 0 they do not
         enter the class, so each stayer plays its obedient action.  Only a
         combination that opens a new class interns its successor, which then
-        represents the class.  Period T is terminal and not expanded.  The
-        set depends only on the game and the policy, and a class function
-        reads the same at its representative as at any other member.
+        represents the class.  The set depends only on the game and the
+        policy, and a class function reads the same at its representative as
+        at any other member.
         """
         store = self.store
         known: set[tuple] = set()
@@ -587,8 +583,6 @@ class TreeWalker:
             return [(s, a) for s in points for a in self.menu(j, node).grid_indices]
 
         def successors(node, tag):
-            if node.t == self.game.horizon:
-                return
             for r in range(len(node.active)):
                 for quitters in itertools.combinations(node.active, r):
                     stayers = tuple(j for j in node.active if j not in quitters)
@@ -604,12 +598,11 @@ class TreeWalker:
         return _in_period_order(self._closure(successors, None, "Markov class set", max_nodes))
 
 
-def live_cells(nodes: Iterable[Node], horizon: int) -> Iterator[tuple[int, Node]]:
-    """(agent, node) for each active agent at each node up to the horizon, in node order."""
+def live_cells(nodes: Iterable[Node]) -> Iterator[tuple[int, Node]]:
+    """(agent, node) for each active agent at each node, in node order."""
     for node in nodes:
-        if node.t <= horizon:
-            for i in node.active:
-                yield i, node
+        for i in node.active:
+            yield i, node
 
 
 def _in_period_order(seen: Mapping[int, Node]) -> list[Node]:

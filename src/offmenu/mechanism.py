@@ -199,10 +199,10 @@ class OffSwitch:
     where the principal observes which partition interval the state lies in
     (``state_dependent``); every other off-switch ignores it.
     Querying past the horizon returns 0 (terminal convention), and every
-    subclass must keep it: the walks after the reachable set treat period T
-    as terminal and add 0 for quitting after it without building the
-    successor history.  ``markov`` says the value depends on the node only
-    through its Markov class.
+    subclass must keep it: the engine's walks add 0 for quitting after
+    period T without building the successor history, and the tree oracle
+    builds that history and reads the 0 there.  ``markov`` says the value
+    depends on the node only through its Markov class.
     """
 
     horizon: int
@@ -283,14 +283,8 @@ class CallableOffSwitch(OffSwitch):
 
 @dataclass
 class Mechanism:
-    """Full mechanism: task policy, coupling policy, off-switch, boundaries.
-
-    ``boundaries`` maps (agent, period) to the boundary profile delimiting
-    the principal-desired off-region; it may be empty for an individually
-    rational mechanism with no desired quitting.
-    """
+    """Full mechanism: task policy, coupling policy and off-switch."""
 
     sigma: TaskPolicy
     rho: CouplingPolicy
     phi: OffSwitch
-    boundaries: Mapping[tuple[int, int], BoundaryProfile] | None = None

@@ -3,9 +3,9 @@
 A game instance couples per-agent/per-period state and action grids with a
 finite idiosyncratic shock model, a state-dynamic closure and a reward
 closure.  Continuous state spaces are realized as uniform grids; dynamics
-outputs are clamped into the declared bounds and (in exact mode) snapped to
-the nearest grid node, ties going to the larger node, so that exhaustive
-tree enumeration stays finite.
+outputs are clamped into the declared bounds and snapped to the nearest
+grid node, ties going to the larger node, so that exhaustive tree
+enumeration stays finite.
 
 All evaluations are pure functions of immutable instance data.  Nothing in
 this module mutates after construction.
@@ -233,21 +233,17 @@ class BaseGame:
 
     # -- dynamics ----------------------------------------------------------
 
-    def transition(self, i: int, t: int, s: float, history: History, omega: float,
-                   snap: bool = True) -> float:
+    def transition(self, i: int, t: int, s: float, history: History, omega: float) -> float:
         """Period-t state reached from the period-(t-1) state ``s`` under shock ``omega``.
 
-        The raw closure value is clamped into the period-t bounds; in exact
-        mode (``snap``) it is additionally snapped to the nearest grid node.
+        The raw closure value is clamped into the period-t bounds and snapped
+        to the nearest grid node.
         """
         self.shocks[i].index_of(omega)
         if len(history) != t - 1:
             raise GameError(f"history has {len(history)} entries, period {t} expects {t - 1}")
         grid = self.state_grids[(i, t)]
-        raw = grid.clamp(self.dynamics.kappa(i, t, s, history, omega))
-        if not snap:
-            return raw
-        return grid.value(grid.snap(raw))
+        return grid.value(grid.snap(grid.clamp(self.dynamics.kappa(i, t, s, history, omega))))
 
     def kernel(self, i: int, t: int, s: float, history: History) -> tuple[np.ndarray, list[tuple[float, float, int]]]:
         """One-step transition kernel onto the period-t grid.

@@ -137,7 +137,7 @@ def detect_monotone(carriers: CarrierTables, nodes, tol: float = 1e-9) -> Monoto
     game, store = carriers.game, carriers.walker.store
     ok_inc, ok_dec = True, True
     wit_inc = wit_dec = None
-    for i, node in live_cells(nodes, game.horizon):
+    for i, node in live_cells(nodes):
         z = carriers.zeta_profile(i, node)
         for j in range(len(z) - 1):
             if z[j + 1] < z[j] - tol:

@@ -74,7 +74,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def on_rent_rows(engine, conjecture, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, on-rent) per cell."""
-    for i, node in live_cells(nodes, engine.game.horizon):
+    for i, node in live_cells(nodes):
         for s in range(engine.game.grid(i, node.t).points):
             yield (i, node.t, node.key, s, float(engine.on_rent(i, node, s, conjecture)))
 
@@ -89,7 +89,7 @@ def quit_frequency_rows(chi_by_agent: Mapping[int, Mapping[int, float]],
 
 def projection_rows(transforms, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, up-projected index) per cell."""
-    for i, node in live_cells(nodes, transforms.game.horizon):
+    for i, node in live_cells(nodes):
         for s in range(transforms.game.grid(i, node.t).points):
             yield (i, node.t, node.key, s, transforms.project(i, node, s))
 
@@ -97,7 +97,7 @@ def projection_rows(transforms, nodes: Sequence[Node]):
 def carrier_rows(carriers, nodes: Sequence[Node]):
     """(agent, period, history-id, state-index, cutoff, carrier, max-carrier, marginal)."""
     game = carriers.game
-    for i, node in live_cells(nodes, game.horizon):
+    for i, node in live_cells(nodes):
         for s in range(game.grid(i, node.t).points):
             mg = carriers.mg(i, node, s)
             zeta = carriers.marginal_carrier(i, node, s)
@@ -109,7 +109,7 @@ def carrier_rows(carriers, nodes: Sequence[Node]):
 def mechanism_table_rows(engine, nodes: Sequence[Node]):
     """Coupling and posted values keyed by (agent, period, history-id, action-slot)."""
     mech = engine.mechanism
-    for i, node in live_cells(nodes, engine.game.horizon):
+    for i, node in live_cells(nodes):
         menu = engine.walker.menu(i, node)
         if mech.phi.state_dependent():
             m = engine.game.grid(i, node.t).points

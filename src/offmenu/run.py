@@ -158,7 +158,7 @@ def run_scenario(source, out_dir: str | Path | None = None,
             verdicts.append(Verdict("barrier", count == 0, float(count), 0.0))
         elif check == "transform":
             worst = 0.0
-            for i, node in live_cells(nodes, game.horizon):
+            for i, node in live_cells(nodes):
                 for s in range(game.grid(i, node.t).points):
                     lam = engine.payoff_to_go(i, node, s, conj)
                     rep = transforms.total(i, node, transforms.project(i, node, s))
@@ -275,7 +275,7 @@ def export_mechanism_tables(engine: Engine, scenario: Scenario, path: str | Path
     walker = engine.walker
     mech = engine.mechanism
     rows = {"coupling": [], "posted": [], "posted_intervals": []}
-    for i, node in live_cells(walker.markov_classes(), engine.game.horizon):
+    for i, node in live_cells(walker.markov_classes()):
         sig = walker.store.class_signature(node)
         for pos, a in enumerate(walker.menu(i, node).actions):
             rho = mech.rho.value_at_slot(i, node, pos, {i: a})

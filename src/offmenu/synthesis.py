@@ -236,12 +236,7 @@ def synthesize_mechanism(game: BaseGame, sigma: TaskPolicy, variant: str,
     transforms = PersistenceTransforms(carriers, parts)
     rho = SynthesizedCoupling(carriers, diags)
     phi = SynthesizedCutoff(variant, transforms, diags)
-    boundaries = {}
-    for (i, t), part in parts.items():
-        grid = game.grid(i, t)
-        boundaries[(i, t)] = BoundaryProfile(tuple(
-            (grid.value(lo), grid.value(hi)) for lo, hi in part.sub_off))
-    mech = Mechanism(sigma, rho, phi, boundaries)
+    mech = Mechanism(sigma, rho, phi)
     return mech, carriers, transforms, conj, diags
 
 
@@ -281,7 +276,7 @@ def posted_factor_eta(carriers: CarrierTables, mech: Mechanism, nodes,
             for i in n.active:
                 values[(i, n.key)] = mech.phi.value(i, n, 0)
     for n in nodes:
-        if not 1 < n.t <= game.horizon:
+        if n.t == 1:
             continue
         # the lowest key: the reachable parent, since reachable nodes are interned first
         parent = walker.store.parents(n)[0]
@@ -334,7 +329,7 @@ def check_dcm_zero(mech: Mechanism, transforms: PersistenceTransforms, nodes,
     every_interval = mech.phi.state_dependent()
     res: dict[tuple[int, int, int], float] = {}
     worst = 0.0
-    for i, node in live_cells(nodes, transforms.game.horizon):
+    for i, node in live_cells(nodes):
         part = transforms.partition(i, node.t)
         if part is None:
             continue
@@ -400,7 +395,7 @@ def posted_values(phi: OffSwitch, transforms: PersistenceTransforms, nodes) -> d
     """{(agent, node key[, interval]): posted value} at the cells of ``nodes``;
     a per-interval off-switch is read at each interval's lowest state."""
     out = {}
-    for i, node in live_cells(nodes, transforms.game.horizon):
+    for i, node in live_cells(nodes):
         if phi.state_dependent():
             for w, (lo, _, _, _) in enumerate(transforms.partition(i, node.t).intervals()):
                 out[(i, node.key, w)] = phi.value(i, node, lo)

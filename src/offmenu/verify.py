@@ -60,7 +60,7 @@ class Verdict:
 
 
 def _cells(engine: Engine, nodes: Sequence[Node], support_only: bool = False):
-    for i, node in live_cells(nodes, engine.game.horizon):
+    for i, node in live_cells(nodes):
         if support_only:
             for _, s in engine.walker.belief(i, node):
                 yield i, node, s
@@ -212,8 +212,6 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         return total
 
     def best(i: int, node: Node, s: int, plan) -> float:
-        if node.t > game.horizon:
-            return 0.0
         key = (i, node.key, s, walker.plan_id(plan))
         hit = memo_best.get(key)
         if hit is not None:
@@ -225,8 +223,6 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         return out
 
     def directed(i: int, node: Node, s: int, plan) -> float:
-        if node.t > game.horizon:
-            return 0.0
         key = (i, node.key, s, walker.plan_id(plan))
         hit = memo_directed.get(key)
         if hit is not None:
@@ -289,7 +285,7 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c2 = 0.0
     wit_c2 = None
     for n in nodes:
-        if not 1 < n.t <= game.horizon:
+        if n.t == 1:
             continue
         for parent in engine.store.parents(n):
             for i in n.active:
@@ -424,7 +420,7 @@ def check_constrained_monotone(carriers: CarrierTables, nodes: Sequence[Node],
     T = game.horizon
     worst = math.inf
     witness = None
-    for i, node in live_cells(nodes, T):
+    for i, node in live_cells(nodes):
         grid = game.grid(i, node.t)
         step = grid.step
         menu = carriers.walker.menu(i, node)
@@ -486,7 +482,7 @@ def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
     witness = None
     kinks: list[dict] = []
     bound_used = None
-    for i, node in live_cells(nodes, game.horizon):
+    for i, node in live_cells(nodes):
         grid = game.grid(i, node.t)
         if grid.points < 3:
             continue
@@ -530,10 +526,9 @@ def check_mso(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     against max_L d/ds G at every interior cell.
     """
     game = engine.game
-    T = game.horizon
     worst = 0.0
     witness = None
-    for i, node in live_cells(nodes, T):
+    for i, node in live_cells(nodes):
         grid = game.grid(i, node.t)
         if grid.points < 3:
             continue

@@ -269,7 +269,7 @@ class LoopWalker(TreeWalker):
 
     The reference ``TreeWalker.joint_steps`` and its closure walk are compared
     against with ``==``: same branches, same node sets, same interning order.
-    Past the reachable set, period T is terminal: its nodes are not expanded.
+    Period T is terminal: no walk expands its nodes.
     """
 
     def other_branches(self, i, node, plan):
@@ -305,7 +305,7 @@ class LoopWalker(TreeWalker):
         frontier = list(frontier)
         while frontier:
             node = frontier.pop()
-            if node.t > self.game.horizon:
+            if node.t >= self.game.horizon:   # period T is terminal
                 continue
             pools = [self.belief(j, node) for j in node.active]
             for combo in itertools.product(*pools):
@@ -531,7 +531,7 @@ def history_keyed_solve(rho, transforms, nodes, variant):
     fill_nodes = loop.full_state_closure(conj.plan())
     out = {}
     emit_keys = {n.key for n in nodes}
-    for i, node in live_cells(sorted(fill_nodes, key=lambda n: -n.t), game.horizon):
+    for i, node in live_cells(sorted(fill_nodes, key=lambda n: -n.t)):
         if knowledgeable:
             part = transforms.partition(i, node.t)
             for w, (_, _, kind, k) in enumerate(part.intervals()):

@@ -86,8 +86,6 @@ def test_criterion_2_ir_construction(monotone_ir):
     worst_sign = math.inf
     worst_bottom = 0.0
     for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
         for s in range(engine.game.grid(0, node.t).points):
             z = engine.on_rent(0, node, s, conj)
             worst_sign = min(worst_sign, z)
@@ -109,8 +107,6 @@ def test_criterion_3_transform_representation(doublewell, monotone_ir,
     for bundle in (doublewell, monotone_ir, pair_doublewell, shelf_knowledgeable):
         mech, carriers, transforms, conj, engine, nodes, parts, diags = bundle
         for node in nodes:
-            if node.t > engine.game.horizon:
-                continue
             for i in node.active:
                 for s in range(engine.game.grid(i, node.t).points):
                     lam = engine.payoff_to_go(i, node, s, conj)
@@ -148,8 +144,6 @@ def test_criterion_5_premium_reduction(g1, monotone_game):
     for game in (g1, monotone_game):
         mech, carriers, transforms, conj, engine, nodes, parts, diags = synth(game, "ir")
         for node in nodes:
-            if node.t > game.horizon:
-                continue
             for s in range(5):
                 if transforms.delta_bar(0, node, s) != 0.0:
                     exact_zero = False
@@ -166,7 +160,7 @@ def test_criterion_6_horizontal_equality(doublewell):
     worst = 0.0
     level_ok = True
     for node in nodes:
-        if node.t > engine.game.horizon or 0 not in node.active:
+        if 0 not in node.active:
             continue
         level_ok &= mech.phi.check_horizontal_conditions(0, node)
         vals = mech.phi.per_suboff_values(0, node)
@@ -237,7 +231,7 @@ def test_criterion_10_phi_uniqueness(monotone_ir, doublewell, shelf_knowledgeabl
         mech, carriers, transforms, conj, engine, nodes, parts, diags = bundle
         solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
         for node in nodes:
-            if node.t > engine.game.horizon or 0 not in node.active:
+            if 0 not in node.active:
                 continue
             if variant == "knowledgeable":
                 part = parts[(0, node.t)]
@@ -268,7 +262,7 @@ def test_criterion_11_cm_necessity():
         nodes = engine.walker.reachable_nodes(conj.plan())
         doic_ok = all(v.passed for v in check_doic(engine, conj, nodes, mode="ir"))
         zero_rent = all(abs(engine.on_rent(0, node, 0, conj)) <= 1e-9
-                        for node in nodes if node.t <= game.horizon)
+                        for node in nodes)
         mso_ok = check_mso(engine, conj, nodes).passed
         if doic_ok and zero_rent and mso_ok:
             qualified += 1

@@ -201,8 +201,6 @@ def test_carrier_columns_equal_trapezoid_loop_on_random_instances(seed):
     ref_nodes = ref.walker.reachable_nodes(conj.plan())
     queries = []
     for k, node in enumerate(nodes):
-        if node.t > game.horizon:
-            continue
         for i in node.active:
             for s in range(game.grid(i, node.t).points):
                 queries += [(k, i, s, L) for L in range(node.t, game.horizon + 1)]

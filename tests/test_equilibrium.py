@@ -67,7 +67,7 @@ def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
     """
     ref = PerPlanIndexEngine(engine.game, engine.mechanism, walker=engine.walker)
     cells = 0
-    for i, node in live_cells(nodes, engine.game.horizon):
+    for i, node in live_cells(nodes):
         slots = range(len(engine.walker.menu(i, node).actions))
         for s in range(engine.game.grid(i, node.t).points):
             for a_pos in (None, *slots):
@@ -132,8 +132,6 @@ def test_a_deviation_to_the_obedient_slot_shares_the_obedient_entry(g1, obedient
 def test_on_rent_zero_at_bottom_state(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
     for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
         assert engine.on_rent(0, node, 0, conj) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -173,8 +171,6 @@ def test_best_response_obedient_on_synthesized_off_instance(doublewell):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
     oracle = TreeOracle(engine.game, mech, store=engine.store)
     for node in nodes[:8]:
-        if node.t > engine.game.horizon:
-            continue
         for s in range(5):
             br = engine.best_response(0, node, s, conj)
             in_off = s in parts[(0, node.t)].off_indices
@@ -339,8 +335,6 @@ def test_transform_representation_identity(doublewell, monotone_ir, pair_doublew
     for bundle in (doublewell, monotone_ir, pair_doublewell):
         mech, carriers, transforms, conj, engine, nodes, parts, diags = bundle
         for node in nodes:
-            if node.t > engine.game.horizon:
-                continue
             for s in range(5):
                 lam = engine.payoff_to_go(0, node, s, conj)
                 rep = transforms.total(0, node, transforms.project(0, node, s))

@@ -38,23 +38,25 @@ GOLDEN = {
         # margin reads 0.0 instead of the rounding residue -2.2e-16
         "5a5d813f7d3371f5b67238ab8f4716d9f0d9e3909d99dcb164cf1b27bfeb9698",
     ),
+    # the reachable walk ends at period T, so period-T nodes intern earlier
+    # and the CSVs' history_id values follow; their rows are unchanged
     ("subscription",): (
-        "4a7617b3a2e4f4d5313741acc7ce49771e4406a4154027b400c7fc6df28331b4",
+        "d7d9f8fa7292ee8a1599fb884c180a87c2a04b7016cd2ab7db11c59f90aae230",
         "921717afaad9fe11aadb60fb56a78d56f5b94cabc05cc2244539b6ec0ba73ebe",
-        "e7eb24486c833aa58ed05a514ccee454eee5973310fba22b2240026653a9d313",
+        "99c7a65547156e1958e6f578bb6255cfbbbd1a92f1fc6ab993a65f40a44d108d",
         "976049316d4625bc116dceb47dd870d973cb32059aedb287959ca3b6c2b44ab7",
-        "f1e7d1a53956f76ca8031c6eedd90bbac52d93627073bafa55b05bd6b2b4e278",
-        "5381c39cc7fafd6fa88dda4e883d6f4e8313c86288a3ee83750a6f8bae3f9dfa",
+        "3f70a3258c00fa9079e48a93e02a649799ffe7632701f1a5f017ff9dfdbdc433",
+        "20bd23f6711916155869f7459a02099d0d57c83e6ade94ca063e158ccde27d19",
         "deedc3103f018e5d3e56a3fc77324fd766c6a762dd1794f899b4df23bf6ba8ff",
         "734c06e2fbfa2e0e1da67ec5302a2ba9344a9c27491d2b453c55ec84e96b3dce",
     ),
     ("double-well",): (
-        "c618d515c261ac2ee0b314a43ef5fc40fa1704b54d029f811bf3f8492b2a750e",
+        "de454984b482fef1fad2a95d668501abc8219a792e80af3310513a7f6121635e",
         "cb4f85d65f8fc776f5a7c607606df31382555b7bb2f5d4806c8343c1eef462d8",
-        "2019e1654549360392bd33655816efe3e4a779d9fd24ab4a907ab2cf00a31ab0",
+        "2d7aed99edda248ef1a849d31f880934b1214ef54eca1a8f5f147f1d0c7af443",
         "35b9779ab021d9576bc7dbf75e278982659c31c48f018922a9707f69bccc1bad",
-        "f88fb7a364ad466907c1c771361e96ea0d4a277316b0dc06cdc493137401886e",
-        "ceb23ac1a97b7f986efd5e7e30492d2e079a4a6f6347546255fd646b31db07fc",
+        "de1c98abbdeaf2b75d0915767db1e1200340f8b25a693493b835e4a1bf907e6b",
+        "022cb4f64cabd74bc013a02bf576514497530f9222a1df54e5c4ac6dc70e8b33",
         "e70964926052d8182f8c09d7f07b525108257d02ec60c78c927193ad23f4ef3f",
         "ba29ea4e6a4c2c8a502e02ba716ea5b59d86b6246af0f5b4ce348b096c3f15d6",
     ),
@@ -85,15 +87,16 @@ PAIR_CHURN_T2 = (
 )
 
 
-# sha256 of the store's node signatures in key order, one per line, after the run
+# sha256 of the store's node signatures in key order, one per line, after the run;
+# no walk expands period T, so the store holds no node past it
 INTERNING = {
-    ("g2-appendix",): "10d4a1cf08d4b8bdf2be4e17c810d912690b2e269e9771918cd25c56cb92e1ee",
-    ("subscription",): "44bdab0c0fd3c82b44fdb4412058e385f173030f414d6caa08c48eef742488eb",
-    ("double-well",): "bdea704a07a68f574cfd8390718adaa26d44bb71705d9df19f5e7126656c7ee8",
+    ("g2-appendix",): "f32ab887b359ca22759794332583dc83a4873de8cdc129f3a505bd8143204569",
+    ("subscription",): "d51d2dd48bb8449be7df0c3a0798074b538a612c3e19ffdb4f05af18fdd89c4b",
+    ("double-well",): "098d06b22111f99b52a0633c9b17115f8abe7b11524fafd17637ce46aa7533ce",
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
-        "c3cd2a682ddb0c9e9155164184a450cae1e1b91029d2ad54f184a6ef050cb86d",
+        "ef39ccd5f8729afeed62085b05af00182088e5d866fabeeee362f61e9bf770a4",
 }
-PAIR_CHURN_T2_INTERNING = "5a726db5f6b4183657a48bd404bb097caab7b72046b2ec1811b3cde4a93ad430"
+PAIR_CHURN_T2_INTERNING = "61589c20984ec33b174198fadf0d1829754b623e88fe8caf0fc130c469b5506d"
 
 
 def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, str], str]:

@@ -69,8 +69,6 @@ def _class_values(result):
     tr = result.transforms
     out = []
     for node in result.nodes:
-        if node.t > result.engine.game.horizon:
-            continue
         for i in node.active:
             for s in range(result.engine.game.grid(i, node.t).points):
                 out.append((node.key, i, s, tr.total(i, node, s), tr.delta_bar(i, node, s)))
@@ -113,7 +111,7 @@ def _assert_lumping_exact(raw, tmp_path, monkeypatch, window=0, coarser=True):
     assert _class_values(lumped) == _class_values(full)
     # the classes are coarser than the histories, and the full run has none
     if coarser:
-        assert store.node(len(store) - 1).lump < len(store) - 1
+        assert len({store.node(k).lump for k in range(len(store))}) < len(store)
     full_store = full.engine.store
     assert all(full_store.node(k).lump == k for k in range(len(full_store)))
 
@@ -131,10 +129,12 @@ def test_knowledgeable_cutoff_matches_full_history(tmp_path, monkeypatch):
     _assert_lumping_exact(WELL_RIDGE, tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("raw", [ACTION_FEEDBACK, ACTION_FEEDBACK_PAIR],
+# at T=2 no history holds more than the window's one record, so each
+# two-agent class is a single history: classes merged only past T
+@pytest.mark.parametrize("raw, coarser", [(ACTION_FEEDBACK, True), (ACTION_FEEDBACK_PAIR, False)],
                          ids=["one-agent", "two-agents"])
-def test_action_feedback_window_one_matches_full_history(raw, tmp_path, monkeypatch):
-    _assert_lumping_exact(raw, tmp_path, monkeypatch, window=1)
+def test_action_feedback_window_one_matches_full_history(raw, coarser, tmp_path, monkeypatch):
+    _assert_lumping_exact(raw, tmp_path, monkeypatch, window=1, coarser=coarser)
 
 
 def _random_raw(seed: int) -> dict:
@@ -216,7 +216,7 @@ def _zero_mechanism_rents(game):
     conj = RegionConjecture({})
     nodes = engine.walker.reachable_nodes(conj.plan())
     check_doic(engine, conj, nodes)
-    rents = [engine.on_rent(i, n, s, conj, pos) for n in nodes if n.t <= game.horizon
+    rents = [engine.on_rent(i, n, s, conj, pos) for n in nodes
              for i in n.active for s in range(game.grid(i, n.t).points)
              for pos in (None, *range(len(engine.walker.menu(i, n).actions)))]
     return engine.store, rents
@@ -244,7 +244,7 @@ def test_callable_mechanism_keeps_full_history_keys_on_a_lumped_store():
     for store in (None, NodeStore(game)):
         engine = Engine(game, mech, walker=TreeWalker(game, sigma, store))
         nodes = engine.walker.reachable_nodes(conj.plan())
-        values.append([engine.stay_value(i, n, s, conj) for n in nodes if n.t <= game.horizon
+        values.append([engine.stay_value(i, n, s, conj) for n in nodes
                        for i in n.active for s in range(game.grid(i, n.t).points)])
         if store is None:
             assert engine.store.window == 0
@@ -275,8 +275,8 @@ def test_doic_on_pair_churn_does_less_work_than_full_history(monkeypatch):
     full, full_entries, full_rewards = _doic_counts(raw, monkeypatch, True)
     assert lumped.report == full.report
     assert entries < full_entries and rewards < full_rewards
-    # no walk builds a node past the horizon outside the reachable set, and
-    # up to the horizon both runs open the same histories
+    # no walk builds a node past the horizon, and both runs open the same
+    # histories
     assert len(lumped.engine.store) <= len(full.engine.store)
 
 
@@ -288,21 +288,19 @@ def test_doic_does_less_work_than_full_history(name, monkeypatch):
     assert lumped.report == full.report
     assert entries < full_entries and rewards < full_rewards
     # lumping saves memo entries and closure calls, not nodes: both runs open
-    # the same histories up to T, and past T only the reachable leaves
+    # the same histories, none past T
     assert len(lumped.engine.store) == len(full.engine.store)
-    _assert_past_horizon_nodes_reachable(lumped)
-    _assert_past_horizon_nodes_reachable(full)
+    _assert_no_node_past_the_horizon(lumped)
+    _assert_no_node_past_the_horizon(full)
 
 
-# -- period T is terminal past the reachable set -----------------------------------
+# -- period T is terminal in every walk ----------------------------------------------
 
 
-def _assert_past_horizon_nodes_reachable(result):
-    """Every stored node past the horizon is a leaf of the run's reachable set."""
+def _assert_no_node_past_the_horizon(result):
+    """No stored node lies past the horizon: every walk, the reachable one too, ends at T."""
     store, horizon = result.engine.store, result.engine.game.horizon
-    reachable = {n.key for n in result.nodes}
-    past = [store.node(k) for k in range(len(store)) if store.node(k).t > horizon]
-    assert past and all(n.key in reachable for n in past)
+    assert all(store.node(k).t <= horizon for k in range(len(store)))
 
 
 @pytest.mark.parametrize("raw", [
@@ -315,15 +313,15 @@ def test_walks_intern_no_node_past_the_horizon_outside_the_reachable_set(raw, tm
     # with exports, so the export's deviation closure runs too
     result = run_scenario(load_scenario(raw), tmp_path)
     assert (tmp_path / "mechanism_tables.json").exists()
-    _assert_past_horizon_nodes_reachable(result)
+    _assert_no_node_past_the_horizon(result)
 
 
 # -- parent edges of flow-c2 and the posted factor --------------------------------
 
 
 def _edges(result):
-    store, horizon = result.engine.store, result.engine.game.horizon
-    return {(n.signature(), p.signature()) for n in result.nodes if 1 < n.t <= horizon
+    store = result.engine.store
+    return {(n.signature(), p.signature()) for n in result.nodes if n.t > 1
             for p in store.parents(n)}
 
 
@@ -339,7 +337,7 @@ def test_parent_edges_do_not_depend_on_earlier_checks(name):
     game = alone.engine.game
     points = game.grid(0, 1).points
     want = sum(1 if n.t == 2 else points ** len(n.events[-1].participants + n.events[-1].quitters)
-               for n in alone.nodes if 1 < n.t <= game.horizon)
+               for n in alone.nodes if n.t > 1)
     assert len(edges) == want
 
 

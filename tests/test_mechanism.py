@@ -68,17 +68,19 @@ def test_zero_coupling_and_additivity(g1):
 def test_off_switch_constant_over_states_and_actions(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
     for node in nodes[:6]:
-        if node.t > engine.game.horizon:
-            continue
         vals = {mech.phi.value(0, node, s) for s in range(5)}
         assert len({round(v, 15) for v in vals}) == 1
 
 
 def test_off_switch_terminal_convention(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    beyond = [n for n in engine.store._nodes if n.t == engine.game.horizon + 1]
-    assert beyond, "expected interned post-horizon nodes"
-    assert mech.phi.value(0, beyond[0]) == 0.0
+    # no walk goes past T; the tree oracle builds such a history and reads 0 there
+    last = nodes[-1]
+    assert last.t == engine.game.horizon
+    _, a_idx = engine.walker.own_action(0, last, 0)
+    beyond = engine.store.child(last, {0: 0}, (), {0: a_idx})
+    assert beyond.t == engine.game.horizon + 1
+    assert mech.phi.value(0, beyond) == 0.0
 
 
 def test_boundary_profile_ordering():
@@ -103,8 +105,6 @@ def test_menu_state_equivalence_backmap(g1):
 def test_coverage_every_reachable_node_has_menu_and_values(doublewell):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
     for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
         menu = engine.walker.menu(0, node)
         assert menu.actions
         mech.phi.value(0, node, 0)
@@ -132,8 +132,6 @@ def _menu_grid_mismatches(walker, nodes):
     game = walker.game
     bad = []
     for node in nodes:
-        if node.t > game.horizon:
-            continue
         for i in node.active:
             menu = walker.menu(i, node)
             agrid = game.action_grids[(i, node.t)]

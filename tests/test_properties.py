@@ -99,8 +99,6 @@ def test_premium_vanishes_with_empty_off_region_random():
         mech, carriers, transforms, conj, diags = synthesize_mechanism(game, IDENTITY, "ir")
         engine = Engine(game, mech, walker=carriers.walker)
         for node in engine.walker.reachable_nodes(conj.plan()):
-            if node.t > game.horizon:
-                continue
             for s in range(game.grid(0, node.t).points):
                 assert transforms.delta_bar(0, node, s) == 0.0
 

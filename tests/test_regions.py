@@ -76,8 +76,6 @@ def test_detect_monotone_fosd_violation_witness():
 def test_membership_h_mode(doublewell):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
     for node in nodes:
-        if node.t > engine.game.horizon:
-            continue
         W = [transforms.total(0, node, s) for s in range(5)]
         part = parts[(0, node.t)]
         outside = [j for j in range(5) if j not in part.off_indices]

@@ -11,14 +11,26 @@ of the package source (``oracle.py`` excepted: it is the independent
 reference) fails when a hand-rolled copy of either loop, a fourth closure,
 another reader, a per-L prospect loop or a per-path sampling loop comes
 back.
+
+Period T is terminal in one place, ``TreeWalker._closure``: no closure's
+successor function reads the horizon and ``live_cells`` takes no horizon
+to filter by, and a run of each bundled scenario and benchmark workload
+stores no node past T.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import offmenu
+import offmenu.cli
+from offmenu.histories import live_cells
+from offmenu.run import run_scenario
+from offmenu.scenario import bundled_scenarios
 
 SRC = Path(offmenu.__file__).resolve().parent
 
@@ -134,12 +146,71 @@ def test_sampled_paths_are_walked_only_by_the_path_sampler():
     assert _path_loops() == {("equilibrium.py", "Engine.simulate")}
 
 
+def _horizon_readers():
+    """(module file, enclosing qualname) for every read of a ``horizon`` name or attribute."""
+    return {(f, scope) for f, scope, _ in _scan(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "horizon")
+        or (isinstance(node, ast.Name) and node.id == "horizon"))}
+
+
+CLOSURES = ("TreeWalker.reachable_nodes", "TreeWalker.markov_classes",
+            "TreeWalker.one_shot_closure")
+
+
+def test_period_t_is_terminal_only_in_the_closure_walk():
+    readers = {scope for f, scope in _horizon_readers() if f == "histories.py"}
+    assert "TreeWalker._closure" in readers
+    assert {s for s in readers if s.startswith(CLOSURES)} == set()
+    assert list(inspect.signature(live_cells).parameters) == ["nodes"]
+
+
+def _run_stores(monkeypatch, args):
+    """The interned store and horizon of one ``offmenu verify`` run."""
+    runs = []
+
+    def recording_run(*a, **kw):
+        runs.append(run_scenario(*a, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(offmenu.cli, "run_scenario", recording_run)
+    assert offmenu.cli.main(["verify", *args]) == 0
+    engine = runs[0].engine
+    return engine.store, engine.game.horizon
+
+
+def _workload_args(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    w = workloads.WORKLOADS[name]
+    path = workloads.write_scenario(w, None, tmp_path / f"{name}.json")
+    return [str(path), "--out", str(tmp_path / "out"), *w.cli_args]
+
+
+@pytest.mark.parametrize("name", [*sorted(bundled_scenarios()),
+                                  "workload:pair-churn", "workload:wide-grid",
+                                  "workload:mc-obedience"])
+def test_runs_store_no_node_past_the_horizon(name, tmp_path, monkeypatch, capsys):
+    if name.startswith("workload:"):
+        args = _workload_args(name.split(":")[1], tmp_path, monkeypatch)
+    else:
+        args = [name, "--out", str(tmp_path / "out")]
+    store, horizon = _run_stores(monkeypatch, args)
+    capsys.readouterr()
+    assert [store.node(k).signature() for k in range(len(store))
+            if store.node(k).t > horizon] == []
+
+
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     """The scan reads the package source, so a copy planted there is caught."""
     planted = tmp_path / "offmenu"
     planted.mkdir()
     for path in SRC.glob("*.py"):
-        (planted / path.name).write_text(path.read_text())
+        (planted / path.name).write_text(path.read_text().replace(
+            "        def successors(node, tag):\n",
+            "        def successors(node, tag):\n"
+            "            if node.t == self.game.horizon:\n"
+            "                return\n"))
     (planted / "extra.py").write_text(
         "def walk(walker, i, node, plan, grid, a, mech, engine, x):\n"
         "    g = [engine.prospect(i, node, 0, L, x) for L in (1, 2)]\n"
@@ -159,3 +230,4 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     assert ("extra.py", "walk") in {(f, s) for f, s, _ in _calls("prospect")}
     assert ("extra.py", "sample") in _named_calls("bisect_right")
     assert ("extra.py", "sample") in _path_loops()
+    assert {("histories.py", f"{c}.successors") for c in CLOSURES[:2]} <= _horizon_readers()

@@ -133,7 +133,7 @@ def test_class_keyed_solve_equals_history_keyed_solve(fixture, variant, request)
     solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
     # one value per reachable cell, or per interval of it for the knowledgeable cutoff
     assert len(solved) == sum(len(parts[(i, node.t)].intervals()) if variant == "knowledgeable"
-                              else 1 for i, node in live_cells(nodes, engine.game.horizon))
+                              else 1 for i, node in live_cells(nodes))
     assert solved == history_keyed_solve(mech.rho, transforms, nodes, variant)
 
 
@@ -187,7 +187,7 @@ def test_solve_under_a_history_keyed_coupling_equals_history_keyed_solve(monoton
     by_history = CallableCoupling(lambda i, node, actions: 0.01 * node.key)
     solved = solve_phi_by_indifference(by_history, transforms, nodes, "ir")
     assert solved == history_keyed_solve(by_history, transforms, nodes, "ir")
-    assert len(solved) == sum(1 for _ in live_cells(nodes, engine.game.horizon))
+    assert len(solved) == sum(1 for _ in live_cells(nodes))
 
 
 def test_eta_consistent_on_synthesized_instance(monotone_ir):

@@ -103,7 +103,7 @@ def test_doic_mc_samples_each_menu_slot_once_per_cell(monotone_ir, monkeypatch):
     monkeypatch.setattr(engine, "prospect_mc", counted)
     check_doic_mc(engine, conj, nodes, 20, 3)
     want = {(i, node.key, s): len(engine.walker.menu(i, node).actions)
-            for i, node in live_cells(nodes, engine.game.horizon)
+            for i, node in live_cells(nodes)
             for _, s in engine.walker.belief(i, node)}
     assert calls == want
 
@@ -433,8 +433,6 @@ def _flow_c3_cells(engine, nodes):
     """(agent, node, state, deviation slot, pretended state, cutoff) in check order."""
     game = engine.game
     for node in nodes:
-        if node.t > game.horizon:
-            continue
         for i in node.active:
             menu = engine.walker.menu(i, node)
             for s in range(game.grid(i, node.t).points):
@@ -598,7 +596,7 @@ def test_flow_c2_checks_every_parent_of_a_node():
         by_record.setdefault((n.t, n.events, n.active), []).append(n)
     multi = []
     for n in nodes:
-        if 1 < n.t <= engine.game.horizon:
+        if n.t > 1:
             rec = n.events[-1]
             active = tuple(sorted(set(rec.participants) | set(rec.quitters)))
             ps = by_record.get((n.t - 1, n.events[:-1], active), [])
