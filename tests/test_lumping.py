@@ -9,7 +9,11 @@ is what a custom closure without a declared window gets.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,9 @@ from offmenu.run import run_scenario
 from offmenu.scenario import KNOWN_CHECKS, bundled_scenarios, load_scenario
 from offmenu.synthesis import posted_factor_eta, synthesize_mechanism
 from offmenu.verify import check_doic, check_payoff_flow
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _bundled(base, **changes):
@@ -130,9 +137,11 @@ def test_knowledgeable_cutoff_matches_full_history(tmp_path, monkeypatch):
 
 
 # at T=2 no history holds more than the window's one record, so each
-# two-agent class is a single history: classes merged only past T
-@pytest.mark.parametrize("raw, coarser", [(ACTION_FEEDBACK, True), (ACTION_FEEDBACK_PAIR, False)],
-                         ids=["one-agent", "two-agents"])
+# two-agent class is a single history; at T=3 histories hold two records
+# against the window's one, and the two-agent classes merge
+@pytest.mark.parametrize("raw, coarser", [(ACTION_FEEDBACK, True), (ACTION_FEEDBACK_PAIR, False),
+                                          ({**ACTION_FEEDBACK_PAIR, "horizon": 3}, True)],
+                         ids=["one-agent", "two-agents", "two-agents-T3"])
 def test_action_feedback_window_one_matches_full_history(raw, coarser, tmp_path, monkeypatch):
     _assert_lumping_exact(raw, tmp_path, monkeypatch, window=1, coarser=coarser)
 
@@ -303,11 +312,42 @@ def _assert_no_node_past_the_horizon(result):
     assert all(store.node(k).t <= horizon for k in range(len(store)))
 
 
+def _workloads():
+    """``perfbench/workloads.py``, loaded once without putting ``perfbench`` on the path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _workload(name):
+    """The scenario a benchmark workload runs: its written file with its flags folded in."""
+    workloads = _workloads()
+    w = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = json.loads(workloads.write_scenario(w, None, Path(tmp) / "w.json").read_text())
+    flags = dict(zip(w.cli_args[::2], w.cli_args[1::2]))
+    assert set(flags) <= {"--mode", "--checks", "--samples"}
+    if "--mode" in flags:
+        raw["mode"] = flags["--mode"]
+    if "--checks" in flags:
+        raw["verify"] = flags["--checks"].split(",")
+    if "--samples" in flags:
+        raw["samples"] = int(flags["--samples"])
+    return raw
+
+
+# the name predates the terminal rule: now no walk, the reachable one
+# included, interns a node past T
 @pytest.mark.parametrize("raw", [
     *(_bundled(name) for name in ("g2-appendix", "subscription", "double-well")),
     _bundled("pair-churn", horizon=2),
     {**_bundled("g2-appendix"), "mode": "mc", "verify": ["doic"], "samples": 300},
     *(_random_raw(seed) for seed in range(8)),
+    *(pytest.param(_workload(name), id=f"workload-{name}")
+      for name in ("pair-churn", "wide-grid", "mc-obedience")),
 ], ids=lambda raw: f"{raw['name']}-{raw.get('mode', 'exact')}-T{raw['horizon']}")
 def test_walks_intern_no_node_past_the_horizon_outside_the_reachable_set(raw, tmp_path):
     # with exports, so the export's deviation closure runs too

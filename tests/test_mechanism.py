@@ -74,11 +74,13 @@ def test_off_switch_constant_over_states_and_actions(monotone_ir):
 
 def test_off_switch_terminal_convention(monotone_ir):
     mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
-    # no walk goes past T; the tree oracle builds such a history and reads 0 there
-    last = nodes[-1]
+    # no walk goes past T; the tree oracle builds such a history and reads 0
+    # there.  Build one in a store of this test's own, not the fixture's.
+    walker = TreeWalker(engine.game, engine.walker.sigma)
+    last = walker.reachable_nodes(conj.plan())[-1]
     assert last.t == engine.game.horizon
-    _, a_idx = engine.walker.own_action(0, last, 0)
-    beyond = engine.store.child(last, {0: 0}, (), {0: a_idx})
+    _, a_idx = walker.own_action(0, last, 0)
+    beyond = walker.store.child(last, {0: 0}, (), {0: a_idx})
     assert beyond.t == engine.game.horizon + 1
     assert mech.phi.value(0, beyond) == 0.0
 

@@ -14,8 +14,7 @@ back.
 
 Period T is terminal in one place, ``TreeWalker._closure``: no closure's
 successor function reads the horizon and ``live_cells`` takes no horizon
-to filter by, and a run of each bundled scenario and benchmark workload
-stores no node past T.
+to filter by.
 """
 
 from __future__ import annotations
@@ -24,13 +23,8 @@ import ast
 import inspect
 from pathlib import Path
 
-import pytest
-
 import offmenu
-import offmenu.cli
 from offmenu.histories import live_cells
-from offmenu.run import run_scenario
-from offmenu.scenario import bundled_scenarios
 
 SRC = Path(offmenu.__file__).resolve().parent
 
@@ -162,43 +156,6 @@ def test_period_t_is_terminal_only_in_the_closure_walk():
     assert "TreeWalker._closure" in readers
     assert {s for s in readers if s.startswith(CLOSURES)} == set()
     assert list(inspect.signature(live_cells).parameters) == ["nodes"]
-
-
-def _run_stores(monkeypatch, args):
-    """The interned store and horizon of one ``offmenu verify`` run."""
-    runs = []
-
-    def recording_run(*a, **kw):
-        runs.append(run_scenario(*a, **kw))
-        return runs[-1]
-
-    monkeypatch.setattr(offmenu.cli, "run_scenario", recording_run)
-    assert offmenu.cli.main(["verify", *args]) == 0
-    engine = runs[0].engine
-    return engine.store, engine.game.horizon
-
-
-def _workload_args(name, tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
-    w = workloads.WORKLOADS[name]
-    path = workloads.write_scenario(w, None, tmp_path / f"{name}.json")
-    return [str(path), "--out", str(tmp_path / "out"), *w.cli_args]
-
-
-@pytest.mark.parametrize("name", [*sorted(bundled_scenarios()),
-                                  "workload:pair-churn", "workload:wide-grid",
-                                  "workload:mc-obedience"])
-def test_runs_store_no_node_past_the_horizon(name, tmp_path, monkeypatch, capsys):
-    if name.startswith("workload:"):
-        args = _workload_args(name.split(":")[1], tmp_path, monkeypatch)
-    else:
-        args = [name, "--out", str(tmp_path / "out")]
-    store, horizon = _run_stores(monkeypatch, args)
-    capsys.readouterr()
-    assert [store.node(k).signature() for k in range(len(store))
-            if store.node(k).t > horizon] == []
 
 
 def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
