@@ -6,12 +6,17 @@ payoff-to-go (the better of quitting now and the best staying plan), the
 induced quit-time distributions, the off-menu fixed point, and seeded
 outcome simulations.
 
-The prospect table holds one entry per cell: (agent, history class, state,
-first action, opponent plan).  The entry is the tuple of the cell's
-prospects for every plan index L = t..T, built in one backward recursion,
-so a staying value reads its max over plans from one entry.  Each L is
-summed with the same float operations in the same order as a recursion
-for that L alone.
+The prospect table has two parts, split by who reads them.  ``_g`` holds
+one obedient entry per cell (agent, history class, state, opponent plan):
+the tuple of the cell's prospects for every plan index L = t..T, built in
+one backward recursion, so a staying value reads its max over plans from
+one entry.  The recursion reads only these, since continuation play is
+obedient.  ``_rows`` holds, per cell, one such tuple per menu slot played
+first: every check of a one-shot deviation compares the obedient action
+with the whole menu, so a row is filled slot by slot in menu order at the
+first deviation read of its cell.  Its obedient slot is the ``_g`` entry.
+Each slot and each L is summed with the same float operations in the same
+order as a recursion for that slot and L alone.
 
 Semantics pinned here and shared with the carrier/persistence machinery:
 
@@ -94,8 +99,9 @@ class EmpiricalOutcome:
 class Engine:
     """Memoized recursive evaluator for one (game, mechanism) pair.
 
-    ``memo_budget`` caps the prospect table in cells; one entry holds every
-    plan index of its cell.
+    ``memo_budget`` caps the prospect table in entries: each obedient entry
+    and each slot of a deviation row is one, and holds every plan index of
+    its cell.
     """
 
     def __init__(self, game: BaseGame, mechanism: Mechanism, *,
@@ -107,7 +113,9 @@ class Engine:
         self.walker = walker if walker is not None else TreeWalker(game, mechanism.sigma)
         self.directive_quit = directive_quit or (lambda i, t, s_idx: False)
         self.memo_budget = memo_budget
-        self._g: dict[tuple, float] = {}
+        self._g: dict[tuple, tuple[float, ...]] = {}
+        self._rows: dict[tuple, tuple[tuple[float, ...], ...]] = {}
+        self._row_slots = 0
         self._markov = mechanism.rho.markov and mechanism.phi.markov
 
     # -- plumbing -----------------------------------------------------------
@@ -125,14 +133,16 @@ class Engine:
         return node.lump if self._markov else node.key
 
     def _guard(self) -> None:
-        if len(self._g) > self.memo_budget:
+        if len(self._g) + self._row_slots > self.memo_budget:
             raise TreeSizeError(
                 f"exact prospect table exceeds its budget of {self.memo_budget} entries; an "
-                "entry is one cell (agent, history class, state, first action, opponent plan) "
-                "and holds the prospects of every plan index; the checks doic (exact mode), "
-                "payoff_flow, transform, fixed_point, envelope, mso and phi_uniqueness and the "
-                "on_rent.csv export fill it, so only leaving those out, a shorter horizon or "
-                "fewer grid points avoid it")
+                "entry is one cell (agent, history class, state, opponent plan) with one first "
+                "action and holds the prospects of every plan index; the obedient entries are "
+                "filled by the checks doic (exact mode), payoff_flow, transform, fixed_point, "
+                "envelope, mso and phi_uniqueness and the on_rent.csv export, and the "
+                "deviation rows, one entry per menu slot, by doic, payoff_flow, envelope and "
+                "fixed_point, so only leaving those out, a shorter horizon or fewer grid "
+                "points (states and menu slots) shrink it")
 
     def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float],
              pos: int) -> float:
@@ -160,52 +170,105 @@ class Engine:
 
     def prospects(self, i: int, node: Node, s_idx: int, x: Conjecture,
                   a_pos: int | None = None) -> Sequence[float]:
-        """The prospects of every plan index L = node.t..T, entry L - node.t."""
+        """The prospects of every plan index L = node.t..T, entry L - node.t.
+
+        With ``a_pos`` this is slot ``a_pos`` of ``slot_prospects``.
+        """
+        if a_pos is not None:
+            return self.slot_prospects(i, node, s_idx, x)[a_pos]
         plans = x.plans(i, node)
         if len(plans) == 1 and plans[0][0] == 1.0:
             # a sure plan's entry is the sum: entries start at +0.0, so none is
             # -0.0 and 0.0 + 1.0 * v is v, bit for bit
             plan = plans[0][1]
-            return self._g_plan(i, node, s_idx, a_pos, plan, self.walker.plan_id(plan))
+            return self._g_plan(i, node, s_idx, plan, self.walker.plan_id(plan))
         total = [0.0] * (self.game.horizon - node.t + 1)
         for p, plan in plans:
-            vec = self._g_plan(i, node, s_idx, a_pos, plan, self.walker.plan_id(plan))
+            vec = self._g_plan(i, node, s_idx, plan, self.walker.plan_id(plan))
             total = [acc + p * v for acc, v in zip(total, vec)]
         return total
 
-    def _g_plan(self, i: int, node: Node, s_idx: int, a_pos: int | None, plan: OppPlan,
-                plan_id: int) -> tuple[float, ...]:
-        """One plan's prospects for L = node.t..T, built in one backward recursion.
+    def slot_prospects(self, i: int, node: Node, s_idx: int,
+                       x: Conjecture) -> Sequence[Sequence[float]]:
+        """``prospects`` of every menu slot played first, in menu order.
 
-        Entry 0 ends with the off-switch at the children; entry k >= 1 ends
-        with entry k - 1 of the children's prospects.  Each entry takes the
-        same float operations, in the same order, as a recursion for its L alone.
+        Each slot is combined over plans with the float operations of
+        ``prospects``; a sure plan's result is its row.
         """
+        plans = x.plans(i, node)
+        rows = self._rows_of(i, node, s_idx, plans)
+        if len(plans) == 1 and plans[0][0] == 1.0:
+            return rows[0]
+        n = self.game.horizon - node.t + 1
+        totals = [[0.0] * n for _ in rows[0]]
+        for (p, _), row in zip(plans, rows):
+            totals = [[acc + p * v for acc, v in zip(total, vec)]
+                      for total, vec in zip(totals, row)]
+        return totals
+
+    def _g_plan(self, i: int, node: Node, s_idx: int, plan: OppPlan,
+                plan_id: int) -> tuple[float, ...]:
+        """One plan's obedient prospects for L = node.t..T, memoized per cell."""
         # memo_key inlined: most reads are hits, so the hit path is the key and one get
-        key = (i, node.lump if self._markov else node.key, s_idx, a_pos, plan_id)
+        key = (i, node.lump if self._markov else node.key, s_idx, plan_id)
         hit = self._g.get(key)
         if hit is not None:
             return hit
         self._guard()
-        obedient = self.walker.own_slot(i, node, s_idx)
-        if a_pos == obedient:
-            # deviating to the obedient slot is obedient play: share its entry
-            out = self._g[key] = self._g_plan(i, node, s_idx, None, plan, plan_id)
-            return out
-        pos = obedient if a_pos is None else a_pos
+        pos = self.walker.own_slot(i, node, s_idx)
+        out = self._g[key] = self._step(i, node, s_idx, pos, plan, plan_id)
+        return out
+
+    def _rows_of(self, i: int, node: Node, s_idx: int,
+                 plans: Sequence[tuple[float, OppPlan]]) -> list[tuple[tuple[float, ...], ...]]:
+        """Each plan's row: its prospects of every menu slot played first.
+
+        A row's obedient slot is the cell's ``_g`` entry; every other slot is
+        a one-shot deviation followed by obedient play.  Missing rows are
+        filled slot by slot in menu order, each slot over the plans in turn,
+        so nodes intern in the order of one read per (slot, plan).
+        """
+        memo_id = node.lump if self._markov else node.key
+        keys = [(i, memo_id, s_idx, self.walker.plan_id(plan)) for _, plan in plans]
+        rows = [self._rows.get(key) for key in keys]
+        if None in rows:
+            self._guard()
+            menu = self.walker.menu(i, node)
+            obedient = menu.action_index_of_state[s_idx]
+            todo = {key[3]: plan for key, (_, plan), row in zip(keys, plans, rows) if row is None}
+            slots = [self._g_plan(i, node, s_idx, plan, pid) if pos == obedient
+                     else self._step(i, node, s_idx, pos, plan, pid)
+                     for pos in range(len(menu.actions)) for pid, plan in todo.items()]
+            for k, pid in enumerate(todo):
+                row = self._rows[(i, memo_id, s_idx, pid)] = tuple(slots[k::len(todo)])
+                self._row_slots += len(row)
+            rows = [self._rows[key] for key in keys]
+        return rows
+
+    def _step(self, i: int, node: Node, s_idx: int, pos: int, plan: OppPlan,
+              plan_id: int) -> tuple[float, ...]:
+        """Prospects for L = node.t..T of playing menu slot ``pos`` now, then obediently.
+
+        Entry 0 ends with the off-switch at the children; entry k >= 1 ends
+        with entry k - 1 of the children's obedient prospects.  Each entry
+        takes the same float operations, in the same order, as a recursion
+        for its L alone.
+        """
         a_own, a_own_idx = self.walker.own_action(i, node, s_idx, pos)
-        phi = self.mechanism.phi
-        interval_keyed = phi.state_dependent()
+        branches = self.walker.own_branches(i, node, ((1.0, plan),), a_own)
         n = self.game.horizon - node.t + 1
+        if n == 1:   # period T: quitting after the horizon pays 0
+            last = 0.0
+            for w, actions, _ in branches:
+                last += w * (self.flow(i, node, s_idx, actions, pos) + 0.0)
+            return (last,)
+        phi = self.mechanism.phi
         total = [0.0] * n
-        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
+        for w, actions, br in branches:
             z = self.flow(i, node, s_idx, actions, pos)
-            if n == 1:   # period T: quitting after the horizon pays 0
-                total[0] += w * (z + 0.0)
-                continue
             child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
             kernel = self.walker.own_kernel(i, node, s_idx, child)
-            if interval_keyed:
+            if phi.state_dependent():
                 c0 = 0.0
                 for pp, s2 in kernel:
                     c0 += pp * phi.value(i, child, s2)
@@ -213,24 +276,22 @@ class Engine:
                 c0 = phi.value(i, child)
             cont = [c0] + [0.0] * (n - 1)
             for pp, s2 in kernel:
-                for k, v in enumerate(self._g_plan(i, child, s2, None, plan, plan_id), 1):
+                for k, v in enumerate(self._g_plan(i, child, s2, plan, plan_id), 1):
                     cont[k] += pp * v
             total = [acc + w * (z + c) for acc, c in zip(total, cont)]
-        out = self._g[key] = tuple(total)
-        return out
+        return tuple(total)
 
     # -- payoff-to-go, on-rent, best response ---------------------------------
 
     def stay_value(self, i: int, node: Node, s_idx: int, x: Conjecture,
                    a_pos: int | None = None) -> tuple[float, int]:
         """max over plan indices of the prospect; ties resolve to the largest L."""
-        best, best_L = -math.inf, node.t
-        for L, v in enumerate(self.prospects(i, node, s_idx, x, a_pos), node.t):
-            if v >= best - TIE_TOL:
-                if v > best + TIE_TOL or L > best_L:
-                    best_L = L
-                best = max(best, v)
-        return best, best_L
+        return _best_plan(self.prospects(i, node, s_idx, x, a_pos), node.t)
+
+    def stay_values(self, i: int, node: Node, s_idx: int,
+                    x: Conjecture) -> list[tuple[float, int]]:
+        """``stay_value`` of every menu slot played first, in menu order."""
+        return [_best_plan(vec, node.t) for vec in self.slot_prospects(i, node, s_idx, x)]
 
     def on_rent(self, i: int, node: Node, s_idx: int, x: Conjecture,
                 a_pos: int | None = None) -> float:
@@ -251,8 +312,7 @@ class Engine:
         menu = self.walker.menu(i, node)
         obedient_pos = menu.action_index_of_state[s_idx]
         best_val, best_pos, best_L = -math.inf, obedient_pos, node.t
-        for pos in range(len(menu.actions)):
-            v, L = self.stay_value(i, node, s_idx, x, pos)
+        for pos, (v, L) in enumerate(self.stay_values(i, node, s_idx, x)):
             better = v > best_val + TIE_TOL
             tied = abs(v - best_val) <= TIE_TOL
             if better or (tied and pos == obedient_pos):
@@ -272,8 +332,7 @@ class Engine:
     def value_fn(self, i: int, node: Node, s_idx: int, x: Conjecture) -> float:
         """Best staying value over every menu slot, i.e. over all pretenses
         (the envelope object): every slot is the obedient action of some state."""
-        return max(self.stay_value(i, node, s_idx, x, pos)[0]
-                   for pos in range(len(self.walker.menu(i, node).actions)))
+        return max(v for v, _ in self.stay_values(i, node, s_idx, x))
 
     # -- quit-time distribution (first hit) -----------------------------------
 
@@ -492,3 +551,18 @@ class Engine:
                 cdf = kernels[key] = choice_cdf(probs / probs.sum())
             cdfs.append(cdf)
         return tuple(terms), tuple(cdfs), child.key, played
+
+
+def _best_plan(vec: Sequence[float], t: int) -> tuple[float, int]:
+    """(max of a prospect vector starting at plan index t, its plan index);
+    values within ``TIE_TOL`` tie, and ties resolve to the largest index."""
+    if len(vec) == 1:   # what the loop returns for one value: it, or -inf for a NaN
+        v = vec[0]
+        return (v, t) if v == v else (-math.inf, t)
+    best, best_L = -math.inf, t
+    for L, v in enumerate(vec, t):
+        if v >= best - TIE_TOL:
+            if v > best + TIE_TOL or L > best_L:
+                best_L = L
+            best = max(best, v)
+    return best, best_L

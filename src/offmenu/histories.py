@@ -323,6 +323,10 @@ class StepBranch:
     actions_idx: dict[int, int]
 
 
+# the one branch of an agent acting alone; readers copy its dicts, never write them
+_ALONE = StepBranch(1.0, (), (), {}, {})
+
+
 class TreeWalker:
     """Shared exact-mode enumeration helpers over a game/policy pair.
 
@@ -332,8 +336,9 @@ class TreeWalker:
     the one own-step enumerator (``own_action`` and ``own_branches``: the
     agent's action, then the others' branches under each plan), successor
     construction, and the node closures built on one depth-first walk.
-    Menus are cached per (agent, Markov class); beliefs and own transitions
-    share one cache per (agent, class, previous state).  The default
+    Menus are cached per (agent, Markov class); beliefs, own transitions and
+    shock branches read one transition record per (agent, class, previous
+    state), built from one ``kernel`` call.  The default
     store's classes follow the game's and the policy's history window; a
     given store must not lump more coarsely than that.
     """
@@ -343,7 +348,7 @@ class TreeWalker:
         self.sigma = sigma
         self.store = store if store is not None else NodeStore(game, history_window(game, sigma))
         self._menus: dict[tuple[int, int], Menu] = {}
-        self._transitions: dict[tuple, tuple[tuple[float, int], ...]] = {}
+        self._transitions: dict[tuple, list] = {}
         self._plan_ids: dict[tuple, int] = {}
 
     # -- caches --------------------------------------------------------------
@@ -380,24 +385,34 @@ class TreeWalker:
         return self._transition(i, node, prev)
 
     def _transition(self, i: int, node: Node, s_prev: int | None) -> tuple[tuple[float, int], ...]:
-        """(prob, state) of agent i at node.t from grid state ``s_prev`` of the period before.
+        """(prob, state) of agent i at node.t from grid state ``s_prev`` of the period before."""
+        # most reads are hits, so the hit path is the key and one get
+        return (self._transitions.get((i, node.lump, s_prev))
+                or self._record(i, node, s_prev))[0]
 
-        The kernel reads the history only through the node's Markov class,
-        so the cache keys on (agent, class, previous state); None is the
-        initial distribution.
+    def _record(self, i: int, node: Node, s_prev: int | None) -> list:
+        """Agent i's transition record into node.t from grid state ``s_prev``.
+
+        [(prob, state) pairs, the kernel's (weight, shock, state) branches,
+        their (weight, state, d_kappa/d_s) slopes or None until first read],
+        built from one ``kernel`` call.  The kernel reads the history only
+        through the node's Markov class, so the cache keys on (agent, class,
+        previous state); None is the initial distribution, which has no
+        branches.
         """
         key = (i, node.lump, s_prev)
-        b = self._transitions.get(key)
-        if b is None:
+        rec = self._transitions.get(key)
+        if rec is None:
             if s_prev is None:
                 dist = self.game.initial_dist(i)
-                b = tuple((w, j) for j, w in enumerate(dist) if w > 0.0)
+                rec = [tuple((w, j) for j, w in enumerate(dist) if w > 0.0), (), []]
             else:
                 s_val = self.game.grid(i, node.t - 1).value(s_prev)
-                probs, _ = self.game.kernel(i, node.t, s_val, self.store.history(node))
-                b = tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0)
-            self._transitions[key] = b
-        return b
+                probs, branches = self.game.kernel(i, node.t, s_val, self.store.history(node))
+                rec = [tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0),
+                       branches, None]
+            self._transitions[key] = rec
+        return rec
 
     def own_slot(self, i: int, node: Node, s_idx: int, a_pos: int | None = None) -> int:
         """Menu slot ``a_pos``; the obedient slot at s_idx when absent."""
@@ -448,7 +463,7 @@ class TreeWalker:
         """Joint steps of the *other* active agents; agent i's own entry is the caller's."""
         others = [j for j in node.active if j != i]
         if not others:
-            yield StepBranch(1.0, (), (), {}, {})
+            yield _ALONE
             return
         yield from self.joint_steps(node, plan, others)
 
@@ -481,11 +496,13 @@ class TreeWalker:
 
     def own_shock_branches(self, i: int, node: Node, s_own: int, child: Node):
         """Shock-level transitions (weight, next index, d_kappa/d_s); for impulse responses."""
-        s_val = self.game.grid(i, node.t).value(s_own)
-        hist = self.store.history(child)
-        _, branches = self.game.kernel(i, node.t + 1, s_val, hist)
-        return [(w, j, self.game.dkappa_ds(i, node.t + 1, s_val, hist, omega))
-                for w, omega, j in branches]
+        rec = self._record(i, child, s_own)
+        if rec[2] is None:
+            s_val = self.game.grid(i, node.t).value(s_own)
+            hist = self.store.history(child)
+            rec[2] = [(w, j, self.game.dkappa_ds(i, child.t, s_val, hist, omega))
+                      for w, omega, j in rec[1]]
+        return rec[2]
 
     # -- reachable sets ---------------------------------------------------------
 
@@ -569,24 +586,36 @@ class TreeWalker:
         stayers' menu actions are enumerated too; with window 0 they do not
         enter the class, so each stayer plays its obedient action.  Only a
         combination that opens a new class interns its successor, which then
-        represents the class.  The set depends only on the game and the
+        represents the class.  A successor's class reads only the period, the
+        stayers' moves and the node's last ``window - 1`` records, so a node
+        whose (period, moves, records) signature was expanded opens no new
+        class and is skipped; with window None each node is its own class
+        and every one is expanded.  The set depends only on the game and the
         policy, and a class function reads the same at its representative as
         at any other member.
         """
         store = self.store
         known: set[tuple] = set()
+        expanded: set[tuple] = set()
 
         def moves(j, node):
             points = range(self.game.grid(j, node.t).points)
             if store.window == 0:
-                return [(s, self.own_action(j, node, s)[1]) for s in points]
-            return [(s, a) for s in points for a in self.menu(j, node).grid_indices]
+                return tuple((s, self.own_action(j, node, s)[1]) for s in points)
+            return tuple((s, a) for s in points for a in self.menu(j, node).grid_indices)
 
         def successors(node, tag):
+            own = {j: moves(j, node) for j in node.active}
+            if store.window is not None:
+                keep = node.events[max(len(node.events) - store.window + 1, 0):]
+                sig = (node.t, tuple(own.items()), keep)
+                if sig in expanded:
+                    return
+                expanded.add(sig)
             for r in range(len(node.active)):
                 for quitters in itertools.combinations(node.active, r):
                     stayers = tuple(j for j in node.active if j not in quitters)
-                    for combo in itertools.product(*(moves(j, node) for j in stayers)):
+                    for combo in itertools.product(*(own[j] for j in stayers)):
                         prev = tuple((j, s) for j, (s, _) in zip(stayers, combo))
                         events = node.events + (
                             PeriodRecord(stayers, tuple(a for _, a in combo), quitters),)

@@ -98,9 +98,8 @@ def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
         stay = engine.stay_value(i, node, s, x)[0]
         quit_val = engine.phi_value(i, node, s)
         z_obed = stay - quit_val
-        menu = engine.walker.menu(i, node)
-        for pos in range(len(menu.actions)):
-            margin = z_obed - (engine.stay_value(i, node, s, x, pos)[0] - quit_val)
+        for pos, (dev, _) in enumerate(engine.stay_values(i, node, s, x)):
+            margin = z_obed - (dev - quit_val)
             if margin < worst_raic:
                 worst_raic = margin
                 if margin < -tol:
@@ -326,23 +325,28 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c3 = math.inf
     wit_c3 = None
     memo: dict[tuple, list[float]] = {}   # obedient terminal walks, valid for this eta
-    hats: dict[tuple, list[float]] = {}   # stripped prospects of the pretended states
+    # the pretended states' stripped prospects and carriers, one per cutoff
+    hats: dict[tuple, tuple[list[float], list[float]]] = {}
     for i, node, s in _cells(engine, nodes):
-        menu = walker.menu(i, node)
         cutoffs = range(node.t, game.horizon + 1)
-        for pos in range(len(menu.actions)):
-            s_hat = menu.generating_states[pos][-1]
+        # every slot's walks first, then the row: the end walks intern the
+        # nodes the row's deviations reach, in the order of one read per slot
+        walks = []
+        for pos, states in enumerate(walker.menu(i, node).generating_states):
+            s_hat = states[-1]
             hat = hats.get((i, node.key, s_hat))
             if hat is None:
                 phis = _terminal_walks(engine, memo, "phi", engine.memo_key, i, node, s_hat,
                                        x, None, phi.value)
-                hat = hats[(i, node.key, s_hat)] = [
-                    g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)]
-            ends = _terminal_walks(engine, memo, "end", _full_history, i, node, s, x, pos,
-                                   end_leaf)
-            dev = engine.prospects(i, node, s, x, pos)
-            for L, h, g, e in zip(cutoffs, hat, dev, ends):
-                lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
+                hat = hats[(i, node.key, s_hat)] = (
+                    [g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)],
+                    [carriers.carrier(i, node, s_hat, L) for L in cutoffs])
+            walks.append((s_hat, *hat, _terminal_walks(engine, memo, "end", _full_history, i,
+                                                       node, s, x, pos, end_leaf)))
+        own = [carriers.carrier(i, node, s, L) for L in cutoffs]
+        for (s_hat, hat, pretended, ends), dev in zip(walks, engine.slot_prospects(i, node, s, x)):
+            for L, h, q, g, e, c in zip(cutoffs, hat, pretended, dev, ends, own):
+                lhs = q - c
                 rhs = h - (g - e)
                 margin = rhs - lhs
                 if margin < worst_c3:
@@ -363,6 +367,8 @@ def _terminal_walks(engine: Engine, memo, kind, node_id, i, node, s, x, a_pos, l
     of obedient walks: the Markov class when the leaf values are class
     functions, else the full history.
     """
+    if node.t == engine.game.horizon:   # one cutoff, T, whose expectation is 0 for every plan
+        return [0.0]
     total = [0.0] * (engine.game.horizon - node.t + 1)
     for p, plan in x.plans(i, node):
         for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, node, s, plan,

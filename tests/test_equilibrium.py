@@ -9,7 +9,13 @@ import pytest
 
 from offmenu.equilibrium import Engine
 from offmenu.histories import FixedPlan, ProfileConjecture, RegionConjecture, live_cells
-from offmenu.mechanism import CallableOffSwitch, Mechanism, ZeroCoupling, ZeroOffSwitch
+from offmenu.mechanism import (
+    CallableCoupling,
+    CallableOffSwitch,
+    Mechanism,
+    ZeroCoupling,
+    ZeroOffSwitch,
+)
 from offmenu.model import DynamicsModel, GameError, RewardModel, ShockModel
 from offmenu.oracle import TreeOracle
 from offmenu.run import run_scenario
@@ -62,8 +68,10 @@ def test_prospect_matches_oracle_with_deviation(g1):
 def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
     """Every plan index of every cell and first action, bit for bit; the cell count.
 
-    The reference shares the engine's walker, so both read one interning
-    order (a posted value may depend on the node key).
+    Each first action is read both alone and from the cell's row of every
+    menu slot, and the row's staying values match the reference's per-slot
+    ``stay_value``.  The reference shares the engine's walker, so both read
+    one interning order (a posted value may depend on the node key).
     """
     ref = PerPlanIndexEngine(engine.game, engine.mechanism, walker=engine.walker)
     cells = 0
@@ -76,8 +84,22 @@ def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
                 assert [v.hex() for v in vec] == [v.hex() for v in want], (i, node.key, s, a_pos)
                 assert [engine.prospect(i, node, s, L, x, a_pos)
                         for L in range(node.t, engine.game.horizon + 1)] == list(vec)
+                if a_pos is not None:
+                    row = engine.slot_prospects(i, node, s, x)[a_pos]
+                    assert [v.hex() for v in row] == [v.hex() for v in want], (i, node.key, s,
+                                                                                a_pos)
                 cells += 1
+            assert engine.stay_values(i, node, s, x) == [ref.stay_value(i, node, s, x, pos)
+                                                         for pos in slots]
     return cells
+
+
+def _random_marginals(rng, game):
+    marginals = {}
+    for j in game.agents():
+        w = rng.uniform(0.1, 1.0, size=game.horizon + 1)
+        marginals[j] = {k: float(v) for k, v in zip(range(1, game.horizon + 2), w / w.sum())}
+    return marginals
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -86,10 +108,24 @@ def test_prospect_vectors_equal_per_plan_index_recursion_on_random_instances(see
     game, mech, conj = random_instance(rng)
     engine = Engine(game, mech)
     nodes = engine.walker.reachable_nodes(conj.plan())
-    marginals = {}
-    for j in game.agents():
-        w = rng.uniform(0.1, 1.0, size=game.horizon + 1)
-        marginals[j] = {k: float(v) for k, v in zip(range(1, game.horizon + 2), w / w.sum())}
+    for x in (conj, ProfileConjecture.from_marginals(_random_marginals(rng, game))):
+        assert _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) > 0
+
+
+def test_prospect_vectors_equal_per_plan_index_recursion_on_a_history_keyed_mechanism():
+    """Two agents whose coupling and posted values read the node key, so the
+    prospect table keys on full histories, not on Markov classes."""
+    scenario = load_scenario({**json.loads(bundled_scenarios()["pair-churn"].read_text()),
+                              "horizon": 2})
+    game = scenario.build_game()
+    mech = Mechanism(scenario.build_policy(),
+                     CallableCoupling(lambda i, n, a: 0.1 * a[i] + 0.01 * (n.key % 3)),
+                     CallableOffSwitch(game.horizon, lambda i, n: 0.05 * (n.key % 5)))
+    engine = Engine(game, mech)
+    assert not engine._markov
+    conj = RegionConjecture({(1, 1): frozenset({0}), (0, 2): frozenset({1})})
+    nodes = engine.walker.reachable_nodes(conj.plan())
+    marginals = _random_marginals(np.random.default_rng(5), game)
     for x in (conj, ProfileConjecture.from_marginals(marginals)):
         assert _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) > 0
 
@@ -112,6 +148,8 @@ def test_prospect_vectors_equal_per_plan_index_recursion_on_a_window_one_game(ra
 
 @pytest.mark.parametrize("obedient_first", [True, False])
 def test_a_deviation_to_the_obedient_slot_shares_the_obedient_entry(g1, obedient_first):
+    """A cell's row holds its obedient entry at the obedient slot, in either
+    read order, and the obedient slot's flows are computed once."""
     mech = Mechanism(IDENTITY, ZeroCoupling(), CallableOffSwitch(3, lambda i, node: 0.1 * node.t))
     engine = Engine(g1, mech)
     flows = []
@@ -119,14 +157,25 @@ def test_a_deviation_to_the_obedient_slot_shares_the_obedient_entry(g1, obedient
     engine.flow = lambda *args: flows.append(args) or flow(*args)
     root, s = engine.root(), 2
     pos = engine.walker.menu(0, root).action_index_of_state[s]
-    first, second = (None, pos) if obedient_first else (pos, None)
-    vec = engine.prospects(0, root, s, NOQUIT, first)
-    computed = len(flows)
-    assert engine.prospects(0, root, s, NOQUIT, second) == vec
-    assert len(flows) == computed   # one computation serves both first actions
+    if obedient_first:
+        vec = engine.prospects(0, root, s, NOQUIT)
+        computed = len(flows)
+        row = engine.slot_prospects(0, root, s, NOQUIT)
+    else:
+        row = engine.slot_prospects(0, root, s, NOQUIT)
+        computed = len(flows)
+        vec = engine.prospects(0, root, s, NOQUIT)
+        assert len(flows) == computed   # the row filled the obedient entry
     pid = engine.walker.plan_id(NOQUIT.plan())
-    key = (0, engine.memo_key(root), s)
-    assert engine._g[key + (pos, pid)] is engine._g[key + (None, pid)]
+    key = (0, engine.memo_key(root), s, pid)
+    assert row[pos] is engine._g[key] is vec
+    assert engine.prospects(0, root, s, NOQUIT, pos) is vec
+    assert engine._rows[key] is row
+    # one agent: one branch per slot, so the obedient slot's root flow is computed once
+    assert [a[4] for a in flows if a[1] is root].count(pos) == 1
+    assert len({a[4] for a in flows if a[1] is root}) == len(row)
+    if obedient_first:
+        assert len(flows) > computed   # the row computed the deviation slots only
 
 
 def test_on_rent_zero_at_bottom_state(monotone_ir):

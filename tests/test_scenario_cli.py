@@ -296,8 +296,10 @@ def test_tree_size_error_names_the_table_and_its_budget(g1_unused=None):
     # sampled mode replaces only doic, so the message must not send users there
     assert "mode=mc" not in msg
     assert "on_rent.csv" in msg and "horizon" in msg and "grid points" in msg
-    # the budget counts cells, each holding every plan index
+    # the budget counts cells, each holding every plan index, with a deviation
+    # row's slots counted as entries too
     assert "an entry is one cell" in msg and "every plan index" in msg
+    assert "deviation rows, one entry per menu slot" in msg
 
 
 WELL_RIDGE = {
@@ -522,10 +524,11 @@ def test_cli_sampled_obedience_passes_ties_within_the_tolerance(tmp_path, capsys
 
 
 def test_sampled_run_writes_no_exact_on_rents(tmp_path):
-    """on_rent.csv holds exact values; a sampled run leaves the prospect table empty."""
+    """on_rent.csv holds exact values; a sampled run leaves the prospect table,
+    obedient entries and deviation rows, empty."""
     result = run_scenario("g2-appendix", tmp_path,
                           {"mode": "mc", "checks": ("doic",), "samples": 50})
     assert result.passed
     assert not (tmp_path / "on_rent.csv").exists()
     assert (tmp_path / "carriers.csv").exists()
-    assert result.engine._g == {}
+    assert result.engine._g == {} and result.engine._rows == {}
