@@ -132,8 +132,9 @@ class Engine:
         coupling and off-switch are class functions, else the full history."""
         return node.lump if self._markov else node.key
 
-    def _guard(self) -> None:
-        if len(self._g) + self._row_slots > self.memo_budget:
+    def _guard(self, new: int = 1) -> None:
+        """Raise unless the table has room for ``new`` more entries."""
+        if len(self._g) + self._row_slots + new > self.memo_budget:
             raise TreeSizeError(
                 f"exact prospect table exceeds its budget of {self.memo_budget} entries; an "
                 "entry is one cell (agent, history class, state, opponent plan) with one first "
@@ -232,16 +233,19 @@ class Engine:
         keys = [(i, memo_id, s_idx, self.walker.plan_id(plan)) for _, plan in plans]
         rows = [self._rows.get(key) for key in keys]
         if None in rows:
-            self._guard()
             menu = self.walker.menu(i, node)
             obedient = menu.action_index_of_state[s_idx]
             todo = {key[3]: plan for key, (_, plan), row in zip(keys, plans, rows) if row is None}
+            # the new slots count before they are filled, so the entries their
+            # deviations open find the table as full as it will be
+            new = len(menu.actions) * len(todo)
+            self._guard(new)
+            self._row_slots += new
             slots = [self._g_plan(i, node, s_idx, plan, pid) if pos == obedient
                      else self._step(i, node, s_idx, pos, plan, pid)
                      for pos in range(len(menu.actions)) for pid, plan in todo.items()]
             for k, pid in enumerate(todo):
-                row = self._rows[(i, memo_id, s_idx, pid)] = tuple(slots[k::len(todo)])
-                self._row_slots += len(row)
+                self._rows[(i, memo_id, s_idx, pid)] = tuple(slots[k::len(todo)])
             rows = [self._rows[key] for key in keys]
         return rows
 
@@ -255,20 +259,18 @@ class Engine:
         for its L alone.
         """
         a_own, a_own_idx = self.walker.own_action(i, node, s_idx, pos)
-        branches = self.walker.own_branches(i, node, ((1.0, plan),), a_own)
-        n = self.game.horizon - node.t + 1
-        if n == 1:   # period T: quitting after the horizon pays 0
-            last = 0.0
-            for w, actions, _ in branches:
-                last += w * (self.flow(i, node, s_idx, actions, pos) + 0.0)
-            return (last,)
         phi = self.mechanism.phi
+        interval_keyed = phi.state_dependent()
+        n = self.game.horizon - node.t + 1
         total = [0.0] * n
-        for w, actions, br in branches:
+        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
             z = self.flow(i, node, s_idx, actions, pos)
+            if n == 1:   # period T: quitting after the horizon pays 0
+                total[0] += w * (z + 0.0)
+                continue
             child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
             kernel = self.walker.own_kernel(i, node, s_idx, child)
-            if phi.state_dependent():
+            if interval_keyed:
                 c0 = 0.0
                 for pp, s2 in kernel:
                     c0 += pp * phi.value(i, child, s2)
@@ -556,9 +558,6 @@ class Engine:
 def _best_plan(vec: Sequence[float], t: int) -> tuple[float, int]:
     """(max of a prospect vector starting at plan index t, its plan index);
     values within ``TIE_TOL`` tie, and ties resolve to the largest index."""
-    if len(vec) == 1:   # what the loop returns for one value: it, or -inf for a NaN
-        v = vec[0]
-        return (v, t) if v == v else (-math.inf, t)
     best, best_L = -math.inf, t
     for L, v in enumerate(vec, t):
         if v >= best - TIE_TOL:

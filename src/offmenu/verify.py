@@ -325,8 +325,7 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     worst_c3 = math.inf
     wit_c3 = None
     memo: dict[tuple, list[float]] = {}   # obedient terminal walks, valid for this eta
-    # the pretended states' stripped prospects and carriers, one per cutoff
-    hats: dict[tuple, tuple[list[float], list[float]]] = {}
+    hats: dict[tuple, list[float]] = {}   # stripped prospects of the pretended states
     for i, node, s in _cells(engine, nodes):
         cutoffs = range(node.t, game.horizon + 1)
         # every slot's walks first, then the row: the end walks intern the
@@ -338,15 +337,13 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
             if hat is None:
                 phis = _terminal_walks(engine, memo, "phi", engine.memo_key, i, node, s_hat,
                                        x, None, phi.value)
-                hat = hats[(i, node.key, s_hat)] = (
-                    [g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)],
-                    [carriers.carrier(i, node, s_hat, L) for L in cutoffs])
-            walks.append((s_hat, *hat, _terminal_walks(engine, memo, "end", _full_history, i,
-                                                       node, s, x, pos, end_leaf)))
-        own = [carriers.carrier(i, node, s, L) for L in cutoffs]
-        for (s_hat, hat, pretended, ends), dev in zip(walks, engine.slot_prospects(i, node, s, x)):
-            for L, h, q, g, e, c in zip(cutoffs, hat, pretended, dev, ends, own):
-                lhs = q - c
+                hat = hats[(i, node.key, s_hat)] = [
+                    g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)]
+            walks.append((s_hat, hat, _terminal_walks(engine, memo, "end", _full_history, i,
+                                                      node, s, x, pos, end_leaf)))
+        for (s_hat, hat, ends), dev in zip(walks, engine.slot_prospects(i, node, s, x)):
+            for L, h, g, e in zip(cutoffs, hat, dev, ends):
+                lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
                 rhs = h - (g - e)
                 margin = rhs - lhs
                 if margin < worst_c3:
@@ -367,8 +364,6 @@ def _terminal_walks(engine: Engine, memo, kind, node_id, i, node, s, x, a_pos, l
     of obedient walks: the Markov class when the leaf values are class
     functions, else the full history.
     """
-    if node.t == engine.game.horizon:   # one cutoff, T, whose expectation is 0 for every plan
-        return [0.0]
     total = [0.0] * (engine.game.horizon - node.t + 1)
     for p, plan in x.plans(i, node):
         for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, node, s, plan,

@@ -275,7 +275,7 @@ def _doic_counts(raw, monkeypatch, full):
         if full:
             m.setattr(histories, "history_window", lambda game, sigma: None)
         result = run_scenario(load_scenario(raw), None, {"checks": ("doic",)})
-    return result, len(result.engine._g), calls[0]
+    return result, len(result.engine._g) + result.engine._row_slots, calls[0]
 
 
 def test_doic_on_pair_churn_does_less_work_than_full_history(monkeypatch):

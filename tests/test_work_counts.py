@@ -89,11 +89,21 @@ def test_the_budget_counts_row_slots_as_well_as_obedient_entries(g1):
     for s in range(5):
         sized.prospects(0, sized.root(), s, NOQUIT)
     entries = len(sized._g)
-    engine = Engine(g1, mech, memo_budget=entries)
-    root = engine.root()
     for s in range(5):
-        engine.prospects(0, root, s, NOQUIT)
-    with pytest.raises(TreeSizeError, match="deviation rows"):
+        sized.slot_prospects(0, sized.root(), s, NOQUIT)
+    table = len(sized._g) + sized._row_slots
+    assert table - entries > sized._row_slots > 0   # the rows open obedient entries too
+    # a budget of the full table fits it exactly
+    fits = Engine(g1, mech, memo_budget=table)
+    for s in range(5):
+        fits.slot_prospects(0, fits.root(), s, NOQUIT)
+    assert len(fits._g) + fits._row_slots == table
+    for budget in (entries, table - 1):
+        engine = Engine(g1, mech, memo_budget=budget)
+        root = engine.root()
         for s in range(5):
-            engine.slot_prospects(0, root, s, NOQUIT)
-    assert len(engine._g) <= entries + 1
+            engine.prospects(0, root, s, NOQUIT)
+        with pytest.raises(TreeSizeError, match="deviation rows"):
+            for s in range(5):
+                engine.slot_prospects(0, root, s, NOQUIT)
+        assert len(engine._g) + engine._row_slots <= budget
