@@ -153,13 +153,10 @@ class CarrierTables:
         hit = self._m.get(key)
         if hit is not None:
             return hit
-        walker = self.walker
-        a_own, a_idx = walker.own_action(i, node, s_idx)
         total = 0.0
-        for w, _, br in walker.own_branches(i, node, self.conjecture.plans(i, node), a_own):
-            child = walker.child_after(i, node, s_idx, a_idx, br)
-            for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                total += w * pp * self.mg(i, child, j2)
+        for w, child, j2 in self.walker.next_states(i, node, s_idx,
+                                                    self.conjecture.plans(i, node)):
+            total += w * self.mg(i, child, j2)
         self._m[key] = total
         return total
 

@@ -51,7 +51,7 @@ from .histories import (
 )
 from .mechanism import Mechanism
 from .model import BaseGame, GameError, check_samples
-from .sampling import PathSampler, choice_cdf, inverse_cdf_draws
+from .sampling import PathSampler, inverse_cdf_draws
 
 __all__ = ["Engine", "BestResponse", "FixedPointResult", "EmpiricalOutcome", "TreeSizeError"]
 
@@ -269,7 +269,7 @@ class Engine:
                 total[0] += w * (z + 0.0)
                 continue
             child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-            kernel = self.walker.own_kernel(i, node, s_idx, child)
+            kernel = self.walker.own_kernel(i, child, s_idx)
             if interval_keyed:
                 c0 = 0.0
                 for pp, s2 in kernel:
@@ -447,32 +447,27 @@ class Engine:
         interned in the order a per-period loop interns them.  A path is then
         its draws plus one table lookup per period; each visit counts the cell
         and adds its payoff terms in path order.  The histograms are read off
-        the cells' visit counts after the walk.
+        the cells' visit counts after the walk.  States are drawn from the
+        walker's transition records, through ``TreeWalker.draw_table``.
         """
         check_samples(n_paths)
         game = self.game
         draw = inverse_cdf_draws(np.random.default_rng(seed),
                                  n_paths * game.n_agents * game.horizon)
-        initial = []
-        for i in game.agents():
-            dist = game.initial_dist(i)
-            initial.append(choice_cdf(np.asarray(dist) / sum(dist)))
-        root = self.root().key
-        # per-call memos of the parts of a cell that are class functions
-        flows: dict[tuple, float] = {}          # quit or stay payoff flow
-        kernels: dict[tuple, list[float]] = {}  # next-state CDF
+        root = self.root()
+        initial = [self.walker.draw_table(i, root, None) for i in game.agents()]
+        flows: dict[tuple, float] = {}   # per-call memo of quit or stay payoff flows by class
         cell_of: dict[tuple[int, ...], int] = {}   # (node key, *states) -> cell
         cells: list[tuple] = []
         visits: list[int] = []
         payoff = [0.0] * game.n_agents
         for _ in range(n_paths):
-            key = (root, *map(draw, initial))
+            key = (root.key, *map(draw, initial))
             while True:
                 c = cell_of.get(key)
                 if c is None:
                     c = cell_of[key] = len(cells)
-                    cells.append(self._period_cell(self.store.node(key[0]), key[1:],
-                                                    flows, kernels))
+                    cells.append(self._period_cell(self.store.node(key[0]), key[1:], flows))
                     visits.append(0)
                 terms, cdfs, child, _ = cells[c]
                 visits[c] += 1
@@ -506,8 +501,7 @@ class Engine:
             mean_payoff={i: payoff[i] / n_paths for i in game.agents()},
         )
 
-    def _period_cell(self, node: Node, states: tuple[int, ...], flows: dict,
-                     kernels: dict) -> tuple:
+    def _period_cell(self, node: Node, states: tuple[int, ...], flows: dict) -> tuple:
         """One period of ``simulate`` at ``node``, ``states`` being the active
         agents' states: (payoff terms, next-state CDFs, child key, played).
 
@@ -543,16 +537,8 @@ class Engine:
         if not actions or t == game.horizon:
             return tuple(terms), None, -1, played
         child = self.store.child(node, s, quitters, actions_idx)
-        cdfs = []
-        for i in child.active:
-            key = (child.lump, i, s[i])
-            cdf = kernels.get(key)
-            if cdf is None:
-                probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(s[i]),
-                                       self.store.history(child))
-                cdf = kernels[key] = choice_cdf(probs / probs.sum())
-            cdfs.append(cdf)
-        return tuple(terms), tuple(cdfs), child.key, played
+        cdfs = tuple(self.walker.draw_table(i, child, s[i]) for i in child.active)
+        return tuple(terms), cdfs, child.key, played
 
 
 def _best_plan(vec: Sequence[float], t: int) -> tuple[float, int]:

@@ -25,8 +25,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .model import BaseGame, GameError
 from .mechanism import Menu, TaskPolicy, action_menu
+from .sampling import choice_cdf
 
 __all__ = [
     "PeriodRecord",
@@ -336,11 +339,11 @@ class TreeWalker:
     the one own-step enumerator (``own_action`` and ``own_branches``: the
     agent's action, then the others' branches under each plan), successor
     construction, and the node closures built on one depth-first walk.
-    Menus are cached per (agent, Markov class); beliefs, own transitions and
-    shock branches read one transition record per (agent, class, previous
-    state), built from one ``kernel`` call.  The default
-    store's classes follow the game's and the policy's history window; a
-    given store must not lump more coarsely than that.
+    Menus are cached per (agent, Markov class); beliefs, own transitions
+    (``next_states``), shock branches and draw tables read one transition
+    record per (agent, class, previous state), built from one ``kernel``
+    call.  The default store's classes follow the game's and the policy's
+    history window; a given store must not lump more coarsely than that.
     """
 
     def __init__(self, game: BaseGame, sigma: TaskPolicy, store: NodeStore | None = None):
@@ -377,42 +380,57 @@ class TreeWalker:
 
     def belief(self, i: int, node: Node) -> tuple[tuple[float, int], ...]:
         """Distribution over agent i's period-t state given the node's public record."""
-        if node.t == 1:
-            return self._transition(i, node, None)
         prev = node.prev_state_of(i)
-        if prev is None:
+        if prev is None and node.t > 1:
             raise GameError(f"agent {i} has no public previous state at node {node.key}")
-        return self._transition(i, node, prev)
+        return self.own_kernel(i, node, prev)
 
-    def _transition(self, i: int, node: Node, s_prev: int | None) -> tuple[tuple[float, int], ...]:
-        """(prob, state) of agent i at node.t from grid state ``s_prev`` of the period before."""
+    def own_kernel(self, i: int, child: Node, s_own: int | None) -> tuple[tuple[float, int], ...]:
+        """(prob, state) of agent i at child.t from ``s_own`` (None: initial); a class function."""
         # most reads are hits, so the hit path is the key and one get
-        return (self._transitions.get((i, node.lump, s_prev))
-                or self._record(i, node, s_prev))[0]
+        return (self._transitions.get((i, child.lump, s_own))
+                or self._record(i, child, s_own))[0]
 
     def _record(self, i: int, node: Node, s_prev: int | None) -> list:
         """Agent i's transition record into node.t from grid state ``s_prev``.
 
-        [(prob, state) pairs, the kernel's (weight, shock, state) branches,
-        their (weight, state, d_kappa/d_s) slopes or None until first read],
-        built from one ``kernel`` call.  The kernel reads the history only
-        through the node's Markov class, so the cache keys on (agent, class,
-        previous state); None is the initial distribution, which has no
-        branches.
+        [(prob, state) pairs for beliefs and exact walks, the kernel's (weight,
+        shock, state) branches, their (weight, state, d_kappa/d_s) slopes for
+        impulse responses, and the draw table for ``simulate`` and the path
+        samplers], from one ``kernel`` call; slopes and table are None until
+        first read.  The kernel reads the history only through the node's
+        Markov class, so the cache keys on (agent, class, previous state);
+        None is the initial distribution, which has no branches.
         """
         key = (i, node.lump, s_prev)
         rec = self._transitions.get(key)
         if rec is None:
             if s_prev is None:
                 dist = self.game.initial_dist(i)
-                rec = [tuple((w, j) for j, w in enumerate(dist) if w > 0.0), (), []]
+                rec = [tuple((w, j) for j, w in enumerate(dist) if w > 0.0), (), [], None]
             else:
                 s_val = self.game.grid(i, node.t - 1).value(s_prev)
                 probs, branches = self.game.kernel(i, node.t, s_val, self.store.history(node))
                 rec = [tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0),
-                       branches, None]
+                       branches, None, None]
             self._transitions[key] = rec
         return rec
+
+    def draw_table(self, i: int, node: Node, s_prev: int | None) -> list[float]:
+        """``Generator.choice``'s CDF over agent i's full grid row at node.t from
+        ``s_prev``: the kernel row (its branches summed per state) over its numpy
+        sum, the initial row over Python's ``sum``."""
+        rec = self._record(i, node, s_prev)
+        if rec[3] is None:
+            if s_prev is None:
+                dist = self.game.initial_dist(i)
+                rec[3] = choice_cdf(np.asarray(dist) / sum(dist))
+            else:
+                probs = np.zeros(self.game.grid(i, node.t).points)
+                for w, _, j in rec[1]:
+                    probs[j] += w
+                rec[3] = choice_cdf(probs / probs.sum())
+        return rec[3]
 
     def own_slot(self, i: int, node: Node, s_idx: int, a_pos: int | None = None) -> int:
         """Menu slot ``a_pos``; the obedient slot at s_idx when absent."""
@@ -490,9 +508,16 @@ class TreeWalker:
         actions_idx[i] = a_own_idx
         return self.store.child(node, states, branch.quitters, actions_idx)
 
-    def own_kernel(self, i: int, node: Node, s_own: int, child: Node) -> tuple[tuple[float, int], ...]:
-        """Agent i's next-state distribution given the realized child history."""
-        return self._transition(i, child, s_own)
+    def next_states(self, i: int, node: Node, s_idx: int, plans: Sequence[tuple[float, OppPlan]],
+                    a_pos: int | None = None) -> Iterator[tuple[float, Node, int]]:
+        """(w * pp, child, next own state) from (node, s_idx): agent i plays menu slot
+        ``a_pos`` (obedient when absent) against the others' branches of weight w
+        under ``plans``, then moves to its own next state with probability pp."""
+        a_own, a_idx = self.own_action(i, node, s_idx, a_pos)
+        for w, _, br in self.own_branches(i, node, plans, a_own):
+            child = self.child_after(i, node, s_idx, a_idx, br)
+            for pp, s2 in self.own_kernel(i, child, s_idx):
+                yield w * pp, child, s2
 
     def own_shock_branches(self, i: int, node: Node, s_own: int, child: Node):
         """Shock-level transitions (weight, next index, d_kappa/d_s); for impulse responses."""

@@ -100,15 +100,11 @@ class PersistenceTransforms:
         hit = self._delta.get(key)
         if hit is not None:
             return hit
-        walker = self.walker
-        a_own, a_idx = walker.own_action(i, node, s_idx)
         total = 0.0
         plans = self.carriers.conjecture.plans(i, node)
-        for w, _, br in walker.own_branches(i, node, plans, a_own):
-            child = walker.child_after(i, node, s_idx, a_idx, br)
-            for pp, j2 in walker.own_kernel(i, node, s_idx, child):
-                us = self.project(i, child, j2)
-                total += w * pp * (self.carriers.mg(i, child, us) + self.delta_bar(i, child, us))
+        for w, child, j2 in self.walker.next_states(i, node, s_idx, plans):
+            us = self.project(i, child, j2)
+            total += w * (self.carriers.mg(i, child, us) + self.delta_bar(i, child, us))
         total -= self.carriers.expected_next_mg(i, node, s_idx)
         self._delta[key] = total
         return total
@@ -144,15 +140,11 @@ class PersistenceTransforms:
     def _barrier_walk(self, i, node, s_idx, plan, bad) -> None:
         if node.t >= self.game.horizon:
             return
-        walker = self.walker
-        a_own, a_idx = walker.own_action(i, node, s_idx)
-        for _, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
-            child = walker.child_after(i, node, s_idx, a_idx, br)
-            for _, j2 in walker.own_kernel(i, node, s_idx, child):
-                us = self.project(i, child, j2)
-                if self._violates(i, child, us):
-                    bad.append((child.t, child.key, us))
-                self._barrier_walk(i, child, us, plan, bad)
+        for _, child, j2 in self.walker.next_states(i, node, s_idx, ((1.0, plan),)):
+            us = self.project(i, child, j2)
+            if self._violates(i, child, us):
+                bad.append((child.t, child.key, us))
+            self._barrier_walk(i, child, us, plan, bad)
 
     def barrier_violations_mc(self, i: int, node: Node, s_idx: int,
                               n_paths: int, seed: int) -> int:

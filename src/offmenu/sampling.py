@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .histories import Node, OppPlan, TreeWalker
+if TYPE_CHECKING:
+    from .histories import Node, OppPlan, TreeWalker
 
 __all__ = ["CHUNK", "choice_cdf", "inverse_cdf_draws", "PathSampler"]
 
@@ -138,7 +139,8 @@ class PathSampler:
     ``payload(node, s_idx, actions, pos)`` gives a step's value, ``pos`` being
     the menu slot the agent plays (0.0 without a payload).  ``after(child,
     s2)`` gives (next own state, value) after a transition to own state
-    ``s2`` at ``child``.  Own transitions come from ``TreeWalker.own_kernel``.
+    ``s2`` at ``child``.  Own transitions are drawn from the full grid row's
+    ``TreeWalker.draw_table``, read at the support of ``TreeWalker.own_kernel``.
     The first action of a path is menu slot ``a_pos`` when given, obedient
     otherwise; later actions are obedient.  ``scalar_paths`` counts the paths
     the scalar walk took.
@@ -290,9 +292,9 @@ class PathSampler:
         c, b = self._sfrom[st]
         node, s_idx, branches, _, a_idx, _ = self._cells[c]
         child = self._child[st] = self.walker.child_after(self.i, node, s_idx, a_idx, branches[b])
-        outcomes = self._tout[st] = self.walker.own_kernel(self.i, node, s_idx, child)
-        w = np.array([o[0] for o in outcomes])
-        self._tcdf[st] = choice_cdf(w / w.sum())
+        outcomes = self._tout[st] = self.walker.own_kernel(self.i, child, s_idx)
+        cdf = self.walker.draw_table(self.i, child, s_idx)
+        self._tcdf[st] = [cdf[j] for _, j in outcomes]
         self._next[st] = [-1] * len(outcomes)
         self._aval[st] = [0.0] * len(outcomes)
         self._ncell[st] = [-1] * len(outcomes)

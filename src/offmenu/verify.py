@@ -205,7 +205,7 @@ def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
             cont = 0.0
             if node.t < game.horizon:
                 child = walker.child_after(i, node, s, a_idx, br)
-                for pp, s2 in walker.own_kernel(i, node, s, child):
+                for pp, s2 in walker.own_kernel(i, child, s):
                     cont += pp * then(i, child, s2, plan)
             total += w * (z + cont)
         return total
@@ -384,16 +384,12 @@ def _terminal_walk(engine: Engine, memo, kind, node_id, i, node, s, plan, a_pos,
         hit = memo.get(key)
         if hit is not None:
             return hit
-    walker = engine.walker
-    a_own, a_idx = walker.own_action(i, node, s, a_pos)
     total = [0.0] * (horizon - node.t + 1)
-    for w, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
-        child = walker.child_after(i, node, s, a_idx, br)
-        for pp, s2 in walker.own_kernel(i, node, s, child):
-            total[0] += w * pp * leaf(i, child, s2)
-            for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, child, s2,
-                                                 plan, None, leaf), 1):
-                total[k] += w * pp * v
+    for w, child, s2 in engine.walker.next_states(i, node, s, ((1.0, plan),), a_pos):
+        total[0] += w * leaf(i, child, s2)
+        for k, v in enumerate(_terminal_walk(engine, memo, kind, node_id, i, child, s2,
+                                             plan, None, leaf), 1):
+            total[k] += w * v
     if a_pos is None:
         memo[key] = total
     return total

@@ -478,10 +478,10 @@ class PerPlanIndexEngine(Engine):
             if node.t < self.game.horizon:
                 child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
                 if L > node.t:
-                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
+                    for pp, s2 in self.walker.own_kernel(i, child, s_idx):
                         cont += pp * self._g_at(i, child, s2, L, None, plan)
                 elif interval_keyed:
-                    for pp, s2 in self.walker.own_kernel(i, node, s_idx, child):
+                    for pp, s2 in self.walker.own_kernel(i, child, s_idx):
                         cont += pp * phi.value(i, child, s2)
                 else:
                     cont = phi.value(i, child)

@@ -156,7 +156,7 @@ def test_marginal_carrier_vs_enumerated_shock_expectation(g1):
         a, a_idx = walker.own_action(0, root, s)
         br = list(walker.other_branches(0, root, plan))[0]
         child = walker.child_after(0, root, s, a_idx, br)
-        exp = sum(p * car.mg(0, child, j) for p, j in walker.own_kernel(0, root, s, child))
+        exp = sum(p * car.mg(0, child, j) for p, j in walker.own_kernel(0, child, s))
         assert car.marginal_carrier(0, root, s) == pytest.approx(
             car.mg(0, root, s) - exp, abs=1e-12)
 

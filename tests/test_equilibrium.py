@@ -410,7 +410,7 @@ def test_dp_recursion_equals_plan_semantics_on_synthesized(doublewell):
             child = engine.walker.child_after(i, node, s, a_idx, br)
             cont = 0.0
             if node.t < game.horizon:
-                for pp, s2 in engine.walker.own_kernel(i, node, s, child):
+                for pp, s2 in engine.walker.own_kernel(i, child, s):
                     cont += pp * dp(i, child, s2)
             stay += br.prob * (z + cont)
         return max(quit_val, stay)

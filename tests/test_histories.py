@@ -24,6 +24,7 @@ from offmenu.histories import (
 )
 from offmenu.mechanism import Mechanism, TaskPolicy, ZeroCoupling, ZeroOffSwitch
 from offmenu.model import DynamicsModel, GameError, Grid, ShockModel
+from offmenu.sampling import choice_cdf
 from offmenu.scenario import bundled_scenarios, load_scenario
 
 CLOSURES = ("reachable_nodes", "one_shot_closure")
@@ -185,6 +186,18 @@ def _direct(game, store, i, node, s_prev):
     return tuple((float(p), j) for j, p in enumerate(probs) if p > 0.0)
 
 
+def _direct_table(game, store, i, node, s_prev):
+    """The table ``rng.choice`` searches for agent i's state at node.t, normalized
+    as the per-draw samplers normalize it: the kernel row by its numpy sum, the
+    initial row by Python's."""
+    if s_prev is None:
+        dist = game.initial_dist(i)
+        return choice_cdf(np.asarray(dist) / sum(dist))
+    probs, _ = game.kernel(i, node.t, game.grid(i, node.t - 1).value(s_prev),
+                           store.history(node))
+    return choice_cdf(probs / probs.sum())
+
+
 def _transition_case(case):
     """(game, policy, plan): kernels that read the last record, the whole history, or neither."""
     if case == "action-feedback":
@@ -216,6 +229,9 @@ def test_beliefs_and_own_kernels_equal_direct_kernel_calls(case):
     store = walker.store
     assert store.window == {"action-feedback": 1, "quit": 0}.get(case)
     quit_cells = 0
+    root = store.root()
+    for i in game.agents():
+        assert walker.draw_table(i, root, None) == _direct_table(game, store, i, root, None)
     for node in LoopWalker(game, sigma, store=store).full_state_closure(plan):
         for i in game.agents():
             if i in node.active:
@@ -233,6 +249,8 @@ def test_beliefs_and_own_kernels_equal_direct_kernel_calls(case):
                     a_own, a_idx = walker.own_action(i, node, s, slot)
                     for _, _, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
                         child = walker.child_after(i, node, s, a_idx, br)
-                        assert walker.own_kernel(i, node, s, child) == _direct(game, store, i,
+                        assert walker.own_kernel(i, child, s) == _direct(game, store, i,
                                                                                child, s)
+                        assert walker.draw_table(i, child, s) == _direct_table(game, store, i,
+                                                                              child, s)
     assert quit_cells or case != "quit"

@@ -1,16 +1,20 @@
 """Differential tests of the path samplers against per-draw ``rng.choice`` loops.
 
 The reference functions below are the samplers as they were written before
-the shared inverse-CDF core: one ``rng.choice(p=...)`` per draw and every
-step rebuilt on every visit.  Each comparison builds two independent copies
-of an instance, runs the same calls on both, one copy through the reference
+the shared inverse-CDF core: one ``rng.choice(p=...)`` per draw, an own
+transition's over the agent's full grid row, and every step rebuilt on
+every visit.  Each comparison builds two independent copies of an
+instance, runs the same calls on both, one copy through the reference
 loops and one through the engine, and asserts exact equality of every
 result and of the interning order of the node stores (node keys feed the
-random instances' posted values and the report's witnesses).  An instance
-with late first visits checks the block walk where builds fall between
-blocks; a work count and a subprocess guard pin how many paths are walked
-one at a time and how many doubles are drawn at once, and another work
-count pins the calls ``simulate`` makes, once per period cell.
+random instances' posted values and the report's witnesses).  A 9-point
+instance has kernel rows whose full-row and support-only normalizations
+differ, and its own-transition tables are pinned to the full row.  An
+instance with late first visits checks the block walk where builds fall
+between blocks; a work count and a subprocess guard pin how many paths
+are walked one at a time and how many doubles are drawn at once, and
+another work count pins the calls ``simulate`` makes, once per period
+cell.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import EmpiricalOutcome, Engine
 from offmenu.histories import NodeStore, ProfileConjecture
 from offmenu.mechanism import BoundaryProfile, CallableCoupling, CallableOffSwitch, Mechanism
-from offmenu.model import BaseGame, DynamicsModel, ShockModel
+from offmenu.model import BaseGame, DynamicsModel, Grid, ShockModel
 from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import partition_from_boundary
 from offmenu.run import run_scenario
@@ -41,11 +45,18 @@ from conftest import (DOUBLEWELL_SLOPES, IDENTITY, exo_game, make_game, pw_rewar
                       synth)
 
 SAMPLES = 120
+GRID9 = Grid(0.0, 1.0, 9)
 
 
 # ---------------------------------------------------------------------------
 # Reference samplers: one rng.choice per draw
 # ---------------------------------------------------------------------------
+
+
+def ref_next_state(rng, game, store, i, child, s):
+    """Agent i's state at ``child`` from ``s``: one ``rng.choice`` over its full grid row."""
+    probs, _ = game.kernel(i, child.t, game.grid(i, child.t - 1).value(s), store.history(child))
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
 def ref_prospect_mc(engine, i, node, s_idx, x, n_samples, seed, a_pos=None):
@@ -80,9 +91,7 @@ def ref_prospect_mc(engine, i, node, s_idx, x, n_samples, seed, a_pos=None):
                 vals[k - node.t] = acc
                 break
             child = engine.walker.child_after(i, cur_node, cur_s, a_own_idx, br)
-            kernel = engine.walker.own_kernel(i, cur_node, cur_s, child)
-            pv = np.array([p for p, _ in kernel])
-            nxt = kernel[rng.choice(len(kernel), p=pv / pv.sum())][1]
+            nxt = ref_next_state(rng, engine.game, engine.store, i, child, cur_s)
             vals[k - node.t] = acc + (engine.mechanism.phi.value(i, child, nxt)
                                       if engine.mechanism.phi.state_dependent()
                                       else engine.phi_value(i, child))
@@ -109,9 +118,7 @@ def ref_barrier_violations_mc(tr, i, node, s_idx, n_paths, seed):
             br = branches[rng.choice(len(branches), p=bw / bw.sum())]
             _, a_idx = tr.walker.own_action(i, cur, s)
             child = tr.walker.child_after(i, cur, s, a_idx, br)
-            kern = tr.walker.own_kernel(i, cur, s, child)
-            kw = np.array([p for p, _ in kern])
-            j2 = kern[rng.choice(len(kern), p=kw / kw.sum())][1]
+            j2 = ref_next_state(rng, tr.game, tr.walker.store, i, child, s)
             us = tr.project(i, child, j2)
             part = tr.partitions.get((i, child.t))
             if part is not None:
@@ -159,9 +166,7 @@ def ref_simulate(engine, n_paths, seed):
                 break
             child = engine.store.child(node, states, quitters, actions_idx)
             for i in sorted(alive):
-                probs, _ = game.kernel(i, t + 1, game.grid(i, t).value(states[i]),
-                                       engine.store.history(child))
-                states[i] = int(rng.choice(len(probs), p=probs / probs.sum()))
+                states[i] = ref_next_state(rng, game, engine.store, i, child, states[i])
             node = child
     return EmpiricalOutcome(
         n_paths=n_paths, seed=seed,
@@ -198,7 +203,18 @@ def random_bundle(seed):
             "transforms": PersistenceTransforms(carriers, parts)}
 
 
-INSTANCES = ([("double-well", doublewell_bundle), ("pair-doublewell", lambda: doublewell_bundle(2))]
+def additive9_bundle():
+    """One agent on 9 grid points with clamped additive dynamics: kernel rows
+    with zero-mass states, where numpy's pairwise ``probs.sum()`` over the full
+    row can differ in the last bit from a sum over the support alone."""
+    shocks = ShockModel((-0.25, -0.125, 0.0, 0.125, 0.25), (0.4, 0.3, 0.2, 0.098, 0.002))
+    _, carriers, transforms, conj, engine, *_ = synth(make_game(grid=GRID9, shocks=shocks),
+                                                      "horizontal", [0.25, 0.25, 0.75, 0.75])
+    return {"engine": engine, "conj": conj, "carriers": carriers, "transforms": transforms}
+
+
+INSTANCES = ([("double-well", doublewell_bundle), ("pair-doublewell", lambda: doublewell_bundle(2)),
+              ("additive-9", additive9_bundle)]
              + [(f"random-{seed}", lambda seed=seed: random_bundle(seed)) for seed in range(10)])
 
 
@@ -407,8 +423,9 @@ def test_simulate_matches_the_per_draw_loop_across_chunks(monkeypatch):
 
 
 # the calls ``simulate`` makes on bundled pair-churn (10,000 paths, 2,732
-# agent-cells): a fallback to per-visit work asks the directive about 39,000 times
-PAIR_CHURN_SIMULATE_CALLS = {"kernel": 48, "reward": 492, "phi_value": 100, "child": 228,
+# agent-cells): a fallback to per-visit work asks the directive about 39,000 times;
+# its draw tables come from the transition records the checks built, so no kernel call
+PAIR_CHURN_SIMULATE_CALLS = {"kernel": 0, "reward": 492, "phi_value": 100, "child": 228,
                              "directive_quit": 2_732}
 
 
@@ -554,24 +571,52 @@ def test_choice_cdf_accepts_what_choice_accepts():
 
 @pytest.mark.parametrize("row", [(1.5, -0.5), (float("nan"), 1.0)])
 def test_bad_kernel_row_still_raises(row):
+    # one row, injected through the game, reaches every draw: both path
+    # samplers and ``simulate`` draw own transitions from the walker's records
     b = doublewell_bundle()
-    engine, walker = b["engine"], b["engine"].walker
-    root = engine.root()
-    walker.own_kernel = lambda i, node, s, child: ((row[0], 0), (row[1], 1))
-    with pytest.raises(ValueError):
-        ref_prospect_mc(engine, 0, root, 2, b["conj"], 5, 1)
-    with pytest.raises(ValueError):
-        engine.prospect_mc(0, root, 2, b["conj"], 5, 1)
-    with pytest.raises(ValueError):
-        b["transforms"].barrier_violations_mc(0, root, 2, 5, 1)
+    engine = b["engine"]
     game = engine.game
     bad = np.zeros(game.grid(0, 2).points)
     bad[:2] = row
-    object.__setattr__(game, "kernel", lambda *a: (bad.copy(), []))
-    with pytest.raises(ValueError):
-        ref_simulate(engine, 5, 1)
-    with pytest.raises(ValueError):
-        engine.simulate(5, 1)
+    branches = [(row[0], 0.0, 0), (row[1], 0.25, 1)]   # (weight, shock, state), as ``kernel``
+    object.__setattr__(game, "kernel", lambda *a: (bad.copy(), list(branches)))
+    engine.walker._transitions.clear()   # the records synthesis built from the real kernel
+    root = engine.root()
+    calls = (lambda: ref_prospect_mc(engine, 0, root, 2, b["conj"], 5, 1),
+             lambda: engine.prospect_mc(0, root, 2, b["conj"], 5, 1),
+             lambda: b["transforms"].barrier_violations_mc(0, root, 2, 5, 1),
+             lambda: ref_simulate(engine, 5, 1),
+             lambda: engine.simulate(5, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="(?i)^probabilities"):
+            call()
+
+
+def test_own_transition_tables_follow_the_full_grid_row(recording):
+    """Every own-transition table the sampler builds is ``choice``'s table
+    over the full grid row, read at the support states; on the 9-point
+    instance some differ from a table over the support alone."""
+    b = additive9_bundle()
+    engine, conj = b["engine"], b["conj"]
+    game, store = engine.game, engine.store
+    root = engine.root()
+    for s in range(game.grid(0, 1).points):
+        engine.prospect_mc(0, root, s, conj, SAMPLES, 3)
+    moved = 0
+    for paths in recording:
+        for st, table in enumerate(paths._tcdf):
+            if table is None:
+                continue
+            child, (c, _) = paths._child[st], paths._sfrom[st]
+            s = paths._cells[c][1]
+            probs, _ = game.kernel(0, child.t, game.grid(0, child.t - 1).value(s),
+                                   store.history(child))
+            full = choice_cdf(probs / probs.sum())
+            support = [j for j, p in enumerate(probs) if p > 0.0]
+            assert table == [full[j] for j in support]
+            w = probs[support]
+            moved += table != choice_cdf(w / w.sum())
+    assert moved > 0
 
 
 def test_check_doic_mc_passes_on_g2_appendix():

@@ -10,7 +10,9 @@ indices, and sampled paths are walked only by ``PathSampler``.  This scan
 of the package source (``oracle.py`` excepted: it is the independent
 reference) fails when a hand-rolled copy of either loop, a fourth closure,
 another reader, a per-L prospect loop or a per-path sampling loop comes
-back.
+back.  The agent's next step has one owner: the walker's transition
+records are the only kernel reader on a tree cell, and own transitions are
+drawn from their tables and walked through ``TreeWalker.next_states``.
 
 Period T is terminal in one place, ``TreeWalker._closure``: no closure's
 successor function reads the horizon and ``live_cells`` takes no horizon
@@ -75,6 +77,31 @@ def _path_loops():
 def _tol(call: ast.Call):
     args = [kw.value for kw in call.keywords if kw.arg == "tol"] + call.args[1:2]
     return [a.value for a in args if isinstance(a, ast.Constant)]
+
+
+def _kernel_readers():
+    return {(f, scope) for f, scope, _ in _calls("kernel")}
+
+
+def test_the_next_step_has_one_owner():
+    # the transition law comes from the kernel only through the walker's
+    # records, and through the two readers of a whole current grid at one history
+    assert _kernel_readers() == {("histories.py", "TreeWalker._record"),
+                                 ("regions.py", "_cdf_matrix"),
+                                 ("model.py", "BaseGame.validate_full_support")}
+    # own transitions are drawn from the records' tables; the sampler builds
+    # only its plan and branch tables
+    assert _named_calls("choice_cdf") == {("histories.py", "TreeWalker.draw_table"),
+                                          ("sampling.py", "PathSampler.__init__"),
+                                          ("sampling.py", "PathSampler._cell")}
+    # every other own step goes through ``next_states``: these walks add a flow
+    # per branch before the kernel sum, or draw the branch
+    assert {(f, s) for f, s, _ in _calls("child_after")} == {
+        ("histories.py", "TreeWalker.next_states"),
+        ("equilibrium.py", "Engine._step"),
+        ("carrier.py", "CarrierTables._q_plan"),
+        ("verify.py", "audit_full_deviations.stay"),
+        ("sampling.py", "PathSampler._transition")}
 
 
 def test_other_branches_is_called_only_by_own_branches_and_the_path_sampler():
@@ -167,7 +194,10 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
             "        def successors(node, tag):\n",
             "        def successors(node, tag):\n"
             "            if node.t == self.game.horizon:\n"
-            "                return\n"))
+            "                return\n").replace(
+            "        outcomes = self._tout[st] = ",
+            "        self.walker.game.kernel(self.i, child.t, 0.0, ())\n"
+            "        outcomes = self._tout[st] = "))
     (planted / "extra.py").write_text(
         "def walk(walker, i, node, plan, grid, a, mech, engine, x):\n"
         "    g = [engine.prospect(i, node, 0, L, x) for L in (1, 2)]\n"
@@ -188,3 +218,4 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     assert ("extra.py", "sample") in _named_calls("bisect_right")
     assert ("extra.py", "sample") in _path_loops()
     assert {("histories.py", f"{c}.successors") for c in CLOSURES[:2]} <= _horizon_readers()
+    assert ("sampling.py", "PathSampler._transition") in _kernel_readers()

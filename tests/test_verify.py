@@ -413,7 +413,7 @@ def _walk_unmemoized(engine, i, node, s, L, plan, a_pos, leaf_fn):
     total = 0.0
     for br in engine.walker.other_branches(i, node, plan):
         child = engine.walker.child_after(i, node, s, a_idx, br)
-        for pp, s2 in engine.walker.own_kernel(i, node, s, child):
+        for pp, s2 in engine.walker.own_kernel(i, child, s):
             if node.t == L:
                 total += br.prob * pp * leaf_fn(child, s2)
             else:

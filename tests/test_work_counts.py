@@ -62,9 +62,12 @@ def test_pair_churn_reads_each_transition_record_from_one_kernel_call(monkeypatc
     shocks = _counting(monkeypatch, TreeWalker, "own_shock_branches")
     result = run_scenario("pair-churn", None, {})
     assert result.passed
-    # 1,400 shock-branch reads; 1,738 kernel calls when each read made its own
+    # 1,400 shock-branch reads; 1,738 kernel calls when each read made its own.
+    # Of the rest, 120 build records, 130 are detect_monotone's CDF matrices and
+    # 40 the support check's; simulate draws from the records (338 when it
+    # called the kernel for its own tables)
     assert len(shocks) > len(kernels)
-    assert len(kernels) <= 338
+    assert len(kernels) <= 290
     records = result.engine.walker._transitions.values()
     assert sum(1 for rec in records if rec[1]) <= len(kernels)
 
