@@ -15,7 +15,7 @@ last record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .model import DynamicsModel, GameError, Grid, RewardModel
@@ -139,10 +139,16 @@ class piecewise_quadratic:
 
     grid: Grid
     slopes: tuple[float, ...]
+    # _bases[j]: the trapezoids below node j, summed from the bottom node up
+    _bases: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.slopes) != self.grid.points:
             raise GameError("need one slope per grid node")
+        bases = [0.0]
+        for k in range(self.grid.points - 2):
+            bases.append(bases[k] + 0.5 * (self.slopes[k] + self.slopes[k + 1]) * self.grid.step)
+        object.__setattr__(self, "_bases", tuple(bases))
 
     def _cell(self, s: float) -> int:
         return min(max(int((s - self.grid.lo) / self.grid.step), 0), self.grid.points - 2)
@@ -154,11 +160,8 @@ class piecewise_quadratic:
 
     def value(self, s: float) -> float:
         j = self._cell(s)
-        base = 0.0
-        for k in range(j):
-            base += 0.5 * (self.slopes[k] + self.slopes[k + 1]) * self.grid.step
         ds = s - self.grid.value(j)
-        return base + self.slopes[j] * ds + 0.5 * (self.deriv(s) - self.slopes[j]) * ds
+        return self._bases[j] + self.slopes[j] * ds + 0.5 * (self.deriv(s) - self.slopes[j]) * ds
 
 
 def _rw_linear_state(params):

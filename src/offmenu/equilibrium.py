@@ -13,8 +13,11 @@ one backward recursion, so a staying value reads its max over plans from
 one entry.  The recursion reads only these, since continuation play is
 obedient.  ``_rows`` holds, per cell, one such tuple per menu slot played
 first: every check of a one-shot deviation compares the obedient action
-with the whole menu, so a row is filled slot by slot in menu order at the
-first deviation read of its cell.  Its obedient slot is the ``_g`` entry.
+with the whole menu, so a row is filled by one ``_step`` call at the first
+deviation read of its cell.  Its obedient slot is the ``_g`` entry.  At
+period T a prospect is the expected one-period flow, and the row is built
+branch by branch, every slot's flow added per branch; before T the slots
+are walked in menu order, the order in which their children intern.
 Each slot and each L is summed with the same float operations in the same
 order as a recursion for that slot and L alone.
 
@@ -211,77 +214,105 @@ class Engine:
                 plan_id: int) -> tuple[float, ...]:
         """One plan's obedient prospects for L = node.t..T, memoized per cell."""
         # memo_key inlined: most reads are hits, so the hit path is the key and one get
-        key = (i, node.lump if self._markov else node.key, s_idx, plan_id)
-        hit = self._g.get(key)
+        hit = self._g.get((i, node.lump if self._markov else node.key, s_idx, plan_id))
         if hit is not None:
             return hit
-        self._guard()
-        pos = self.walker.own_slot(i, node, s_idx)
-        out = self._g[key] = self._step(i, node, s_idx, pos, plan, plan_id)
-        return out
+        return self._step(i, node, s_idx, (self.walker.own_slot(i, node, s_idx),), plan,
+                          plan_id)[0]
 
     def _rows_of(self, i: int, node: Node, s_idx: int,
                  plans: Sequence[tuple[float, OppPlan]]) -> list[tuple[tuple[float, ...], ...]]:
         """Each plan's row: its prospects of every menu slot played first.
 
         A row's obedient slot is the cell's ``_g`` entry; every other slot is
-        a one-shot deviation followed by obedient play.  Missing rows are
-        filled slot by slot in menu order, each slot over the plans in turn,
-        so nodes intern in the order of one read per (slot, plan).
+        a one-shot deviation followed by obedient play.  One missing row is
+        filled by one ``_step`` call over the whole menu.  Several are filled
+        slot by slot in menu order, each slot over the plans in turn, so
+        nodes intern in the order of one read per (slot, plan).
         """
         memo_id = node.lump if self._markov else node.key
         keys = [(i, memo_id, s_idx, self.walker.plan_id(plan)) for _, plan in plans]
         rows = [self._rows.get(key) for key in keys]
         if None in rows:
-            menu = self.walker.menu(i, node)
-            obedient = menu.action_index_of_state[s_idx]
+            slots = range(len(self.walker.menu(i, node).actions))
             todo = {key[3]: plan for key, (_, plan), row in zip(keys, plans, rows) if row is None}
             # the new slots count before they are filled, so the entries their
             # deviations open find the table as full as it will be
-            new = len(menu.actions) * len(todo)
+            new = len(slots) * len(todo)
             self._guard(new)
             self._row_slots += new
-            slots = [self._g_plan(i, node, s_idx, plan, pid) if pos == obedient
-                     else self._step(i, node, s_idx, pos, plan, pid)
-                     for pos in range(len(menu.actions)) for pid, plan in todo.items()]
+            if len(todo) == 1:
+                (pid, plan), = todo.items()
+                filled = self._step(i, node, s_idx, slots, plan, pid)
+            else:
+                filled = [self._step(i, node, s_idx, (pos,), plan, pid)[0]
+                          for pos in slots for pid, plan in todo.items()]
             for k, pid in enumerate(todo):
-                self._rows[(i, memo_id, s_idx, pid)] = tuple(slots[k::len(todo)])
+                self._rows[(i, memo_id, s_idx, pid)] = tuple(filled[k::len(todo)])
             rows = [self._rows[key] for key in keys]
         return rows
 
-    def _step(self, i: int, node: Node, s_idx: int, pos: int, plan: OppPlan,
-              plan_id: int) -> tuple[float, ...]:
-        """Prospects for L = node.t..T of playing menu slot ``pos`` now, then obediently.
+    def _step(self, i: int, node: Node, s_idx: int, slots: Sequence[int], plan: OppPlan,
+              plan_id: int) -> list[tuple[float, ...]]:
+        """Prospects for L = node.t..T of playing each menu slot in ``slots``
+        now, then obediently, in the order of ``slots``.
 
-        Entry 0 ends with the off-switch at the children; entry k >= 1 ends
-        with entry k - 1 of the children's obedient prospects.  Each entry
-        takes the same float operations, in the same order, as a recursion
-        for its L alone.
+        The obedient slot is the cell's ``_g`` entry: read when present, else
+        computed here and kept.  Entry 0 ends with the off-switch at the
+        children; entry k >= 1 ends with entry k - 1 of the children's
+        obedient prospects.  Each slot and entry takes the same float
+        operations, in the same order, as a recursion for it alone.
+
+        At period T a prospect is the expected flow, since quitting after the
+        horizon pays 0: one ``own_branches`` pass adds every slot's flow
+        branch by branch.  Before T the slots are walked one after another,
+        because ``child_after`` interns the children in that order.
         """
-        a_own, a_own_idx = self.walker.own_action(i, node, s_idx, pos)
-        phi = self.mechanism.phi
-        interval_keyed = phi.state_dependent()
+        menu = self.walker.menu(i, node)
+        obedient = menu.action_index_of_state[s_idx]
+        g_key = (i, node.lump if self._markov else node.key, s_idx, plan_id)
+        todo = [pos for pos in slots if pos != obedient or g_key not in self._g]
         n = self.game.horizon - node.t + 1
-        total = [0.0] * n
-        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
-            z = self.flow(i, node, s_idx, actions, pos)
-            if n == 1:   # period T: quitting after the horizon pays 0
-                total[0] += w * (z + 0.0)
-                continue
-            child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-            kernel = self.walker.own_kernel(i, child, s_idx)
-            if interval_keyed:
-                c0 = 0.0
-                for pp, s2 in kernel:
-                    c0 += pp * phi.value(i, child, s2)
-            else:
-                c0 = phi.value(i, child)
-            cont = [c0] + [0.0] * (n - 1)
-            for pp, s2 in kernel:
-                for k, v in enumerate(self._g_plan(i, child, s2, plan, plan_id), 1):
-                    cont[k] += pp * v
-            total = [acc + w * (z + c) for acc, c in zip(total, cont)]
-        return tuple(total)
+        if n == 1:
+            if obedient in todo:
+                self._guard()
+            sums = [0.0] * len(todo)
+            for w, actions, _ in self.walker.own_branches(i, node, ((1.0, plan),),
+                                                          menu.actions[obedient]):
+                for k, pos in enumerate(todo):
+                    actions[i] = menu.actions[pos]
+                    sums[k] += w * (self.flow(i, node, s_idx, actions, pos) + 0.0)
+            filled = {pos: (v,) for pos, v in zip(todo, sums)}
+            if obedient in filled:
+                self._g[g_key] = filled[obedient]
+        else:
+            phi = self.mechanism.phi
+            interval_keyed = phi.state_dependent()
+            filled = {}
+            for pos in todo:
+                if pos == obedient:
+                    self._guard()
+                a_own, a_own_idx = menu.actions[pos], menu.grid_indices[pos]
+                total = [0.0] * n
+                for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
+                    z = self.flow(i, node, s_idx, actions, pos)
+                    child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
+                    kernel = self.walker.own_kernel(i, child, s_idx)
+                    if interval_keyed:
+                        c0 = 0.0
+                        for pp, s2 in kernel:
+                            c0 += pp * phi.value(i, child, s2)
+                    else:
+                        c0 = phi.value(i, child)
+                    cont = [c0] + [0.0] * (n - 1)
+                    for pp, s2 in kernel:
+                        for k, v in enumerate(self._g_plan(i, child, s2, plan, plan_id), 1):
+                            cont[k] += pp * v
+                    total = [acc + w * (z + c) for acc, c in zip(total, cont)]
+                filled[pos] = tuple(total)
+                if pos == obedient:
+                    self._g[g_key] = filled[pos]
+        return [self._g[g_key] if pos == obedient else filled[pos] for pos in slots]
 
     # -- payoff-to-go, on-rent, best response ---------------------------------
 

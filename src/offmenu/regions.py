@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .carrier import CarrierTables
-from .histories import live_cells
+from .histories import Node, TreeWalker, live_cells
 from .mechanism import BoundaryProfile
 from .model import BaseGame, GameError, Grid
 
@@ -110,12 +110,20 @@ def off_regions(game: BaseGame, partitions: PartitionSet) -> dict[tuple[int, int
     return out
 
 
-def _cdf_matrix(game: BaseGame, i: int, t: int, history) -> np.ndarray:
-    """Rows: current state; columns: running CDF over next-period grid nodes."""
-    grid = game.grid(i, t)
+def _cdf_matrix(walker: TreeWalker, i: int, node: Node) -> np.ndarray:
+    """Rows: current state; columns: running CDF over next-period grid nodes.
+
+    Row j's kernel reads the node's t - 1 records and then the period-t
+    record of agent i playing its menu action at state j, the t records a
+    transition record at the child after that action reads.
+    """
+    game = walker.game
+    grid = game.grid(i, node.t)
+    history = walker.store.history(node)
     rows = []
     for j in range(grid.points):
-        probs, _ = game.kernel(i, t + 1, grid.value(j), history)
+        record = {i: walker.own_action(i, node, j)[0]}
+        probs, _ = game.kernel(i, node.t + 1, grid.value(j), history + (record,))
         rows.append(np.cumsum(probs))
     return np.array(rows)
 
@@ -134,7 +142,7 @@ def detect_monotone(carriers: CarrierTables, nodes, tol: float = 1e-9) -> Monoto
     marginal carrier is monotone in the state and every next-period CDF
     column is counter-monotone in the current state.
     """
-    game, store = carriers.game, carriers.walker.store
+    game = carriers.game
     ok_inc, ok_dec = True, True
     wit_inc = wit_dec = None
     for i, node in live_cells(nodes):
@@ -148,7 +156,7 @@ def detect_monotone(carriers: CarrierTables, nodes, tol: float = 1e-9) -> Monoto
                 wit_dec = wit_dec or {"kind": "zeta", "agent": i, "node": node.key, "state": j}
         if node.t >= game.horizon:
             continue
-        cdf = _cdf_matrix(game, i, node.t, store.history(node))
+        cdf = _cdf_matrix(carriers.walker, i, node)
         for j in range(cdf.shape[0] - 1):
             for col in range(cdf.shape[1]):
                 if cdf[j + 1, col] > cdf[j, col] + tol:

@@ -328,6 +328,9 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
     hats: dict[tuple, list[float]] = {}   # stripped prospects of the pretended states
     for i, node, s in _cells(engine, nodes):
         cutoffs = range(node.t, game.horizon + 1)
+        # at period T every leaf lies past the horizon, where it pays 0, so
+        # each walk is [0.0] and none is made
+        last = node.t == game.horizon
         # every slot's walks first, then the row: the end walks intern the
         # nodes the row's deviations reach, in the order of one read per slot
         walks = []
@@ -335,15 +338,17 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
             s_hat = states[-1]
             hat = hats.get((i, node.key, s_hat))
             if hat is None:
-                phis = _terminal_walks(engine, memo, "phi", engine.memo_key, i, node, s_hat,
-                                       x, None, phi.value)
+                phis = [0.0] if last else _terminal_walks(engine, memo, "phi", engine.memo_key,
+                                                          i, node, s_hat, x, None, phi.value)
                 hat = hats[(i, node.key, s_hat)] = [
                     g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)]
-            walks.append((s_hat, hat, _terminal_walks(engine, memo, "end", _full_history, i,
-                                                      node, s, x, pos, end_leaf)))
-        for (s_hat, hat, ends), dev in zip(walks, engine.slot_prospects(i, node, s, x)):
-            for L, h, g, e in zip(cutoffs, hat, dev, ends):
-                lhs = carriers.carrier(i, node, s_hat, L) - carriers.carrier(i, node, s, L)
+            walks.append((s_hat, hat, [0.0] if last else _terminal_walks(
+                engine, memo, "end", _full_history, i, node, s, x, pos, end_leaf)))
+        devs = engine.slot_prospects(i, node, s, x)
+        own = [carriers.carrier(i, node, s, L) for L in cutoffs]
+        for (s_hat, hat, ends), dev in zip(walks, devs):
+            for L, c, h, g, e in zip(cutoffs, own, hat, dev, ends):
+                lhs = carriers.carrier(i, node, s_hat, L) - c
                 rhs = h - (g - e)
                 margin = rhs - lhs
                 if margin < worst_c3:
@@ -360,9 +365,10 @@ def _terminal_walks(engine: Engine, memo, kind, node_id, i, node, s, x, a_pos, l
 
     Period T is terminal: at L = T every leaf is past the horizon, where
     neither the off-switch nor the posted factor pays anything, so the
-    expectation is 0 and no leaf is built.  ``node_id(node)`` keys the memo
-    of obedient walks: the Markov class when the leaf values are class
-    functions, else the full history.
+    expectation is 0 and no leaf is built.  flow-c3 therefore walks only
+    cells before T; a walk reaching period T ends there with [0.0].
+    ``node_id(node)`` keys the memo of obedient walks: the Markov class
+    when the leaf values are class functions, else the full history.
     """
     total = [0.0] * (engine.game.horizon - node.t + 1)
     for p, plan in x.plans(i, node):

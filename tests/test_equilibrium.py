@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +145,48 @@ def test_prospect_vectors_equal_per_plan_index_recursion_on_a_window_one_game(ra
     assert engine.store.window == 1
     assert _assert_prospect_vectors_equal_per_plan_index(engine, result.conjecture,
                                                          result.nodes) > 0
+
+
+# the store order after the fill below, as the fill one step per slot gave it
+SEVERAL_PLAN_FILL_NODES = "78610770bccd50db38476149afdf4322d0dc52b4c3fe84966eac28f397f57121"
+
+
+def test_rows_of_several_plans_match_the_per_plan_index_recursion_slot_by_slot():
+    """Two agents, several branches at period T, and a conjecture of several
+    plans built as ``om_fixed_point`` builds it: the rows filled at the first
+    read of each cell match the per-L reference in every slot, and the nodes
+    their deviations open intern in the order pinned above.  The reward
+    reads the other agent's action, so the flows differ across branches and
+    their order shows in the sums."""
+    raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
+    raw["rewards"]["params"]["spill"] = 0.3
+    scenario = load_scenario({**raw, "horizon": 2})
+    result = run_scenario(scenario, None, {"checks": ()})
+    engine, game = result.engine, result.engine.game
+    x = ProfileConjecture.from_marginals({0: {1: 0.25, 2: 0.25, 3: 0.5},
+                                          1: {1: 0.125, 2: 0.5, 3: 0.375}})
+    cells = [(i, node, s) for i, node in live_cells(result.nodes)
+             for s in range(game.grid(i, node.t).points)]
+    for i, node, s in cells:
+        engine.slot_prospects(i, node, s, x)
+    store = engine.store
+    sigs = "\n".join(store.node(k).signature() for k in range(len(store)))
+    assert hashlib.sha256(sigs.encode()).hexdigest() == SEVERAL_PLAN_FILL_NODES
+    ref = PerPlanIndexEngine(game, engine.mechanism, walker=engine.walker)
+    several = branched = 0
+    for i, node, s in cells:
+        plans = {engine.walker.plan_id(plan): plan for _, plan in x.plans(i, node)}
+        several += len(plans) > 1
+        for pid, plan in plans.items():
+            row = engine._rows[(i, engine.memo_key(node), s, pid)]
+            for pos, vec in enumerate(row):
+                want = [ref._g_at(i, node, s, L, pos, plan)
+                        for L in range(node.t, game.horizon + 1)]
+                assert [v.hex() for v in vec] == [v.hex() for v in want], (i, node.key, s, pos)
+            if node.t == game.horizon:
+                a = engine.walker.own_action(i, node, s)[0]
+                branched += len(list(engine.walker.own_branches(i, node, ((1.0, plan),), a))) > 1
+    assert several > 0 and branched > 0
 
 
 @pytest.mark.parametrize("obedient_first", [True, False])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from offmenu.closures import piecewise_quadratic
 from offmenu.model import DynamicsModel, GameError, Grid, RewardModel, ShockModel
+from offmenu.scenario import bundled_scenarios
 
 from conftest import GRID5, make_game
 
@@ -121,3 +125,32 @@ def test_finite_difference_derivative_fallback():
     rew = RewardModel(lambda i, t, s, a: s * s)
     game2 = make_game(rewards=rew)
     assert game2.du_ds(0, 1, 0.5, {0: 0.0}) == pytest.approx(1.0, abs=1e-9)
+
+
+def _loop_value(shape, s):
+    """``piecewise_quadratic.value`` re-adding every trapezoid below s, as it once did."""
+    j = shape._cell(s)
+    base = 0.0
+    for k in range(j):
+        base += 0.5 * (shape.slopes[k] + shape.slopes[k + 1]) * shape.grid.step
+    ds = s - shape.grid.value(j)
+    return base + shape.slopes[j] * ds + 0.5 * (shape.deriv(s) - shape.slopes[j]) * ds
+
+
+def test_piecewise_quadratic_value_reads_the_running_trapezoid_sums():
+    rng = np.random.default_rng(3)
+    shapes = []
+    for name in ("pair-churn", "double-well"):
+        params = json.loads(bundled_scenarios()[name].read_text())["rewards"]["params"]
+        g = params["grid"]
+        shapes.append(piecewise_quadratic(Grid(g["lo"], g["hi"], g["points"]),
+                                          tuple(params["slopes"])))
+    for points in (2, 5, 9, 33):
+        grid = Grid(float(rng.uniform(-1.0, 0.0)), float(rng.uniform(0.5, 2.0)), points)
+        shapes.append(piecewise_quadratic(grid, tuple(rng.normal(0.0, 5.0, size=points))))
+    for shape in shapes:
+        grid = shape.grid
+        points = [grid.value(k) for k in range(grid.points)]
+        points += list(rng.uniform(grid.lo - grid.step, grid.hi + grid.step, size=200))
+        for s in points:
+            assert shape.value(s) == _loop_value(shape, s), (shape.slopes, s)

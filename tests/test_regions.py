@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
-from offmenu.histories import RegionConjecture, TreeWalker
+from offmenu.histories import RegionConjecture, TreeWalker, live_cells
 from offmenu.carrier import CarrierTables
 from offmenu.mechanism import BoundaryProfile
 from offmenu.model import GameError, ShockModel, DynamicsModel, RewardModel
 from offmenu.persistence import PersistenceTransforms
-from offmenu.regions import detect_monotone, partition_from_boundary
+from offmenu.regions import _cdf_matrix, detect_monotone, partition_from_boundary
+from offmenu.scenario import bundled_scenarios, load_scenario
 
 from conftest import GRID5, IDENTITY, make_game
 
@@ -132,3 +136,34 @@ def test_detect_monotone_on_clamped_additive_follows_tables(g1):
     assert rep.passed == nondecreasing
     if not rep.passed:
         assert rep.witness["kind"] == "zeta"  # the kernel side cannot be the witness
+
+
+def test_cdf_rows_read_the_record_of_the_menu_action_played_at_each_state():
+    """Under action feedback, row j of a period-t CDF matrix is the kernel
+    row of the walker's transition record at the child after agent i plays
+    its menu action at state j: t records, the last one that action."""
+    raw = {**json.loads(bundled_scenarios()["subscription"].read_text()),
+           "dynamics": {"kind": "action_feedback", "params": {"beta": 0.25, "scale": 0.5}}}
+    scenario = load_scenario(raw)
+    game = scenario.build_game()
+    walker = TreeWalker(game, scenario.build_policy())
+    plan = NOQUIT.plan()
+    rows = moved = 0
+    for i, node in live_cells(walker.reachable_nodes(plan)):
+        if node.t == game.horizon:
+            continue
+        cdf = _cdf_matrix(walker, i, node)
+        history = walker.store.history(node)
+        for j in range(game.grid(i, node.t).points):
+            a, a_idx = walker.own_action(i, node, j)
+            for _, _, br in walker.own_branches(i, node, ((1.0, plan),), a):
+                child = walker.child_after(i, node, j, a_idx, br)
+                row = np.zeros(game.grid(i, child.t).points)
+                for p, s2 in walker.own_kernel(i, child, j):
+                    row[s2] = p
+                assert np.array_equal(cdf[j], np.cumsum(row)), (node.key, j)
+                rows += 1
+            # the t - 1 records alone give another row: the instance tells them apart
+            stale, _ = game.kernel(i, node.t + 1, game.grid(i, node.t).value(j), history)
+            moved += not np.array_equal(cdf[j], np.cumsum(stale))
+    assert rows > 0 and moved > 0

@@ -2,8 +2,9 @@
 
 Counts are deterministic where timings are not, so they pin the work a
 change removes: the prospect table keeps obedient entries apart from the
-rows of one-shot deviations, the walker reads each transition record from
-one ``kernel`` call, and the Markov-class walk expands each successor
+rows of one-shot deviations, a row is filled by one step, flow-c3 walks
+no period-T cell, the walker reads each transition record from one
+``kernel`` call, and the Markov-class walk expands each successor
 signature once.
 """
 
@@ -19,6 +20,7 @@ from offmenu.mechanism import CallableOffSwitch, Mechanism, ZeroCoupling
 from offmenu.model import BaseGame
 from offmenu.run import run_scenario
 from offmenu.scenario import bundled_scenarios, load_scenario
+from offmenu import verify
 from offmenu.verify import check_doic
 
 from conftest import IDENTITY
@@ -55,6 +57,35 @@ def test_doic_fills_one_row_per_cell_read_and_obedient_entries_apart(monkeypatch
     # one agent, one branch per slot: a flow per obedient entry and per deviation slot
     assert len(flows) == len(engine._g) + engine._row_slots - len(engine._rows)
     assert len(flows) <= 275
+
+
+def test_period_t_rows_take_one_step_and_flow_c3_walks_only_before_t(monkeypatch):
+    steps: dict[Engine, int] = {}
+    step = Engine._step
+
+    def counted_step(engine, *args):
+        steps[engine] = steps.get(engine, 0) + 1
+        return step(engine, *args)
+
+    monkeypatch.setattr(Engine, "_step", counted_step)
+    walked = []
+    original = verify._terminal_walks
+
+    def counted(engine, memo, kind, node_id, i, node, *args):
+        walked.append(node.t)
+        return original(engine, memo, kind, node_id, i, node, *args)
+
+    monkeypatch.setattr(verify, "_terminal_walks", counted)
+    result = run_scenario("subscription", None, {})
+    assert "flow-c3" in {v["name"] for v in result.report["verdicts"]}
+    # a period-T cell's end and pretense walks are [0.0] and are not made
+    assert walked and max(walked) < result.engine.game.horizon
+    # in every engine of the run, one step per obedient entry and one per
+    # row filled (39,270 steps on the benchmark's wide grid when each slot
+    # took its own)
+    assert result.engine in steps
+    for engine, n in steps.items():
+        assert n <= len(engine._g) + len(engine._rows)
 
 
 def test_pair_churn_reads_each_transition_record_from_one_kernel_call(monkeypatch):
