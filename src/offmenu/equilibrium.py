@@ -14,10 +14,9 @@ one entry.  The recursion reads only these, since continuation play is
 obedient.  ``_rows`` holds, per cell, one such tuple per menu slot played
 first: every check of a one-shot deviation compares the obedient action
 with the whole menu, so a row is filled by one ``_step`` call at the first
-deviation read of its cell.  Its obedient slot is the ``_g`` entry.  At
-period T a prospect is the expected one-period flow, and the row is built
-branch by branch, every slot's flow added per branch; before T the slots
-are walked in menu order, the order in which their children intern.
+deviation read of its cell.  Its obedient slot is the ``_g`` entry.  The
+step walks the others' branches once, every slot's flow and continuation
+added per branch; at period T a prospect is the expected one-period flow.
 Each slot and each L is summed with the same float operations in the same
 order as a recursion for that slot and L alone.
 
@@ -50,6 +49,7 @@ from .histories import (
     OppPlan,
     ProfileConjecture,
     RegionPlan,
+    StepBranch,
     TreeWalker,
 )
 from .mechanism import Mechanism
@@ -104,7 +104,8 @@ class Engine:
 
     ``memo_budget`` caps the prospect table in entries: each obedient entry
     and each slot of a deviation row is one, and holds every plan index of
-    its cell.
+    its cell.  An entry counts from the moment it is opened, before the
+    recursion below it, so a budget error leaves the table within budget.
     """
 
     def __init__(self, game: BaseGame, mechanism: Mechanism, *,
@@ -118,6 +119,7 @@ class Engine:
         self.memo_budget = memo_budget
         self._g: dict[tuple, tuple[float, ...]] = {}
         self._rows: dict[tuple, tuple[tuple[float, ...], ...]] = {}
+        self._g_opened = 0    # obedient entries counted, each from its guard on
         self._row_slots = 0
         self._markov = mechanism.rho.markov and mechanism.phi.markov
 
@@ -137,7 +139,7 @@ class Engine:
 
     def _guard(self, new: int = 1) -> None:
         """Raise unless the table has room for ``new`` more entries."""
-        if len(self._g) + self._row_slots + new > self.memo_budget:
+        if self._g_opened + self._row_slots + new > self.memo_budget:
             raise TreeSizeError(
                 f"exact prospect table exceeds its budget of {self.memo_budget} entries; an "
                 "entry is one cell (agent, history class, state, opponent plan) with one first "
@@ -161,25 +163,16 @@ class Engine:
 
     # -- prospect (plan semantics) -------------------------------------------
 
-    def prospect(self, i: int, node: Node, s_idx: int, L: int, x: Conjecture,
-                 a_pos: int | None = None) -> float:
-        """Expected utilities from node.t through L plus the period-(L+1) off-switch.
-
-        ``a_pos`` selects a first action from the menu (one-shot deviation);
-        obedient play when absent.  Continuation actions are always obedient.
-        """
+    def prospect(self, i: int, node: Node, s_idx: int, L: int, x: Conjecture) -> float:
+        """Expected utilities from node.t through L plus the period-(L+1)
+        off-switch, playing obediently; ``slot_prospects`` reads a one-shot
+        deviation."""
         if not node.t <= L <= self.game.horizon:
             raise GameError(f"plan index {L} outside {node.t}..{self.game.horizon}")
-        return self.prospects(i, node, s_idx, x, a_pos)[L - node.t]
+        return self.prospects(i, node, s_idx, x)[L - node.t]
 
-    def prospects(self, i: int, node: Node, s_idx: int, x: Conjecture,
-                  a_pos: int | None = None) -> Sequence[float]:
-        """The prospects of every plan index L = node.t..T, entry L - node.t.
-
-        With ``a_pos`` this is slot ``a_pos`` of ``slot_prospects``.
-        """
-        if a_pos is not None:
-            return self.slot_prospects(i, node, s_idx, x)[a_pos]
+    def prospects(self, i: int, node: Node, s_idx: int, x: Conjecture) -> Sequence[float]:
+        """The obedient prospects of every plan index L = node.t..T, entry L - node.t."""
         plans = x.plans(i, node)
         if len(plans) == 1 and plans[0][0] == 1.0:
             # a sure plan's entry is the sum: entries start at +0.0, so none is
@@ -225,10 +218,8 @@ class Engine:
         """Each plan's row: its prospects of every menu slot played first.
 
         A row's obedient slot is the cell's ``_g`` entry; every other slot is
-        a one-shot deviation followed by obedient play.  One missing row is
-        filled by one ``_step`` call over the whole menu.  Several are filled
-        slot by slot in menu order, each slot over the plans in turn, so
-        nodes intern in the order of one read per (slot, plan).
+        a one-shot deviation followed by obedient play.  Each missing row is
+        filled by one ``_step`` call over the whole menu.
         """
         memo_id = node.lump if self._markov else node.key
         keys = [(i, memo_id, s_idx, self.walker.plan_id(plan)) for _, plan in plans]
@@ -241,99 +232,86 @@ class Engine:
             new = len(slots) * len(todo)
             self._guard(new)
             self._row_slots += new
-            if len(todo) == 1:
-                (pid, plan), = todo.items()
-                filled = self._step(i, node, s_idx, slots, plan, pid)
-            else:
-                filled = [self._step(i, node, s_idx, (pos,), plan, pid)[0]
-                          for pos in slots for pid, plan in todo.items()]
-            for k, pid in enumerate(todo):
-                self._rows[(i, memo_id, s_idx, pid)] = tuple(filled[k::len(todo)])
+            for pid, plan in todo.items():
+                self._rows[(i, memo_id, s_idx, pid)] = self._step(i, node, s_idx, slots, plan, pid)
             rows = [self._rows[key] for key in keys]
         return rows
 
     def _step(self, i: int, node: Node, s_idx: int, slots: Sequence[int], plan: OppPlan,
-              plan_id: int) -> list[tuple[float, ...]]:
+              plan_id: int) -> tuple[tuple[float, ...], ...]:
         """Prospects for L = node.t..T of playing each menu slot in ``slots``
         now, then obediently, in the order of ``slots``.
 
         The obedient slot is the cell's ``_g`` entry: read when present, else
-        computed here and kept.  Entry 0 ends with the off-switch at the
-        children; entry k >= 1 ends with entry k - 1 of the children's
-        obedient prospects.  Each slot and entry takes the same float
-        operations, in the same order, as a recursion for it alone.
-
-        At period T a prospect is the expected flow, since quitting after the
-        horizon pays 0: one ``own_branches`` pass adds every slot's flow
-        branch by branch.  Before T the slots are walked one after another,
-        because ``child_after`` interns the children in that order.
+        computed here and kept.  One ``own_branches`` pass adds every slot's
+        flow and continuation branch by branch; quitting after the horizon
+        pays 0, so a period-T prospect is the expected flow and builds no
+        child.  Each slot and entry takes the same float operations, in the
+        same order, as a recursion for it alone.
         """
         menu = self.walker.menu(i, node)
         obedient = menu.action_index_of_state[s_idx]
         g_key = (i, node.lump if self._markov else node.key, s_idx, plan_id)
         todo = [pos for pos in slots if pos != obedient or g_key not in self._g]
+        if obedient in todo:
+            self._guard()
+            self._g_opened += 1
         n = self.game.horizon - node.t + 1
-        if n == 1:
-            if obedient in todo:
-                self._guard()
-            sums = [0.0] * len(todo)
-            for w, actions, _ in self.walker.own_branches(i, node, ((1.0, plan),),
-                                                          menu.actions[obedient]):
-                for k, pos in enumerate(todo):
-                    actions[i] = menu.actions[pos]
-                    sums[k] += w * (self.flow(i, node, s_idx, actions, pos) + 0.0)
-            filled = {pos: (v,) for pos, v in zip(todo, sums)}
-            if obedient in filled:
-                self._g[g_key] = filled[obedient]
+        sums = [0.0] * (n * len(todo))   # slot k's entries at k*n .. k*n + n - 1
+        for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),),
+                                                      menu.actions[obedient]):
+            for k, pos in enumerate(todo):
+                actions[i] = menu.actions[pos]
+                z = self.flow(i, node, s_idx, actions, pos)
+                if n == 1:
+                    sums[k] += w * (z + 0.0)
+                    continue
+                cont = self._continuation(i, node, s_idx, menu.grid_indices[pos], br, plan,
+                                          plan_id, n)
+                for j, c in enumerate(cont, k * n):
+                    sums[j] += w * (z + c)
+        filled = dict(zip(todo, zip(*[iter(sums)] * n)))
+        if obedient in filled:
+            self._g[g_key] = filled[obedient]
+        return tuple(self._g[g_key] if pos == obedient else filled[pos] for pos in slots)
+
+    def _continuation(self, i: int, node: Node, s_idx: int, a_own_idx: int,
+                      branch: StepBranch, plan: OppPlan, plan_id: int, n: int) -> list[float]:
+        """After one branch of a step before T: entry 0 is the expected
+        off-switch at the child, entry k >= 1 entry k - 1 of the child's
+        expected obedient prospects."""
+        child = self.walker.child_after(i, node, s_idx, a_own_idx, branch)
+        kernel = self.walker.own_kernel(i, child, s_idx)
+        phi = self.mechanism.phi
+        if phi.state_dependent():
+            c0 = 0.0
+            for pp, s2 in kernel:
+                c0 += pp * phi.value(i, child, s2)
         else:
-            phi = self.mechanism.phi
-            interval_keyed = phi.state_dependent()
-            filled = {}
-            for pos in todo:
-                if pos == obedient:
-                    self._guard()
-                a_own, a_own_idx = menu.actions[pos], menu.grid_indices[pos]
-                total = [0.0] * n
-                for w, actions, br in self.walker.own_branches(i, node, ((1.0, plan),), a_own):
-                    z = self.flow(i, node, s_idx, actions, pos)
-                    child = self.walker.child_after(i, node, s_idx, a_own_idx, br)
-                    kernel = self.walker.own_kernel(i, child, s_idx)
-                    if interval_keyed:
-                        c0 = 0.0
-                        for pp, s2 in kernel:
-                            c0 += pp * phi.value(i, child, s2)
-                    else:
-                        c0 = phi.value(i, child)
-                    cont = [c0] + [0.0] * (n - 1)
-                    for pp, s2 in kernel:
-                        for k, v in enumerate(self._g_plan(i, child, s2, plan, plan_id), 1):
-                            cont[k] += pp * v
-                    total = [acc + w * (z + c) for acc, c in zip(total, cont)]
-                filled[pos] = tuple(total)
-                if pos == obedient:
-                    self._g[g_key] = filled[pos]
-        return [self._g[g_key] if pos == obedient else filled[pos] for pos in slots]
+            c0 = phi.value(i, child)
+        cont = [c0] + [0.0] * (n - 1)
+        for pp, s2 in kernel:
+            for k, v in enumerate(self._g_plan(i, child, s2, plan, plan_id), 1):
+                cont[k] += pp * v
+        return cont
 
     # -- payoff-to-go, on-rent, best response ---------------------------------
 
-    def stay_value(self, i: int, node: Node, s_idx: int, x: Conjecture,
-                   a_pos: int | None = None) -> tuple[float, int]:
-        """max over plan indices of the prospect; ties resolve to the largest L."""
-        return _best_plan(self.prospects(i, node, s_idx, x, a_pos), node.t)
+    def stay_value(self, i: int, node: Node, s_idx: int, x: Conjecture) -> tuple[float, int]:
+        """max over plan indices of the obedient prospect; ties resolve to the largest L."""
+        return _best_plan(self.prospects(i, node, s_idx, x), node.t)
 
     def stay_values(self, i: int, node: Node, s_idx: int,
                     x: Conjecture) -> list[tuple[float, int]]:
         """``stay_value`` of every menu slot played first, in menu order."""
         return [_best_plan(vec, node.t) for vec in self.slot_prospects(i, node, s_idx, x)]
 
-    def on_rent(self, i: int, node: Node, s_idx: int, x: Conjecture,
-                a_pos: int | None = None) -> float:
-        stay, _ = self.stay_value(i, node, s_idx, x, a_pos)
+    def on_rent(self, i: int, node: Node, s_idx: int, x: Conjecture) -> float:
+        stay, _ = self.stay_value(i, node, s_idx, x)
         return stay - self.phi_value(i, node, s_idx)
 
-    def payoff_to_go(self, i: int, node: Node, s_idx: int, x: Conjecture,
-                     a_pos: int | None = None) -> float:
-        stay, _ = self.stay_value(i, node, s_idx, x, a_pos)
+    def payoff_to_go(self, i: int, node: Node, s_idx: int, x: Conjecture) -> float:
+        stay, _ = self.stay_value(i, node, s_idx, x)
         return max(self.phi_value(i, node, s_idx), stay)
 
     def best_response(self, i: int, node: Node, s_idx: int, x: Conjecture) -> BestResponse:

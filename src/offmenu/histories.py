@@ -304,9 +304,6 @@ class ProfileConjecture(Conjecture):
         return cls(tuple(entries))
 
 
-IR_CONJECTURE = RegionConjecture({})
-
-
 # ---------------------------------------------------------------------------
 # Tree stepping
 # ---------------------------------------------------------------------------

@@ -331,10 +331,9 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
         # at period T every leaf lies past the horizon, where it pays 0, so
         # each walk is [0.0] and none is made
         last = node.t == game.horizon
-        # every slot's walks first, then the row: the end walks intern the
-        # nodes the row's deviations reach, in the order of one read per slot
-        walks = []
-        for pos, states in enumerate(walker.menu(i, node).generating_states):
+        devs = engine.slot_prospects(i, node, s, x)
+        own = [carriers.carrier(i, node, s, L) for L in cutoffs]
+        for pos, (states, dev) in enumerate(zip(walker.menu(i, node).generating_states, devs)):
             s_hat = states[-1]
             hat = hats.get((i, node.key, s_hat))
             if hat is None:
@@ -342,11 +341,8 @@ def check_payoff_flow(engine: Engine, carriers: CarrierTables, nodes: Sequence[N
                                                           i, node, s_hat, x, None, phi.value)
                 hat = hats[(i, node.key, s_hat)] = [
                     g - e for g, e in zip(engine.prospects(i, node, s_hat, x), phis)]
-            walks.append((s_hat, hat, [0.0] if last else _terminal_walks(
-                engine, memo, "end", _full_history, i, node, s, x, pos, end_leaf)))
-        devs = engine.slot_prospects(i, node, s, x)
-        own = [carriers.carrier(i, node, s, L) for L in cutoffs]
-        for (s_hat, hat, ends), dev in zip(walks, devs):
+            ends = [0.0] if last else _terminal_walks(engine, memo, "end", _full_history,
+                                                      i, node, s, x, pos, end_leaf)
             for L, c, h, g, e in zip(cutoffs, own, hat, dev, ends):
                 lhs = carriers.carrier(i, node, s_hat, L) - c
                 rhs = h - (g - e)

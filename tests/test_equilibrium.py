@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from offmenu.equilibrium import Engine
+from offmenu.equilibrium import Engine, _best_plan
 from offmenu.histories import FixedPlan, ProfileConjecture, RegionConjecture, live_cells
 from offmenu.mechanism import (
     CallableCoupling,
@@ -60,7 +59,7 @@ def test_prospect_matches_oracle_with_deviation(g1):
     for s in range(5):
         for pos in (0, 2, 4):
             for L in (1, 2, 3):
-                got = engine.prospect(0, root, s, L, NOQUIT, pos)
+                got = engine.slot_prospects(0, root, s, NOQUIT)[pos][L - root.t]
                 want = oracle.prospect(0, root, s, L, plans,
                                        engine.walker.menu(0, root).actions[pos])
                 assert got == pytest.approx(want, abs=1e-10)
@@ -69,29 +68,27 @@ def test_prospect_matches_oracle_with_deviation(g1):
 def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
     """Every plan index of every cell and first action, bit for bit; the cell count.
 
-    Each first action is read both alone and from the cell's row of every
-    menu slot, and the row's staying values match the reference's per-slot
-    ``stay_value``.  The reference shares the engine's walker, so both read
-    one interning order (a posted value may depend on the node key).
+    The obedient prospects are read first, alone and per plan index, then
+    the cell's row of every menu slot, and the row's staying values match
+    the reference's per-slot ones.  The reference shares the engine's
+    walker, so both read one interning order (a posted value may depend on
+    the node key).
     """
     ref = PerPlanIndexEngine(engine.game, engine.mechanism, walker=engine.walker)
     cells = 0
     for i, node in live_cells(nodes):
         slots = range(len(engine.walker.menu(i, node).actions))
         for s in range(engine.game.grid(i, node.t).points):
-            for a_pos in (None, *slots):
-                vec = engine.prospects(i, node, s, x, a_pos)
+            vecs = {None: engine.prospects(i, node, s, x)}
+            assert [engine.prospect(i, node, s, L, x)
+                    for L in range(node.t, engine.game.horizon + 1)] == list(vecs[None])
+            vecs.update(enumerate(engine.slot_prospects(i, node, s, x)))
+            for a_pos, vec in vecs.items():
                 want = ref.prospects(i, node, s, x, a_pos)
                 assert [v.hex() for v in vec] == [v.hex() for v in want], (i, node.key, s, a_pos)
-                assert [engine.prospect(i, node, s, L, x, a_pos)
-                        for L in range(node.t, engine.game.horizon + 1)] == list(vec)
-                if a_pos is not None:
-                    row = engine.slot_prospects(i, node, s, x)[a_pos]
-                    assert [v.hex() for v in row] == [v.hex() for v in want], (i, node.key, s,
-                                                                                a_pos)
                 cells += 1
-            assert engine.stay_values(i, node, s, x) == [ref.stay_value(i, node, s, x, pos)
-                                                         for pos in slots]
+            assert engine.stay_values(i, node, s, x) == [
+                _best_plan(ref.prospects(i, node, s, x, pos), node.t) for pos in slots]
     return cells
 
 
@@ -147,15 +144,10 @@ def test_prospect_vectors_equal_per_plan_index_recursion_on_a_window_one_game(ra
                                                          result.nodes) > 0
 
 
-# the store order after the fill below, as the fill one step per slot gave it
-SEVERAL_PLAN_FILL_NODES = "78610770bccd50db38476149afdf4322d0dc52b4c3fe84966eac28f397f57121"
-
-
 def test_rows_of_several_plans_match_the_per_plan_index_recursion_slot_by_slot():
     """Two agents, several branches at period T, and a conjecture of several
     plans built as ``om_fixed_point`` builds it: the rows filled at the first
-    read of each cell match the per-L reference in every slot, and the nodes
-    their deviations open intern in the order pinned above.  The reward
+    read of each cell match the per-L reference in every slot.  The reward
     reads the other agent's action, so the flows differ across branches and
     their order shows in the sums."""
     raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
@@ -169,9 +161,6 @@ def test_rows_of_several_plans_match_the_per_plan_index_recursion_slot_by_slot()
              for s in range(game.grid(i, node.t).points)]
     for i, node, s in cells:
         engine.slot_prospects(i, node, s, x)
-    store = engine.store
-    sigs = "\n".join(store.node(k).signature() for k in range(len(store)))
-    assert hashlib.sha256(sigs.encode()).hexdigest() == SEVERAL_PLAN_FILL_NODES
     ref = PerPlanIndexEngine(game, engine.mechanism, walker=engine.walker)
     several = branched = 0
     for i, node, s in cells:
@@ -212,7 +201,7 @@ def test_a_deviation_to_the_obedient_slot_shares_the_obedient_entry(g1, obedient
     pid = engine.walker.plan_id(NOQUIT.plan())
     key = (0, engine.memo_key(root), s, pid)
     assert row[pos] is engine._g[key] is vec
-    assert engine.prospects(0, root, s, NOQUIT, pos) is vec
+    assert engine.slot_prospects(0, root, s, NOQUIT)[pos] is vec
     assert engine._rows[key] is row
     # one agent: one branch per slot, so the obedient slot's root flow is computed once
     assert [a[4] for a in flows if a[1] is root].count(pos) == 1

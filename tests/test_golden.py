@@ -96,7 +96,7 @@ INTERNING = {
     ("g2-appendix", "--mode", "mc", "--checks", "doic", "--samples", "300"):
         "ef39ccd5f8729afeed62085b05af00182088e5d866fabeeee362f61e9bf770a4",
 }
-PAIR_CHURN_T2_INTERNING = "61589c20984ec33b174198fadf0d1829754b623e88fe8caf0fc130c469b5506d"
+PAIR_CHURN_T2_INTERNING = "bf9203f330cf65fefbb731b3c28322055c477c0af236673a6164d7db79870657"
 
 
 def _verify_digests(monkeypatch, scenario: str, out, *args) -> tuple[dict[str, str], str]:

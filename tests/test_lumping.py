@@ -225,9 +225,11 @@ def _zero_mechanism_rents(game):
     conj = RegionConjecture({})
     nodes = engine.walker.reachable_nodes(conj.plan())
     check_doic(engine, conj, nodes)
-    rents = [engine.on_rent(i, n, s, conj, pos) for n in nodes
+    # the obedient on-rent, then that of every menu slot played first
+    rents = [stay - engine.phi_value(i, n, s) for n in nodes
              for i in n.active for s in range(game.grid(i, n.t).points)
-             for pos in (None, *range(len(engine.walker.menu(i, n).actions)))]
+             for stay in (engine.stay_value(i, n, s, conj)[0],
+                          *(v for v, _ in engine.stay_values(i, n, s, conj)))]
     return engine.store, rents
 
 

@@ -98,7 +98,7 @@ def test_the_next_step_has_one_owner():
     # per branch before the kernel sum, or draw the branch
     assert {(f, s) for f, s, _ in _calls("child_after")} == {
         ("histories.py", "TreeWalker.next_states"),
-        ("equilibrium.py", "Engine._step"),
+        ("equilibrium.py", "Engine._continuation"),
         ("carrier.py", "CarrierTables._q_plan"),
         ("verify.py", "audit_full_deviations.stay"),
         ("sampling.py", "PathSampler._transition")}
@@ -108,6 +108,13 @@ def test_other_branches_is_called_only_by_own_branches_and_the_path_sampler():
     callers = {(f, scope) for f, scope, _ in _calls("other_branches")}
     assert callers == {("histories.py", "TreeWalker.own_branches"),
                        ("sampling.py", "PathSampler._cell")}
+
+
+def test_a_prospect_step_walks_the_others_branches_once_for_every_slot():
+    # one branch pass per (cell, plan) fills every slot asked for, at every
+    # period, and a row is one step over the whole menu
+    assert [s for f, s, _ in _calls("own_branches") if f == "equilibrium.py"] == ["Engine._step"]
+    assert [s for f, s, _ in _calls("_step") if s == "Engine._rows_of"] == ["Engine._rows_of"]
 
 
 def test_the_closure_walk_serves_only_the_reachable_set_the_classes_and_the_deviations():

@@ -466,14 +466,15 @@ def _flow_c3_unmemoized(engine, carriers, eta, nodes):
         end = _terminal_unmemoized(
             engine, x, i, node, s, L, pos,
             lambda child, s2: phi.value(i, child, s2) - eta.get((i, child.key), 0.0))
-        return hat - (engine.prospect(i, node, s, L, x, pos) - end)
+        return hat - (engine.slot_prospects(i, node, s, x)[pos][L - node.t] - end)
 
     return _worst_c3(carriers, _flow_c3_cells(engine, nodes), rhs)
 
 
 def _lambda_unmemoized(engine, x, i, node, s, L, a_pos):
     """Prospect stripped of the current expected coupling and the terminal off-switch."""
-    g = engine.prospect(i, node, s, L, x, a_pos)
+    g = (engine.prospects(i, node, s, x) if a_pos is None
+         else engine.slot_prospects(i, node, s, x)[a_pos])[L - node.t]
     phi_term = _terminal_unmemoized(engine, x, i, node, s, L, a_pos,
                                     lambda child, s2: engine.mechanism.phi.value(i, child, s2))
     menu = engine.walker.menu(i, node)

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from offmenu.equilibrium import Engine, TreeSizeError
-from offmenu.histories import NodeStore, RegionConjecture, TreeWalker, live_cells
+from offmenu.histories import (NodeStore, ProfileConjecture, RegionConjecture, TreeWalker,
+                               live_cells)
 from offmenu.mechanism import CallableOffSwitch, Mechanism, ZeroCoupling
 from offmenu.model import BaseGame
 from offmenu.run import run_scenario
@@ -40,6 +41,19 @@ def _counting(monkeypatch, cls, name):
     return calls
 
 
+def _counting_steps(monkeypatch) -> dict[Engine, int]:
+    """``Engine._step`` calls, per engine."""
+    steps: dict[Engine, int] = {}
+    step = Engine._step
+
+    def counted_step(engine, *args):
+        steps[engine] = steps.get(engine, 0) + 1
+        return step(engine, *args)
+
+    monkeypatch.setattr(Engine, "_step", counted_step)
+    return steps
+
+
 def test_doic_fills_one_row_per_cell_read_and_obedient_entries_apart(monkeypatch):
     result = run_scenario("subscription", None, {"checks": ()})
     engine, x, nodes = result.engine, result.conjecture, result.nodes
@@ -60,14 +74,7 @@ def test_doic_fills_one_row_per_cell_read_and_obedient_entries_apart(monkeypatch
 
 
 def test_period_t_rows_take_one_step_and_flow_c3_walks_only_before_t(monkeypatch):
-    steps: dict[Engine, int] = {}
-    step = Engine._step
-
-    def counted_step(engine, *args):
-        steps[engine] = steps.get(engine, 0) + 1
-        return step(engine, *args)
-
-    monkeypatch.setattr(Engine, "_step", counted_step)
+    steps = _counting_steps(monkeypatch)
     walked = []
     original = verify._terminal_walks
 
@@ -86,6 +93,27 @@ def test_period_t_rows_take_one_step_and_flow_c3_walks_only_before_t(monkeypatch
     assert result.engine in steps
     for engine, n in steps.items():
         assert n <= len(engine._g) + len(engine._rows)
+
+
+def test_rows_under_several_plans_take_one_step_per_plan(monkeypatch):
+    """Two agents and a conjecture of three plans per cell, built as
+    ``om_fixed_point`` builds it: each missing plan's row is one step over
+    the whole menu, not one step per (slot, plan)."""
+    steps = _counting_steps(monkeypatch)
+    raw = json.loads(bundled_scenarios()["pair-churn"].read_text())
+    raw["rewards"]["params"]["spill"] = 0.3
+    result = run_scenario(load_scenario({**raw, "horizon": 2}), None, {"checks": ()})
+    engine, game = result.engine, result.engine.game
+    x = ProfileConjecture.from_marginals({0: {1: 0.25, 2: 0.25, 3: 0.5},
+                                          1: {1: 0.125, 2: 0.5, 3: 0.375}})
+    several = 0
+    for i, node in live_cells(result.nodes):
+        several += len({engine.walker.plan_id(plan) for _, plan in x.plans(i, node)}) == 3
+        for s in range(game.grid(i, node.t).points):
+            engine.slot_prospects(i, node, s, x)
+    assert several > 0 and engine in steps
+    for counted, n in steps.items():
+        assert n <= len(counted._g) + len(counted._rows)
 
 
 def test_pair_churn_reads_each_transition_record_from_one_kernel_call(monkeypatch):
@@ -141,3 +169,19 @@ def test_the_budget_counts_row_slots_as_well_as_obedient_entries(g1):
             for s in range(5):
                 engine.slot_prospects(0, root, s, NOQUIT)
         assert len(engine._g) + engine._row_slots <= budget
+
+
+def test_the_budget_counts_an_obedient_entry_before_its_recursion(g1):
+    """An entry counts from its guard on, so a budget error leaves the table
+    within its budget whatever depth the recursion had reached."""
+    mech = Mechanism(IDENTITY, ZeroCoupling(), CallableOffSwitch(3, lambda i, node: 0.1 * node.t))
+    raised = 0
+    for budget in range(1, 41):
+        engine = Engine(g1, mech, memo_budget=budget)
+        try:
+            for s in range(5):
+                engine.prospects(0, engine.root(), s, NOQUIT)
+        except TreeSizeError:
+            raised += 1
+        assert len(engine._g) + engine._row_slots <= budget, budget
+    assert raised > 0
