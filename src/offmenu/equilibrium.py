@@ -143,12 +143,10 @@ class Engine:
             raise TreeSizeError(
                 f"exact prospect table exceeds its budget of {self.memo_budget} entries; an "
                 "entry is one cell (agent, history class, state, opponent plan) with one first "
-                "action and holds the prospects of every plan index; the obedient entries are "
-                "filled by the checks doic (exact mode), payoff_flow, transform, fixed_point, "
-                "envelope, mso and phi_uniqueness and the on_rent.csv export, and the "
-                "deviation rows, one entry per menu slot, by doic, payoff_flow, envelope and "
-                "fixed_point, so only leaving those out, a shorter horizon or fewer grid "
-                "points (states and menu slots) shrink it")
+                "action and holds the prospects of every plan index, and the deviation rows, "
+                "one entry per menu slot, count too, so only leaving out the checks or the "
+                "on_rent.csv export that fill it, a shorter horizon or fewer grid points "
+                "(states and menu slots) shrink it")
 
     def flow(self, i: int, node: Node, s_idx: int, actions: Mapping[int, float],
              pos: int) -> float:
@@ -163,16 +161,10 @@ class Engine:
 
     # -- prospect (plan semantics) -------------------------------------------
 
-    def prospect(self, i: int, node: Node, s_idx: int, L: int, x: Conjecture) -> float:
-        """Expected utilities from node.t through L plus the period-(L+1)
-        off-switch, playing obediently; ``slot_prospects`` reads a one-shot
-        deviation."""
-        if not node.t <= L <= self.game.horizon:
-            raise GameError(f"plan index {L} outside {node.t}..{self.game.horizon}")
-        return self.prospects(i, node, s_idx, x)[L - node.t]
-
     def prospects(self, i: int, node: Node, s_idx: int, x: Conjecture) -> Sequence[float]:
-        """The obedient prospects of every plan index L = node.t..T, entry L - node.t."""
+        """The obedient prospects of every plan index L = node.t..T, entry L - node.t:
+        expected utilities from node.t through L plus the period-(L+1)
+        off-switch; ``slot_prospects`` reads a one-shot deviation."""
         plans = x.plans(i, node)
         if len(plans) == 1 and plans[0][0] == 1.0:
             # a sure plan's entry is the sum: entries start at +0.0, so none is

@@ -184,13 +184,6 @@ class BoundaryProfile:
             if b < a - 1e-12:
                 raise GameError(f"boundary profile not ordered: {flat}")
 
-    @classmethod
-    def from_flat(cls, seq) -> "BoundaryProfile":
-        vals = list(seq)
-        if len(vals) % 2 != 0:
-            raise GameError("boundary profile needs an even number of entries")
-        return cls(tuple((float(vals[k]), float(vals[k + 1])) for k in range(0, len(vals), 2)))
-
 
 class OffSwitch:
     """Posted quit value phi(i, node); independent of the current state and action.

@@ -102,68 +102,68 @@ def run_scenario(source, out_dir: str | Path | None = None,
     tol = scenario.tolerance
     verdicts: list[Verdict] = []
 
-    for check in scenario.checks:
-        if check == "support":
-            strict = game.validate_full_support(mode="strict")
-            relaxed = game.validate_full_support(mode="reachable")
-            extras["support"] = {"strict": strict.passed, "reachable": relaxed.passed,
-                                 "strict_violations": len(strict.violations)}
-        elif check == "doic":
-            mode = "ir" if variant == "ir" else "off"
-            if scenario.mode == "mc":
-                verdicts += check_doic_mc(engine, conj, nodes, scenario.samples,
-                                          scenario.seed, mode=mode, partitions=partitions,
-                                          tol=tol)
-            else:
-                try:
+    try:
+        for check in scenario.checks:
+            if check == "support":
+                strict = game.validate_full_support(mode="strict")
+                relaxed = game.validate_full_support(mode="reachable")
+                extras["support"] = {"strict": strict.passed, "reachable": relaxed.passed,
+                                     "strict_violations": len(strict.violations)}
+            elif check == "doic":
+                mode = "ir" if variant == "ir" else "off"
+                if scenario.mode == "mc":
+                    verdicts += check_doic_mc(engine, conj, nodes, scenario.samples,
+                                              scenario.seed, mode=mode, partitions=partitions,
+                                              tol=tol)
+                else:
                     verdicts += check_doic(engine, conj, nodes, mode=mode,
                                            partitions=partitions, tol=tol)
-                except TreeSizeError as exc:
-                    raise GameError(f"exact doic enumeration too large: {exc}") from exc
-        elif check == "payoff_flow":
-            eta = posted_factor_eta(carriers, mech, nodes, tol=tol)
-            extras["eta"] = {"consistent": eta.consistent,
-                             "worst_spread": eta.worst_spread,
-                             "worst_spread_all_cutoffs": eta.worst_spread_all_L}
-            verdicts += check_payoff_flow(engine, carriers, nodes, eta.values, tol=tol)
-        elif check == "cm":
-            verdicts.append(check_constrained_monotone(carriers, nodes, tol=tol))
-        elif check == "envelope":
-            verdicts.append(check_envelope(engine, carriers, conj, nodes))
-        elif check == "mso":
-            verdicts.append(check_mso(engine, conj, nodes, tol=tol))
-        elif check == "phi_uniqueness":
-            closed = posted_values(mech.phi, transforms, nodes)
-            solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
-            verdicts.append(check_phi_uniqueness(closed, solved))
-        elif check == "dcm_zero":
-            rep = check_dcm_zero(mech, transforms, nodes, tol=tol)
-            verdicts.append(Verdict("dcm-zero", rep.passed, rep.worst, tol))
-        elif check == "fixed_point":
-            fp = engine.om_fixed_point(root, chi)
-            # the necessary alignment: immediate quit mass matches chi
-            match = all(abs(fp.marginals[i].get(root.t, 0.0) - chi[i].get(root.t, 0.0)) <= 1e-6
-                        for i in game.agents())
-            verdicts.append(Verdict("fixed-point", fp.converged and fp.residual <= FIXED_POINT_TOL,
-                                    fp.residual, FIXED_POINT_TOL,
-                                    details={"iterations": fp.iterations,
-                                             "matches_chi": match}))
-        elif check == "barrier":
-            count = 0
-            for i in game.agents():
-                for s in range(game.grid(i, 1).points):
-                    count += len(transforms.barrier_violations(i, root, s))
-                count += transforms.barrier_violations_mc(
-                    i, root, 0, min(scenario.samples, 10_000), scenario.seed + i)
-            verdicts.append(Verdict("barrier", count == 0, float(count), 0.0))
-        elif check == "transform":
-            worst = 0.0
-            for i, node in live_cells(nodes):
-                for s in range(game.grid(i, node.t).points):
-                    lam = engine.payoff_to_go(i, node, s, conj)
-                    rep = transforms.total(i, node, transforms.project(i, node, s))
-                    worst = max(worst, abs(lam - rep))
-            verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
+            elif check == "payoff_flow":
+                eta = posted_factor_eta(carriers, mech, nodes, tol=tol)
+                extras["eta"] = {"consistent": eta.consistent,
+                                 "worst_spread": eta.worst_spread,
+                                 "worst_spread_all_cutoffs": eta.worst_spread_all_L}
+                verdicts += check_payoff_flow(engine, carriers, nodes, eta.values, tol=tol)
+            elif check == "cm":
+                verdicts.append(check_constrained_monotone(carriers, nodes, tol=tol))
+            elif check == "envelope":
+                verdicts.append(check_envelope(engine, carriers, conj, nodes))
+            elif check == "mso":
+                verdicts.append(check_mso(engine, conj, nodes, tol=tol))
+            elif check == "phi_uniqueness":
+                closed = posted_values(mech.phi, transforms, nodes)
+                solved = solve_phi_by_indifference(mech.rho, transforms, nodes, variant)
+                verdicts.append(check_phi_uniqueness(closed, solved))
+            elif check == "dcm_zero":
+                rep = check_dcm_zero(mech, transforms, nodes, tol=tol)
+                verdicts.append(Verdict("dcm-zero", rep.passed, rep.worst, tol))
+            elif check == "fixed_point":
+                fp = engine.om_fixed_point(root, chi)
+                # the necessary alignment: immediate quit mass matches chi
+                match = all(abs(fp.marginals[i].get(root.t, 0.0) - chi[i].get(root.t, 0.0))
+                            <= 1e-6 for i in game.agents())
+                verdicts.append(Verdict("fixed-point", fp.converged and fp.residual <= FIXED_POINT_TOL,
+                                        fp.residual, FIXED_POINT_TOL,
+                                        details={"iterations": fp.iterations,
+                                                 "matches_chi": match}))
+            elif check == "barrier":
+                count = 0
+                for i in game.agents():
+                    for s in range(game.grid(i, 1).points):
+                        count += len(transforms.barrier_violations(i, root, s))
+                    count += transforms.barrier_violations_mc(
+                        i, root, 0, min(scenario.samples, 10_000), scenario.seed + i)
+                verdicts.append(Verdict("barrier", count == 0, float(count), 0.0))
+            elif check == "transform":
+                worst = 0.0
+                for i, node in live_cells(nodes):
+                    for s in range(game.grid(i, node.t).points):
+                        lam = engine.payoff_to_go(i, node, s, conj)
+                        rep = transforms.total(i, node, transforms.project(i, node, s))
+                        worst = max(worst, abs(lam - rep))
+                verdicts.append(Verdict("transform-representation", worst <= tol, worst, tol))
+    except TreeSizeError as exc:
+        raise GameError(f"check {check!r}: {exc}") from exc
 
     if carriers is not None:
         monotone = detect_monotone(carriers, nodes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .carrier import CarrierTables
 from .equilibrium import Engine
@@ -29,7 +29,6 @@ __all__ = [
     "check_envelope",
     "check_mso",
     "check_phi_uniqueness",
-    "audit_full_deviations",
 ]
 
 Z_GATE = 3.0   # standard errors a sampled margin is widened by before it is gated
@@ -85,40 +84,18 @@ def check_doic(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     match the partition (nonpositive inside the desired off region,
     nonnegative outside), so the directed quit pattern is a best response.
     """
-    if mode not in ("ir", "off"):
-        raise GameError(f"unknown doic mode {mode!r}")
-    if mode == "off" and partitions is None:
-        raise GameError("off-region mode needs the partitions")
-    worst_oaic, worst_raic = math.inf, math.inf
-    wit_oaic = wit_raic = None
-    for i, node, s in _cells(engine, nodes):
-        # on-rents are staying values net of the same quit value, read once;
-        # staying first, as on_rent does: a synthesized off-switch interns
-        # nodes when read, and the goldens pin the interning order
-        stay = engine.stay_value(i, node, s, x)[0]
-        quit_val = engine.phi_value(i, node, s)
-        z_obed = stay - quit_val
-        for pos, (dev, _) in enumerate(engine.stay_values(i, node, s, x)):
-            margin = z_obed - (dev - quit_val)
-            if margin < worst_raic:
-                worst_raic = margin
-                if margin < -tol:
-                    wit_raic = {"agent": i, "period": node.t, "node": node.key,
-                                "state": s, "deviation_slot": pos}
-        if mode == "ir":
-            sign_margin = z_obed
-        else:
-            in_off = s in partitions[(i, node.t)].off_indices if (i, node.t) in partitions else False
-            sign_margin = -z_obed if in_off else z_obed
-        if sign_margin < worst_oaic:
-            worst_oaic = sign_margin
-            if sign_margin < -tol:
-                wit_oaic = {"agent": i, "period": node.t, "node": node.key, "state": s}
-    name = "oaic" if mode == "ir" else "off-region-alignment"
-    return [
-        Verdict(name, worst_oaic >= -tol, worst_oaic, tol, witness=wit_oaic),
-        Verdict("raic", worst_raic >= -tol, worst_raic, tol, witness=wit_raic),
-    ]
+    def cells():
+        for i, node, s in _cells(engine, nodes):
+            # on-rents are staying values net of the same quit value, read once;
+            # staying first, as on_rent does: a synthesized off-switch interns
+            # nodes when read, and the goldens pin the interning order
+            stay = engine.stay_value(i, node, s, x)[0]
+            quit_val = engine.phi_value(i, node, s)
+            z_obed = stay - quit_val
+            yield i, node, s, z_obed, None, [z_obed - (dev - quit_val)
+                                             for dev, _ in engine.stay_values(i, node, s, x)]
+
+    return _obedience(cells(), mode, partitions, tol)
 
 
 def check_doic_mc(engine: Engine, x: Conjecture, nodes: Sequence[Node],
@@ -133,116 +110,68 @@ def check_doic_mc(engine: Engine, x: Conjecture, nodes: Sequence[Node],
     the sampled mode and the worst widened margin, which passes at ``-tol``
     or above, as in ``check_doic``.
     """
+    def cells():
+        for k, (i, node, s) in enumerate(_cells(engine, nodes, support_only=True), 1):
+            mean, se = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k)
+            quit_val = engine.phi_value(i, node, s)
+            z = float(mean.max()) - quit_val
+            z_se = float(se[int(mean.argmax())])
+            menu = engine.walker.menu(i, node)
+            margins = []
+            for pos in range(len(menu.actions)):
+                # the obedient slot's draws are the cell's own: same seed, same paths
+                if pos == menu.action_index_of_state[s]:
+                    m2, se2 = mean, se
+                else:
+                    m2, se2 = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k, pos)
+                margin = z - (float(m2.max()) - quit_val)
+                margins.append(margin + Z_GATE * (z_se + float(se2[int(m2.argmax())])))
+            yield i, node, s, z, Z_GATE * z_se, margins
+
+    return _obedience(cells(), mode, partitions, tol, samples)
+
+
+def _obedience(cells, mode: str, partitions: PartitionSet | None, tol: float,
+               samples: int | None = None) -> list[Verdict]:
+    """The on-rent sign verdict and ``raic`` of per-cell obedience margins.
+
+    ``cells`` yields (agent, node, state, obedient on-rent, its sampled
+    widening or None, the margin of each menu deviation in menu order).  In
+    off mode the on-rent's sign flips inside the desired off region.  A
+    sampled run gives its ``samples``; its verdicts record mode ``mc``.
+    """
+    if mode not in ("ir", "off"):
+        raise GameError(f"unknown doic mode {mode!r}")
     if mode == "off" and partitions is None:
         raise GameError("off-region mode needs the partitions")
     worst_oaic, worst_raic = math.inf, math.inf
     wit_oaic = wit_raic = None
-    k = 0
-    for i, node, s in _cells(engine, nodes, support_only=True):
-        k += 1
-        mean, se = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k)
-        quit_val = engine.phi_value(i, node, s)
-        z = float(mean.max()) - quit_val
-        z_se = float(se[int(mean.argmax())])
-        menu = engine.walker.menu(i, node)
-        for pos in range(len(menu.actions)):
-            # the obedient slot's draws are the cell's own: same seed, same paths
-            if pos == menu.action_index_of_state[s]:
-                m2, se2 = mean, se
-            else:
-                m2, se2 = engine.prospect_mc(i, node, s, x, samples, seed + 17 * k, pos)
-            margin = z - (float(m2.max()) - quit_val)
-            stud = margin + Z_GATE * (z_se + float(se2[int(m2.argmax())]))
-            if stud < worst_raic:
-                worst_raic = stud
-                if stud < -tol:
+    for i, node, s, z, widening, margins in cells:
+        for pos, margin in enumerate(margins):
+            if margin < worst_raic:
+                worst_raic = margin
+                if margin < -tol:
                     wit_raic = {"agent": i, "period": node.t, "node": node.key,
                                 "state": s, "deviation_slot": pos}
-        if mode == "ir":
-            sign = z
-        else:
-            in_off = s in partitions[(i, node.t)].off_indices if (i, node.t) in partitions else False
-            sign = -z if in_off else z
-        stud = sign + Z_GATE * z_se
-        if stud < worst_oaic:
-            worst_oaic = stud
-            if stud < -tol:
+        in_off = (mode == "off" and (i, node.t) in partitions
+                  and s in partitions[(i, node.t)].off_indices)
+        sign_margin = -z if in_off else z
+        if widening is not None:
+            # exact margins take no term: adding 0.0 would turn -0.0 into 0.0
+            sign_margin += widening
+        if sign_margin < worst_oaic:
+            worst_oaic = sign_margin
+            if sign_margin < -tol:
                 wit_oaic = {"agent": i, "period": node.t, "node": node.key, "state": s}
     name = "oaic" if mode == "ir" else "off-region-alignment"
-    details = {"samples": samples, "z": Z_GATE}
+    kind = "exact" if samples is None else "mc"
+    details = {} if samples is None else {"samples": samples, "z": Z_GATE}
     return [
-        Verdict(name, worst_oaic >= -tol, worst_oaic, tol, mode="mc", witness=wit_oaic,
+        Verdict(name, worst_oaic >= -tol, worst_oaic, tol, mode=kind, witness=wit_oaic,
                 details=details),
-        Verdict("raic", worst_raic >= -tol, worst_raic, tol, mode="mc", witness=wit_raic,
+        Verdict("raic", worst_raic >= -tol, worst_raic, tol, mode=kind, witness=wit_raic,
                 details=details),
     ]
-
-
-def audit_full_deviations(engine: Engine, x: Conjecture, nodes: Sequence[Node],
-                          directive_regions=None, tol: float = 1e-9) -> Verdict:
-    """Slow optional pass: unrestricted deviations instead of one-shot ones.
-
-    Computes, per cell, the value of the best fully state-contingent strategy
-    (re-deciding the quit and any menu action every period) by dynamic
-    programming and compares it with the value of the directed behavior
-    (quit per the directive regions, obedient actions otherwise).  A positive
-    gap is a profitable multi-period deviation that one-shot checks can miss.
-    Exponential in the tree; intended for desk-scale instances only.
-    """
-    regions = directive_regions or {}
-    game = engine.game
-    walker = engine.walker
-    memo_best: dict[tuple, float] = {}
-    memo_directed: dict[tuple, float] = {}
-
-    def stay(i: int, node: Node, s: int, plan, a_pos: int | None, then) -> float:
-        """Stay this period playing menu slot ``a_pos`` (obedient when None), then ``then``."""
-        pos = walker.own_slot(i, node, s, a_pos)
-        a_own, a_idx = walker.own_action(i, node, s, pos)
-        total = 0.0
-        for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
-            z = engine.flow(i, node, s, actions, pos)
-            cont = 0.0
-            if node.t < game.horizon:
-                child = walker.child_after(i, node, s, a_idx, br)
-                for pp, s2 in walker.own_kernel(i, child, s):
-                    cont += pp * then(i, child, s2, plan)
-            total += w * (z + cont)
-        return total
-
-    def best(i: int, node: Node, s: int, plan) -> float:
-        key = (i, node.key, s, walker.plan_id(plan))
-        hit = memo_best.get(key)
-        if hit is not None:
-            return hit
-        stay_best = -math.inf
-        for pos in range(len(walker.menu(i, node).actions)):
-            stay_best = max(stay_best, stay(i, node, s, plan, pos, best))
-        out = memo_best[key] = max(engine.phi_value(i, node, s), stay_best)
-        return out
-
-    def directed(i: int, node: Node, s: int, plan) -> float:
-        key = (i, node.key, s, walker.plan_id(plan))
-        hit = memo_directed.get(key)
-        if hit is not None:
-            return hit
-        if s in regions.get((i, node.t), frozenset()):
-            out = engine.phi_value(i, node, s)
-        else:
-            out = stay(i, node, s, plan, None, directed)
-        memo_directed[key] = out
-        return out
-
-    worst = 0.0
-    witness = None
-    for i, node, s in _cells(engine, nodes):
-        for p, plan in x.plans(i, node):
-            gap = best(i, node, s, plan) - directed(i, node, s, plan)
-            if gap > worst:
-                worst = gap
-                if gap > tol:
-                    witness = {"agent": i, "period": node.t, "node": node.key, "state": s}
-    return Verdict("full-deviation-audit", worst <= tol, worst, tol, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +390,13 @@ def _trapz(vals, j0, j1, step):
 
 
 def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
-                   nodes: Sequence[Node],
-                   cutoff_rule: Callable[[int, Node, int], int] | None = None) -> Verdict:
+                   nodes: Sequence[Node]) -> Verdict:
     """Grid finite differences of the best value against the impulse response.
 
     The value function's central difference at interior cells is compared
-    with the impulse response at the cutoff picked by ``cutoff_rule`` (the
-    best staying plan's index by default).  Cells where that cutoff differs
-    across the stencil are kinks: excluded and reported.  The bound is
+    with the impulse response at the cutoff ``Engine.stay_value`` picks, the
+    best staying plan's index.  Cells where that cutoff differs across the
+    stencil are kinks: excluded and reported.  The bound is
     ``ENVELOPE_BOUND_FACTOR * grid_step * C``, where C is the declared
     impulse-response bound, or else the largest impulse response at the node.
     Every cell is held to its own node's bound; ``worst`` is the largest
@@ -494,10 +422,7 @@ def check_envelope(engine: Engine, carriers: CarrierTables, x: Conjecture,
         bound_used = bound if bound_used is None else max(bound_used, bound)
 
         def cut(idx: int) -> int:
-            if cutoff_rule is not None:
-                return cutoff_rule(i, node, idx)
-            _, L = engine.stay_value(i, node, idx, x)
-            return L
+            return engine.stay_value(i, node, idx, x)[1]
 
         V = [engine.value_fn(i, node, j, x) for j in range(grid.points)]
         for j in range(1, grid.points - 1):

@@ -15,6 +15,7 @@ shelf     -- exogenous dynamics with a bottom-interval off region, the
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from offmenu.mechanism import BoundaryProfile, Mechanism, OffSwitch, TaskPolicy
 from offmenu.model import BaseGame, DynamicsModel, GameError, Grid, RewardModel, ShockModel
 from offmenu.regions import partition_from_boundary
 from offmenu.synthesis import synthesize_mechanism
+from offmenu.verify import Verdict
 
 GRID5 = Grid(0.0, 1.0, 5)
 IDENTITY = TaskPolicy(lambda i, t, s, h: s, "identity")
@@ -102,11 +104,17 @@ def exo_game(slopes, n=1, T=3, act=0.0):
                      rewards=pw_reward(slopes, act=act))
 
 
+def boundary_profile(flat):
+    """The profile of a flat boundary sequence (l_1, r_1, ..., l_B, r_B)."""
+    assert len(flat) % 2 == 0, "a boundary profile needs an even number of entries"
+    return BoundaryProfile(tuple(zip(map(float, flat[::2]), map(float, flat[1::2]))))
+
+
 def synth(game, variant, boundaries=None, directive=None):
     """Synthesize and wrap: returns (mech, carriers, transforms, conj, engine, nodes)."""
     parts = None
     if boundaries is not None:
-        prof = BoundaryProfile.from_flat(boundaries)
+        prof = boundary_profile(boundaries)
         parts = {(i, t): partition_from_boundary(game.grid(i, t), prof)
                  for i in game.agents() for t in game.periods()}
     mech, carriers, transforms, conj, diags = synthesize_mechanism(
@@ -488,6 +496,74 @@ class PerPlanIndexEngine(Engine):
             total += w * (z + cont)
         self._per_L[key] = total
         return total
+
+
+def audit_full_deviations(engine, x, nodes, directive_regions=None, tol=1e-9) -> Verdict:
+    """Unrestricted deviations instead of one-shot ones: the reference for the
+    claim that one-shot checks suffice.
+
+    Computes, per cell, the value of the best fully state-contingent strategy
+    (re-deciding the quit and any menu action every period) by dynamic
+    programming and compares it with the value of the directed behavior
+    (quit per the directive regions, obedient actions otherwise).  A positive
+    gap is a profitable multi-period deviation that one-shot checks can miss.
+    Exponential in the tree; for desk-scale instances only.
+    """
+    regions = directive_regions or {}
+    game = engine.game
+    walker = engine.walker
+    memo_best: dict[tuple, float] = {}
+    memo_directed: dict[tuple, float] = {}
+
+    def stay(i, node, s, plan, a_pos, then):
+        """Stay this period playing menu slot ``a_pos`` (obedient when None), then ``then``."""
+        pos = walker.own_slot(i, node, s, a_pos)
+        a_own, a_idx = walker.own_action(i, node, s, pos)
+        total = 0.0
+        for w, actions, br in walker.own_branches(i, node, ((1.0, plan),), a_own):
+            z = engine.flow(i, node, s, actions, pos)
+            cont = 0.0
+            if node.t < game.horizon:
+                child = walker.child_after(i, node, s, a_idx, br)
+                for pp, s2 in walker.own_kernel(i, child, s):
+                    cont += pp * then(i, child, s2, plan)
+            total += w * (z + cont)
+        return total
+
+    def best(i, node, s, plan):
+        key = (i, node.key, s, walker.plan_id(plan))
+        hit = memo_best.get(key)
+        if hit is not None:
+            return hit
+        stay_best = -math.inf
+        for pos in range(len(walker.menu(i, node).actions)):
+            stay_best = max(stay_best, stay(i, node, s, plan, pos, best))
+        out = memo_best[key] = max(engine.phi_value(i, node, s), stay_best)
+        return out
+
+    def directed(i, node, s, plan):
+        key = (i, node.key, s, walker.plan_id(plan))
+        hit = memo_directed.get(key)
+        if hit is not None:
+            return hit
+        if s in regions.get((i, node.t), frozenset()):
+            out = engine.phi_value(i, node, s)
+        else:
+            out = stay(i, node, s, plan, None, directed)
+        memo_directed[key] = out
+        return out
+
+    worst = 0.0
+    witness = None
+    for i, node in live_cells(nodes):
+        for s in range(game.grid(i, node.t).points):
+            for p, plan in x.plans(i, node):
+                gap = best(i, node, s, plan) - directed(i, node, s, plan)
+                if gap > worst:
+                    worst = gap
+                    if gap > tol:
+                        witness = {"agent": i, "period": node.t, "node": node.key, "state": s}
+    return Verdict("full-deviation-audit", worst <= tol, worst, tol, witness=witness)
 
 
 class NodeKeyedOffSwitch(OffSwitch):

@@ -55,7 +55,7 @@ def test_criterion_1_oracle_equivalence():
                 m = game.grid(i, node.t).points
                 for s in range(m):
                     for L in range(node.t, game.horizon + 1):
-                        d = abs(engine.prospect(i, node, s, L, conj)
+                        d = abs(engine.prospects(i, node, s, conj)[L - node.t]
                                 - oracle.prospect(i, node, s, L, plans))
                         worst = max(worst, d)
                     worst = max(worst, abs(engine.on_rent(i, node, s, conj)

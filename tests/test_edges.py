@@ -51,7 +51,7 @@ def test_time_varying_state_grids():
     assert len(menu1.actions) == 3
     for s in range(3):
         for L in (1, 2):
-            assert engine.prospect(0, root, s, L, conj) == pytest.approx(
+            assert engine.prospects(0, root, s, conj)[L - root.t] == pytest.approx(
                 oracle.prospect(0, root, s, L, conj.plans(0, root)), abs=1e-12)
     nodes = engine.walker.reachable_nodes(conj.plan())
     second = [n for n in nodes if n.t == 2][0]

@@ -32,7 +32,7 @@ def test_prospect_terminal_plan_has_no_off_switch_term(monotone_ir):
     # perturbing every post-horizon off-switch value is impossible by the
     # terminal convention: the full-horizon plan never pays one
     for s in range(5):
-        g_full = engine.prospect(0, root, s, 3, conj)
+        g_full = engine.prospects(0, root, s, conj)[3 - root.t]
         oracle = TreeOracle(engine.game, mech, store=engine.store)
         assert g_full == pytest.approx(
             oracle.prospect(0, root, s, 3, conj.plans(0, root)), abs=1e-12)
@@ -46,7 +46,7 @@ def test_prospect_single_period_at_horizon(monotone_ir):
         menu = engine.walker.menu(0, last)
         a = menu.actions[menu.action_index_of_state[s]]
         z = game.reward(0, 3, game.grid(0, 3).value(s), {0: a}) + mech.rho.value(0, last, {0: a})
-        assert engine.prospect(0, last, s, 3, conj) == pytest.approx(z, abs=1e-12)
+        assert engine.prospects(0, last, s, conj)[3 - last.t] == pytest.approx(z, abs=1e-12)
 
 
 def test_prospect_matches_oracle_with_deviation(g1):
@@ -68,9 +68,9 @@ def test_prospect_matches_oracle_with_deviation(g1):
 def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
     """Every plan index of every cell and first action, bit for bit; the cell count.
 
-    The obedient prospects are read first, alone and per plan index, then
-    the cell's row of every menu slot, and the row's staying values match
-    the reference's per-slot ones.  The reference shares the engine's
+    The obedient prospects are read first, then the cell's row of every
+    menu slot, and the row's staying values match the reference's per-slot
+    ones.  The reference shares the engine's
     walker, so both read one interning order (a posted value may depend on
     the node key).
     """
@@ -80,8 +80,6 @@ def _assert_prospect_vectors_equal_per_plan_index(engine, x, nodes) -> int:
         slots = range(len(engine.walker.menu(i, node).actions))
         for s in range(engine.game.grid(i, node.t).points):
             vecs = {None: engine.prospects(i, node, s, x)}
-            assert [engine.prospect(i, node, s, L, x)
-                    for L in range(node.t, engine.game.horizon + 1)] == list(vecs[None])
             vecs.update(enumerate(engine.slot_prospects(i, node, s, x)))
             for a_pos, vec in vecs.items():
                 want = ref.prospects(i, node, s, x, a_pos)
@@ -468,7 +466,7 @@ def test_expected_history_truncation_excludes_quitters_actions():
     mech = Mechanism(IDENTITY, ZeroCoupling(), ZeroOffSwitch(3))
     engine = Engine(game, mech)
     x = ProfileConjecture(((1.0, ((1, 2),)),))  # opponent quits at period 2
-    engine.prospect(0, engine.root(), 2, 3, x)
+    engine.prospects(0, engine.root(), 2, x)
     by_period = {t: {prof for tt, prof in seen_profiles if tt == t} for t in (1, 2, 3)}
     assert all((0, 1) == prof for prof in by_period[1])
     assert all((0,) == prof for prof in by_period[2] | by_period[3])

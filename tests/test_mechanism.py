@@ -87,10 +87,8 @@ def test_off_switch_terminal_convention(monotone_ir):
 
 def test_boundary_profile_ordering():
     with pytest.raises(GameError):
-        BoundaryProfile.from_flat([0.5, 0.25])
-    with pytest.raises(GameError):
-        BoundaryProfile.from_flat([0.0, 0.25, 0.25])
-    prof = BoundaryProfile.from_flat([0.0, 0.25, 0.5, 0.75])
+        BoundaryProfile(((0.5, 0.25),))
+    prof = BoundaryProfile(((0.0, 0.25), (0.5, 0.75)))
     assert prof.pairs == ((0.0, 0.25), (0.5, 0.75))
 
 

@@ -6,13 +6,12 @@ import pytest
 
 from offmenu.carrier import CarrierTables
 from offmenu.histories import RegionConjecture, TreeWalker
-from offmenu.mechanism import BoundaryProfile
 from offmenu.oracle import TreeOracle
 from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import partition_from_boundary
 from offmenu.synthesis import ir_partitions
 
-from conftest import IDENTITY, exo_game, SHELF_SLOPES, DOUBLEWELL_SLOPES
+from conftest import IDENTITY, boundary_profile, exo_game, SHELF_SLOPES, DOUBLEWELL_SLOPES
 
 NOQUIT = RegionConjecture({})
 
@@ -23,7 +22,7 @@ def build(game, boundaries=None, conjecture=NOQUIT):
     if boundaries is None:
         parts = ir_partitions(game)
     else:
-        prof = BoundaryProfile.from_flat(boundaries)
+        prof = boundary_profile(boundaries)
         parts = {(i, t): partition_from_boundary(game.grid(i, t), prof)
                  for i in game.agents() for t in game.periods()}
     return PersistenceTransforms(carriers, parts), walker, parts

@@ -15,26 +15,26 @@ from offmenu.persistence import PersistenceTransforms
 from offmenu.regions import _cdf_matrix, detect_monotone, partition_from_boundary
 from offmenu.scenario import bundled_scenarios, load_scenario
 
-from conftest import GRID5, IDENTITY, make_game
+from conftest import GRID5, IDENTITY, boundary_profile, make_game
 
 NOQUIT = RegionConjecture({})
 
 
 def test_partition_bottom_singleton():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 0.0]))
+    part = partition_from_boundary(GRID5, boundary_profile([0.0, 0.0]))
     assert part.sub_off == ((0, 0),)
     assert part.sub_on == ((1, 4),)
     assert part.off_indices == frozenset({0})
 
 
 def test_partition_whole_space():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 1.0]))
+    part = partition_from_boundary(GRID5, boundary_profile([0.0, 1.0]))
     assert part.sub_off == ((0, 4),)
     assert part.sub_on == ()
 
 
 def test_partition_two_pairs_interval_arithmetic():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.25, 0.25, 0.75, 0.75]))
+    part = partition_from_boundary(GRID5, boundary_profile([0.25, 0.25, 0.75, 0.75]))
     assert part.sub_off == ((1, 1), (3, 3))
     assert part.sub_on == ((0, 0), (2, 2), (4, 4))
     assert part.intervals() == [(0, 0, "on", 0), (1, 1, "off", 0), (2, 2, "on", 1),
@@ -44,13 +44,13 @@ def test_partition_two_pairs_interval_arithmetic():
 
 def test_partition_rejects_disorder_and_overlap():
     with pytest.raises(GameError):
-        BoundaryProfile.from_flat([0.5, 0.25])
+        boundary_profile([0.5, 0.25])
     with pytest.raises(GameError):
-        partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.0, 0.5, 0.25, 0.75]))
+        partition_from_boundary(GRID5, boundary_profile([0.0, 0.5, 0.25, 0.75]))
 
 
 def test_partition_interval_lookup():
-    part = partition_from_boundary(GRID5, BoundaryProfile.from_flat([0.25, 0.5]))
+    part = partition_from_boundary(GRID5, boundary_profile([0.25, 0.5]))
     assert part.interval_of(1) == ("off", 0)
     assert part.interval_of(0) == ("on", 0)
     assert part.interval_of(4) == ("on", 1)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
 from offmenu.cli import main
+from offmenu.equilibrium import Engine
 from offmenu.model import GameError
 from offmenu.run import export_report, run_scenario
 from offmenu.scenario import bundled_scenarios, load_scenario
@@ -291,7 +293,7 @@ def test_tree_size_error_names_the_table_and_its_budget(g1_unused=None):
     engine = Engine(game, mech, memo_budget=5)
     with pytest.raises(TreeSizeError,
                        match="prospect table exceeds its budget of 5 entries") as exc:
-        engine.prospect(0, engine.root(), 2, 3, RegionConjecture({}))
+        engine.prospects(0, engine.root(), 2, RegionConjecture({}))
     msg = str(exc.value)
     # sampled mode replaces only doic, so the message must not send users there
     assert "mode=mc" not in msg
@@ -300,6 +302,14 @@ def test_tree_size_error_names_the_table_and_its_budget(g1_unused=None):
     # row's slots counted as entries too
     assert "an entry is one cell" in msg and "every plan index" in msg
     assert "deviation rows, one entry per menu slot" in msg
+
+
+def test_cli_budget_error_names_the_check_that_ran_out(monkeypatch, capsys):
+    # a budget error from any check, not only doic, names that check and exits 2
+    monkeypatch.setattr("offmenu.run.Engine", functools.partial(Engine, memo_budget=5))
+    assert main(["verify", "g2-appendix", "--checks", "payoff_flow"]) == 2
+    err = capsys.readouterr().err
+    assert "check 'payoff_flow'" in err and "exceeds its budget of 5 entries" in err
 
 
 WELL_RIDGE = {

@@ -17,25 +17,31 @@ drawn from their tables and walked through ``TreeWalker.next_states``.
 Period T is terminal in one place, ``TreeWalker._closure``: no closure's
 successor function reads the horizon and ``live_cells`` takes no horizon
 to filter by.
+
+The package ships no entry point that only tests call: every function it
+defines is named by other package code.  Every known check has one branch
+in the pipeline, and the README lists the known checks.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import offmenu
 from offmenu.histories import live_cells
+from offmenu.scenario import KNOWN_CHECKS
 
 SRC = Path(offmenu.__file__).resolve().parent
 
 
-def _scan(match):
+def _scan(match, skip="oracle.py"):
     """(module file, enclosing qualname, node) for every AST node ``match`` accepts."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "oracle.py":
+        if path.name == skip:
             continue
 
         def visit(node, scope):
@@ -100,7 +106,6 @@ def test_the_next_step_has_one_owner():
         ("histories.py", "TreeWalker.next_states"),
         ("equilibrium.py", "Engine._continuation"),
         ("carrier.py", "CarrierTables._q_plan"),
-        ("verify.py", "audit_full_deviations.stay"),
         ("sampling.py", "PathSampler._transition")}
 
 
@@ -226,3 +231,62 @@ def test_scan_sees_a_planted_copy(tmp_path, monkeypatch):
     assert ("extra.py", "sample") in _path_loops()
     assert {("histories.py", f"{c}.successors") for c in CLOSURES[:2]} <= _horizon_readers()
     assert ("sampling.py", "PathSampler._transition") in _kernel_readers()
+
+
+def _unreferenced():
+    """(module file, qualname) of every function or method that no other code
+    of the package, the oracle included, names; dunder methods are called by
+    the language."""
+    defs = _scan(lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__")))
+    refs: dict[str, list[tuple[str, str]]] = {}
+    for f, scope, node in _scan(lambda node: isinstance(node, (ast.Name, ast.Attribute)),
+                                skip=None):
+        refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append((f, scope))
+    return {(f, q) for f, q, node in defs
+            if all(rf == f and (rs == q or rs.startswith(q + "."))
+                   for rf, rs in refs.get(node.name, ()))}
+
+
+# perfbench/tracer.py wraps this method by name and tests/test_tracer.py checks
+# that every wrapped attribute exists; ROADMAP item 11 drops that span first
+UNREFERENCED_ALLOWED = {("histories.py", "TreeWalker.one_shot_closure")}
+
+
+def test_the_package_ships_no_test_only_entry_points():
+    assert _unreferenced() == UNREFERENCED_ALLOWED
+
+
+def test_the_unreferenced_scan_sees_a_planted_entry_point(tmp_path, monkeypatch):
+    planted = tmp_path / "offmenu"
+    planted.mkdir()
+    for path in SRC.glob("*.py"):
+        (planted / path.name).write_text(path.read_text())
+    (planted / "extra.py").write_text(
+        "def audit(n):\n"
+        "    return audit(n - 1) if n else helper()\n"
+        "def helper():\n"
+        "    return 0\n"
+        "class Reader:\n"
+        "    def read(self):\n"
+        "        return self\n")
+    monkeypatch.setattr(f"{__name__}.SRC", planted)
+    # a self-call is no caller; a call from another function is
+    assert _unreferenced() == UNREFERENCED_ALLOWED | {("extra.py", "audit"),
+                                                      ("extra.py", "Reader.read")}
+
+
+def test_every_known_check_has_one_branch_in_the_pipeline():
+    # a listed name with no branch would be skipped silently
+    branches = [node.comparators[0].value for f, scope, node in _scan(
+        lambda node: isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+        and node.left.id == "check" and isinstance(node.comparators[0], ast.Constant))
+        if (f, scope) == ("run.py", "run_scenario")]
+    assert sorted(branches) == sorted(KNOWN_CHECKS)
+
+
+def test_the_readme_lists_the_known_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"^Checks: `([^`]*)`", readme, re.M)
+    assert listed is not None
+    assert [c.strip() for c in listed.group(1).split(",")] == list(KNOWN_CHECKS)

@@ -12,9 +12,9 @@ from offmenu.carrier import CarrierTables
 from offmenu.equilibrium import Engine
 from offmenu.histories import RegionConjecture, TreeWalker, live_cells
 from offmenu.mechanism import CallableCoupling, CallableOffSwitch, Mechanism, TaskPolicy
-from offmenu.model import DynamicsModel, RewardModel, ShockModel
+from offmenu.model import DynamicsModel, GameError, RewardModel, ShockModel
 from offmenu.run import run_scenario
-from offmenu.synthesis import posted_factor_eta, solve_phi_by_indifference
+from offmenu.synthesis import ir_partitions, posted_factor_eta, solve_phi_by_indifference
 from offmenu.verify import (
     ENVELOPE_BOUND_FACTOR,
     check_constrained_monotone,
@@ -26,7 +26,8 @@ from offmenu.verify import (
     check_phi_uniqueness,
 )
 
-from conftest import IDENTITY, TrapezoidCarriers, make_game, random_instance, synth
+from conftest import (IDENTITY, TrapezoidCarriers, audit_full_deviations, make_game,
+                      random_instance, synth)
 
 NOQUIT = RegionConjecture({})
 
@@ -106,6 +107,20 @@ def test_doic_mc_samples_each_menu_slot_once_per_cell(monotone_ir, monkeypatch):
             for i, node in live_cells(nodes)
             for _, s in engine.walker.belief(i, node)}
     assert calls == want
+
+
+@pytest.mark.parametrize("check", [
+    lambda engine, conj, nodes, **kw: check_doic(engine, conj, nodes, **kw),
+    lambda engine, conj, nodes, **kw: check_doic_mc(engine, conj, nodes, 20, 3, **kw)],
+    ids=["exact", "mc"])
+def test_doic_rejects_an_unknown_mode_and_off_mode_without_partitions(monotone_ir, check):
+    mech, carriers, transforms, conj, engine, nodes, parts, diags = monotone_ir
+    with pytest.raises(GameError, match="unknown doic mode 'on'"):
+        check(engine, conj, nodes, mode="on", partitions=ir_partitions(engine.game))
+    with pytest.raises(GameError, match="unknown doic mode 'on'"):
+        check(engine, conj, nodes, mode="on")
+    with pytest.raises(GameError, match="off-region mode needs the partitions"):
+        check(engine, conj, nodes, mode="off")
 
 
 def test_doic_off_mode_sign_pattern(doublewell):
@@ -211,7 +226,7 @@ def test_envelope_zero_for_state_independent_reward():
     assert v.worst == 0.0
 
 
-def test_envelope_reports_kink_cells():
+def test_envelope_reports_kink_cells(monkeypatch):
     """A response that flips sign across periods moves the best cutoff."""
     ms = [1.0, -2.0, 1.0]
     rew = RewardModel(lambda i, t, s, a: ms[t - 1] * s, lambda i, t, s, a: ms[t - 1])
@@ -221,11 +236,14 @@ def test_envelope_reports_kink_cells():
     mech, carriers, transforms, conj, engine, nodes, parts, diags = synth(game, "ir")
 
     flip = {0: 1, 1: 1, 2: 3, 3: 3, 4: 3}
+    stay_value = engine.stay_value
 
-    def rule(i, node, idx):
-        return flip[idx] if node.t == 1 else engine.game.horizon
+    def planted(i, node, idx, x):
+        # the staying value as computed, at a cutoff that flips inside period 1
+        return stay_value(i, node, idx, x)[0], flip[idx] if node.t == 1 else engine.game.horizon
 
-    v = check_envelope(engine, carriers, conj, nodes, cutoff_rule=rule)
+    monkeypatch.setattr(engine, "stay_value", planted)
+    v = check_envelope(engine, carriers, conj, nodes)
     assert v.details["kink_cells"], "expected flagged kink cells"
 
 
@@ -355,8 +373,6 @@ def test_off_doic_with_coupled_rewards_two_agents():
 
 
 def test_full_deviation_audit_passes_on_indifference_instance(doublewell):
-    from offmenu.verify import audit_full_deviations
-
     mech, carriers, transforms, conj, engine, nodes, parts, diags = doublewell
     regions = conj.regions
     v = audit_full_deviations(engine, conj, nodes, regions)
@@ -367,8 +383,6 @@ def test_full_deviation_audit_passes_on_indifference_instance(doublewell):
 def test_full_deviation_audit_catches_contingent_plans(shelf):
     """With strictly negative on-rent inside the off region, re-planned quitting
     beats the never-quit directive; the audit surfaces the gap."""
-    from offmenu.verify import audit_full_deviations
-
     mech, carriers, transforms, conj, engine, nodes, parts, diags = shelf
     v = audit_full_deviations(engine, conj, nodes, directive_regions={})
     assert not v.passed
@@ -461,7 +475,7 @@ def _flow_c3_unmemoized(engine, carriers, eta, nodes):
     x, phi = carriers.conjecture, engine.mechanism.phi
 
     def rhs(i, node, s, pos, s_hat, L):
-        hat = engine.prospect(i, node, s_hat, L, x) - _terminal_unmemoized(
+        hat = engine.prospects(i, node, s_hat, x)[L - node.t] - _terminal_unmemoized(
             engine, x, i, node, s_hat, L, None, lambda child, s2: phi.value(i, child, s2))
         end = _terminal_unmemoized(
             engine, x, i, node, s, L, pos,
